@@ -62,6 +62,15 @@ class ImportanceSummary:
             raise ValueError("stability must lie in [-1, 1]")
 
 
+@dataclass(frozen=True)
+class StabilityResult:
+    """Bootstrap ranking stability and how many replicates it had to skip."""
+
+    kendall_tau: float
+    skipped: int
+    replications: int
+
+
 def _gather(model: QuantileModel, mapping: Mapping[str, float], what: str) -> np.ndarray:
     out = np.empty(len(model.columns))
     for j, col in enumerate(model.columns):
@@ -71,9 +80,8 @@ def _gather(model: QuantileModel, mapping: Mapping[str, float], what: str) -> np
     return out
 
 
-def _pair_indices(
-    model: QuantileModel, positions: Mapping[str, int]
-) -> list[tuple[int, int, float]]:
+def _pair_indices(model: QuantileModel) -> list[tuple[int, int, float]]:
+    positions = {c: j for j, c in enumerate(model.columns)}
     out = []
     for (a, b), gamma in model.gammas.items():
         if a not in positions or b not in positions:
@@ -102,6 +110,49 @@ def _coalition_value(
     return value
 
 
+def _shapley_matrix(
+    model: QuantileModel, linear: np.ndarray, mu: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """phi0 and the (M x n) closed-form Shapley values of an (n x M) block.
+
+    Linear terms contribute beta_j * (x_j - mu_j); a pairwise product term
+    gamma * x_a * x_b splits evenly between its two parents, each taking
+    gamma * (x_own - mu_own) * (x_other + mu_other) / 2.  The exact
+    efficiency identity is asserted on every row as a cheap certificate.
+    """
+    beta = _beta_vector(model)
+    centred = linear - mu
+    phi = np.ascontiguousarray((beta * centred).T)
+    phi0 = model.intercept + float(np.dot(beta, mu))
+    full = model.intercept + linear @ beta
+    for i, j, gamma in _pair_indices(model):
+        phi[i] += gamma * centred[:, i] * (linear[:, j] + mu[j]) / 2.0
+        phi[j] += gamma * centred[:, j] * (linear[:, i] + mu[i]) / 2.0
+        phi0 += gamma * mu[i] * mu[j]
+        full += gamma * linear[:, i] * linear[:, j]
+    gap = np.abs(phi0 + phi.sum(axis=0) - full)
+    if np.any(gap > 1e-9 * (1.0 + np.abs(full))):
+        raise NumericalError(f"attribution efficiency violated by {gap.max():g}")
+    return float(phi0), phi
+
+
+def _results(
+    model: QuantileModel, linear: np.ndarray, mu: np.ndarray, months: Sequence[str]
+) -> list[AttributionResult]:
+    """One AttributionResult per row of an (n x M) feature block."""
+    phi0, phi = _shapley_matrix(model, linear, mu)
+    pairs = list(zip(model.gammas, _pair_indices(model)))
+    return [
+        AttributionResult(
+            phi=dict(zip(model.columns, row_phi)),
+            phi0=phi0,
+            phi_interactions={pair: g * c[i] * c[j] for pair, (i, j, g) in pairs},
+            instance_month=month,
+        )
+        for row_phi, c, month in zip(phi.T.tolist(), (linear - mu).tolist(), months)
+    ]
+
+
 def shapley_values(
     model: QuantileModel,
     background_means: Mapping[str, float],
@@ -109,39 +160,10 @@ def shapley_values(
     *,
     instance_month: str = "",
 ) -> AttributionResult:
-    """Closed-form Shapley attribution under the marginal-mean baseline.
-
-    Linear terms contribute beta_j * (x_j - mu_j); a pairwise product term
-    gamma * x_a * x_b splits evenly between its two parents, each taking
-    gamma * (x_own - mu_own) * (x_other + mu_other) / 2.  The (exact)
-    efficiency identity is asserted on every call as a cheap certificate.
-    """
+    """Closed-form Shapley attribution under the marginal-mean baseline."""
     x = _gather(model, instance, "instance")
     mu = _gather(model, background_means, "background means")
-    positions = {c: j for j, c in enumerate(model.columns)}
-    pairs = _pair_indices(model, positions)
-
-    phi = {
-        col: float(model.betas[col]) * (x[j] - mu[j])
-        for j, col in enumerate(model.columns)
-    }
-    phi0 = model.intercept + float(np.dot(_beta_vector(model), mu))
-    interactions: dict[tuple[str, str], float] = {}
-    for (a, b), gamma in model.gammas.items():
-        i, j = positions[a], positions[b]
-        phi[a] += gamma * (x[i] - mu[i]) * (x[j] + mu[j]) / 2.0
-        phi[b] += gamma * (x[j] - mu[j]) * (x[i] + mu[i]) / 2.0
-        phi0 += gamma * mu[i] * mu[j]
-        interactions[(a, b)] = gamma * (x[i] - mu[i]) * (x[j] - mu[j])
-
-    full = _coalition_value(model, x, mu, pairs, (1 << x.size) - 1)
-    gap = abs(phi0 + sum(phi.values()) - full)
-    if gap > 1e-9 * (1.0 + abs(full)):
-        raise NumericalError(f"attribution efficiency violated by {gap:g}")
-    return AttributionResult(
-        phi=phi, phi0=phi0, phi_interactions=interactions,
-        instance_month=instance_month,
-    )
+    return _results(model, x[None, :], mu, (instance_month,))[0]
 
 
 def shapley_brute_force(
@@ -157,8 +179,7 @@ def shapley_brute_force(
         raise ValueError(f"enumeration limited to {_ENUMERATION_LIMIT} features")
     x = _gather(model, instance, "instance")
     mu = _gather(model, background_means, "background means")
-    positions = {c: j for j, c in enumerate(model.columns)}
-    pairs = _pair_indices(model, positions)
+    pairs = _pair_indices(model)
 
     values = np.array(
         [_coalition_value(model, x, mu, pairs, mask) for mask in range(1 << m)]
@@ -188,14 +209,7 @@ def interaction_values(
     instance: Mapping[str, float],
 ) -> dict[tuple[str, str], float]:
     """Closed-form pairwise Shapley interaction indices for declared pairs."""
-    x = _gather(model, instance, "instance")
-    mu = _gather(model, background_means, "background means")
-    positions = {c: j for j, c in enumerate(model.columns)}
-    return {
-        (a, b): float(gamma) * (x[positions[a]] - mu[positions[a]])
-        * (x[positions[b]] - mu[positions[b]])
-        for (a, b), gamma in model.gammas.items()
-    }
+    return dict(shapley_values(model, background_means, instance).phi_interactions)
 
 
 def interaction_values_brute_force(
@@ -211,15 +225,13 @@ def interaction_values_brute_force(
         )
     x = _gather(model, instance, "instance")
     mu = _gather(model, background_means, "background means")
-    positions = {c: j for j, c in enumerate(model.columns)}
-    pairs = _pair_indices(model, positions)
+    pairs = _pair_indices(model)
     values = np.array(
         [_coalition_value(model, x, mu, pairs, mask) for mask in range(1 << m)]
     )
     fact = [math.factorial(k) for k in range(m + 1)]
     out: dict[tuple[str, str], float] = {}
-    for (a, b) in model.gammas:
-        i, j = positions[a], positions[b]
+    for pair, (i, j, _) in zip(model.gammas, pairs):
         bit_i, bit_j = 1 << i, 1 << j
         total = 0.0
         for mask in range(1 << m):
@@ -234,7 +246,7 @@ def interaction_values_brute_force(
                 + values[mask]
             )
             total += weight * delta
-        out[(a, b)] = total
+        out[pair] = total
     return out
 
 
@@ -243,32 +255,21 @@ def attribute_window(model: QuantileModel, X: DesignMatrix) -> list[AttributionR
     if X.linear_column_names != model.columns:
         raise DataError("design matrix columns do not match the model")
     linear = X.values[:, : X.n_linear]
-    mu = {col: float(m) for col, m in zip(model.columns, np.mean(linear, axis=0))}
-    out = []
-    for i, month in enumerate(X.months):
-        instance = {col: float(v) for col, v in zip(model.columns, linear[i])}
-        out.append(
-            shapley_values(model, mu, instance, instance_month=month)
-        )
-    return out
+    return _results(model, linear, np.mean(linear, axis=0), X.months)
 
 
 def importance_summary(
-    results: Sequence[AttributionResult],
+    columns: Sequence[str],
+    phi: np.ndarray,
     *,
     stability: float | None = None,
 ) -> ImportanceSummary:
-    """Percentage shares of mean absolute attribution across a window."""
-    if not results:
+    """Percentage shares of mean |phi| per column; ``phi`` is (M columns x n rows)."""
+    if phi.ndim != 2 or phi.shape[0] != len(columns):
+        raise DataError("attribution matrix rows do not match the column set")
+    if phi.shape[1] == 0:
         raise DataError("no attribution results to summarize")
-    columns = list(results[0].phi)
-    key_set = set(columns)
-    for r in results[1:]:
-        if set(r.phi) != key_set:
-            raise DataError("attribution results cover different column sets")
-    means = {
-        col: float(np.mean([abs(r.phi[col]) for r in results])) for col in columns
-    }
+    means = {col: float(np.mean(np.abs(row))) for col, row in zip(columns, phi)}
     total = sum(means.values())
     if total == 0.0:
         raise DegenerateSampleError("all attributions are zero; shares undefined")
@@ -322,14 +323,14 @@ def bootstrap_stability(
     replications: int = 1000,
     block_length: int | None = None,
     seed: int,
-) -> float:
+) -> StabilityResult:
     """Moving-block bootstrap of the importance ranking's Kendall stability.
 
     Each replicate resamples design rows in blocks, re-standardizes from its
     own rows, refits the quantile model, and re-ranks features by mean |phi|.
     Per-replicate derived seeds keep the aggregate independent of execution
     order.  Columns that degenerate inside a replicate simply attract zero
-    attributions, so rankings stay comparable across replicates.
+    attributions, so rankings stay comparable; degenerate replicates are counted.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
@@ -337,23 +338,21 @@ def bootstrap_stability(
     length = default_block_length(n) if block_length is None else int(block_length)
     children = np.random.SeedSequence(seed).spawn(replications)
     rankings: list[tuple[str, ...]] = []
-    skipped = 0
     for child in children:
         rng = np.random.default_rng(child)
         rows = np.sort(moving_block_indices(n, length, rng))
         replicate = _resampled_design(X, rows)
         try:
             model = fit_quantile(replicate, tau)
-            results = attribute_window(model, replicate)
-            rankings.append(importance_summary(results).ranking)
-        except (DegenerateSampleError,) as exc:
-            skipped += 1
+            linear = replicate.values[:, : replicate.n_linear]
+            _, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
+            rankings.append(importance_summary(model.columns, phi).ranking)
+        except DegenerateSampleError as exc:
             logger.warning("stability replicate skipped: %s", exc)
-    if skipped:
-        logger.warning("stability bootstrap skipped %d/%d replicates", skipped, replications)
     if len(rankings) < 2:
         raise DegenerateSampleError("too few usable replicates for stability")
-    return stability_kendall(rankings)
+    skipped = replications - len(rankings)
+    return StabilityResult(stability_kendall(rankings), skipped, replications)
 
 
 def _resampled_design(X: DesignMatrix, rows: np.ndarray) -> DesignMatrix:

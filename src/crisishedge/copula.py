@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import optimize, stats
 
 from .errors import DataError, DegenerateSampleError, FitError, NumericalError
 
@@ -209,42 +209,6 @@ def lower_tail_dependence(family: CopulaFamily | str, theta: float) -> float:
     if family is CopulaFamily.CLAYTON:
         return float(2.0 ** (-1.0 / theta))
     return 0.0
-
-
-def kendall_tau_frank(theta: float) -> float:
-    """Kendall's tau implied by a Frank copula parameter (odd in theta)."""
-    if theta == 0.0:
-        return 0.0
-    t = abs(theta)
-    debye, _ = integrate.quad(lambda s: s / math.expm1(s) if s > 0 else 1.0, 0.0, t)
-    tau = 1.0 - 4.0 / t * (1.0 - debye / t)
-    return math.copysign(tau, theta)
-
-
-def initial_theta_from_kendall(family: CopulaFamily | str, tau: float) -> float:
-    """Invert Kendall's tau to a starting parameter, clamped into the bounds.
-
-    These are the moment-style initializers (Clayton 2*tau/(1-tau), Gumbel
-    1/(1-tau), Frank by numeric inversion of its tau curve); the bounded
-    likelihood search does not strictly need them, but they are the natural
-    diagnostics for "is the fitted theta in a sane neighbourhood".
-    """
-    family = CopulaFamily(family)
-    if not -1.0 < tau < 1.0:
-        raise ValueError("tau must lie in (-1, 1)")
-    lo, hi = THETA_BOUNDS[family]
-    if family is CopulaFamily.CLAYTON:
-        theta = 2.0 * tau / (1.0 - tau) if tau > 0.0 else lo
-    elif family is CopulaFamily.GUMBEL:
-        theta = 1.0 / (1.0 - tau) if tau > 0.0 else lo
-    else:
-        if tau == 0.0:
-            return lo if lo > 0 else 1e-6
-        sign = math.copysign(1.0, tau)
-        theta = sign * optimize.brentq(
-            lambda t: kendall_tau_frank(t) - abs(tau), 1e-6, 50.0
-        )
-    return float(min(max(theta, lo), hi))
 
 
 def fit_copula(

@@ -155,9 +155,9 @@ def _write_attribution(path: Path, rows: Sequence[attr.AttributionResult],
                        prov: Mapping[str, object]) -> None:
     lines = [_provenance_line(prov), "month,column,phi"]
     for row in rows:
-        lines.append(f"{row.instance_month},(baseline),{row.phi0!r}")
+        lines.append(f"{row.instance_month},(baseline),{float(row.phi0)!r}")
         for col, phi in row.phi.items():
-            lines.append(f"{row.instance_month},{col},{phi!r}")
+            lines.append(f"{row.instance_month},{col},{float(phi)!r}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -165,9 +165,9 @@ def _write_figures(out: Path, result: "RunResult", prov: Mapping[str, object]) -
     rs = result.return_series
     lines = [_provenance_line(result.provenance), "month,measure,value"]
     for i, month in enumerate(rs.months):
-        lines.append(f"{month},nominal,{rs.nominal[i]!r}")
-        lines.append(f"{month},real_domestic,{rs.real_domestic[i]!r}")
-        lines.append(f"{month},real_foreign,{rs.real_foreign[i]!r}")
+        lines.append(f"{month},nominal,{float(rs.nominal[i])!r}")
+        lines.append(f"{month},real_domestic,{float(rs.real_domestic[i])!r}")
+        lines.append(f"{month},real_foreign,{float(rs.real_foreign[i])!r}")
     _atomic_write(out / "real_returns.csv", "\n".join(lines) + "\n")
 
     lines = [_provenance_line(prov), "label,mean_pct,std_pct"]
@@ -498,8 +498,9 @@ def run_pipeline(
         with _stage("attribution"):
             low_model = models[triplet.tau_low]
             rows = attr.attribute_window(low_model, design)
+            stability: float | None = None
             try:
-                stability = attr.bootstrap_stability(
+                boot = attr.bootstrap_stability(
                     design,
                     triplet.tau_low,
                     replications=max(2, replications),
@@ -508,9 +509,18 @@ def run_pipeline(
                 )
             except DegenerateSampleError as exc:
                 diagnostics.append(f"attribution stability: {exc}")
-                stability = None
+            else:
+                stability = boot.kendall_tau
+                if boot.skipped:
+                    diagnostics.append(
+                        f"attribution stability: skipped {boot.skipped}/"
+                        f"{boot.replications} replicates"
+                    )
+            phi = np.array([[row.phi[col] for row in rows] for col in low_model.columns])
             try:
-                result.attributions = attr.importance_summary(rows, stability=stability)
+                result.attributions = attr.importance_summary(
+                    low_model.columns, phi, stability=stability
+                )
             except DegenerateSampleError as exc:
                 diagnostics.append(f"attribution: {exc}")
             result.attribution_rows = rows

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from crisishedge import dataio, qreg
 from crisishedge import months as mo
+from crisishedge import attribution
 from crisishedge.attribution import (
-    AttributionResult,
     ImportanceSummary,
     attribute_window,
     bootstrap_stability,
@@ -18,7 +19,9 @@ from crisishedge.attribution import (
     shapley_values,
     stability_kendall,
 )
+from crisishedge.config import load_episode
 from crisishedge.errors import DataError, DegenerateSampleError
+from crisishedge.pipeline import run_pipeline
 from crisishedge.qreg import DesignMatrix, QuantileModel, fit_quantile, predict
 
 
@@ -223,54 +226,85 @@ class TestAttributeWindow:
         )
 
 
-def result_with_phi(phi, month="2020-01") -> AttributionResult:
-    return AttributionResult(
-        phi=dict(phi), phi0=0.0, phi_interactions={}, instance_month=month
+@pytest.fixture(scope="module")
+def clayton_window(fixture_root):
+    """The clayton_coupled design and its fitted lower-tail model."""
+    episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
+    run = run_pipeline(
+        episode, fast=True, write_outputs=False, with_cv=False, with_attribution=False
     )
+    manifest = dataio.load_manifest(episode.series_manifest)
+    panel = dict(dataio.load_panel(manifest))
+    panel[qreg.TARGET_COLUMN] = dataio.MacroSeries(
+        name=qreg.TARGET_COLUMN,
+        observations=tuple(zip(run.return_series.months, run.return_series.nominal)),
+        unit="fraction/month",
+    )
+    design = qreg.engineer_features(
+        panel, episode.feature_schema, window=(episode.window_start, episode.window_end)
+    )
+    return run.models[run.triplet.tau_low], design
+
+
+class TestClaytonCoupledWindow:
+    def test_rows_match_enumeration(self, clayton_window):
+        model, X = clayton_window
+        assert model.gammas, "the design should exercise the interaction split"
+        linear = X.values[:, : X.n_linear]
+        mu = dict(zip(model.columns, np.mean(linear, axis=0)))
+        rows = attribute_window(model, X)
+        assert len(rows) == len(X)
+        for i in range(0, len(X), 25):
+            instance = dict(zip(model.columns, linear[i]))
+            # the one-row call runs the same kernel and must agree exactly
+            one = shapley_values(model, mu, instance, instance_month=X.months[i])
+            assert one == rows[i]
+            brute = shapley_brute_force(model, mu, instance)
+            assert rows[i].phi0 == pytest.approx(brute.phi0, abs=1e-10)
+            for col in model.columns:
+                assert rows[i].phi[col] == pytest.approx(brute.phi[col], abs=1e-10)
+            for pair, value in brute.phi_interactions.items():
+                assert rows[i].phi_interactions[pair] == pytest.approx(value, abs=1e-10)
 
 
 class TestImportanceSummary:
     def test_single_column_is_everything(self):
-        summary = importance_summary([result_with_phi({"a": 0.5})])
+        summary = importance_summary(("a",), np.array([[0.5]]))
         assert summary.shares == {"a": 100.0}
         assert summary.ranking == ("a",)
 
     def test_three_to_one_split(self):
-        results = [
-            result_with_phi({"a": 3.0, "b": 1.0}),
-            result_with_phi({"a": -3.0, "b": -1.0}),
-        ]
-        summary = importance_summary(results)
+        phi = np.array([[3.0, -3.0], [1.0, -1.0]])
+        summary = importance_summary(("a", "b"), phi)
         assert summary.shares["a"] == pytest.approx(75.0, abs=1e-12)
         assert summary.shares["b"] == pytest.approx(25.0, abs=1e-12)
         assert summary.ranking == ("a", "b")
 
     def test_all_zero_attributions_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            importance_summary([result_with_phi({"a": 0.0, "b": 0.0})])
+            importance_summary(("a", "b"), np.zeros((2, 1)))
 
     def test_shares_invariant_to_uniform_scaling(self):
-        base = [result_with_phi({"a": 1.2, "b": 0.3, "c": 0.9})]
-        scaled = [result_with_phi({"a": 6.0, "b": 1.5, "c": 4.5})]
-        s1 = importance_summary(base)
-        s2 = importance_summary(scaled)
+        columns = ("a", "b", "c")
+        s1 = importance_summary(columns, np.array([[1.2], [0.3], [0.9]]))
+        s2 = importance_summary(columns, np.array([[6.0], [1.5], [4.5]]))
         assert s1.ranking == s2.ranking
         for col in s1.shares:
             assert s1.shares[col] == pytest.approx(s2.shares[col], abs=1e-9)
 
     def test_lexicographic_tie_break(self):
-        summary = importance_summary([result_with_phi({"b": 1.0, "a": 1.0})])
+        summary = importance_summary(("b", "a"), np.ones((2, 1)))
         assert summary.ranking == ("a", "b")
 
     def test_mismatched_column_sets_rejected(self):
         with pytest.raises(DataError):
-            importance_summary(
-                [result_with_phi({"a": 1.0}), result_with_phi({"b": 1.0})]
-            )
+            importance_summary(("a", "b"), np.ones((1, 2)))
+        with pytest.raises(DataError):
+            importance_summary(("a",), np.ones(2))
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
-            importance_summary([])
+            importance_summary(("a",), np.empty((1, 0)))
 
     def test_summary_validation(self):
         with pytest.raises(ValueError):
@@ -331,16 +365,76 @@ class TestBootstrapStability:
         y = 4.0 * a + 0.1 * b + rng.normal(0, 0.2, n)
         return make_design(np.column_stack([a, b]), y, ("a", "b"))
 
+    def crowded_design(self, n=48, seed=68):
+        """Four comparable drivers plus one interaction: rankings churn."""
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(n, 4))
+        y = Z @ np.array([1.0, 0.9, 0.8, 0.7]) + 0.6 * Z[:, 0] * Z[:, 1]
+        y = y + rng.normal(0, 0.5, n)
+        return make_design(
+            np.column_stack([Z, Z[:, 0] * Z[:, 1]]),
+            y,
+            ("a", "b", "c", "d", "a*b"),
+            interaction_pairs=(("a", "b"),),
+        )
+
     def test_deterministic_for_fixed_seed(self):
         X = self.structured_design()
         s1 = bootstrap_stability(X, 0.5, replications=12, seed=9)
         s2 = bootstrap_stability(X, 0.5, replications=12, seed=9)
         assert s1 == s2
+        assert s1.kendall_tau == 1.0
+        assert (s1.skipped, s1.replications) == (0, 12)
+
+    def test_pinned_values(self):
+        # Exact floats of the per-row implementation this kernel replaced.
+        X = self.crowded_design()
+        assert bootstrap_stability(X, 0.5, replications=12, seed=9).kendall_tau == (
+            0.1414141414141414
+        )
+        assert bootstrap_stability(X, 0.25, replications=12, seed=9).kendall_tau == (
+            0.03535353535353535
+        )
+        model = fit_quantile(X, 0.25)
+        phi = np.array(
+            [[r.phi[c] for r in attribute_window(model, X)] for c in model.columns]
+        )
+        summary = importance_summary(model.columns, phi)
+        assert summary.ranking == ("b", "a", "c", "d")
+        assert summary.shares == {
+            "a": 26.213017899710152,
+            "b": 29.12267136956263,
+            "c": 23.995493642806803,
+            "d": 20.668817087920413,
+        }
+
+    def test_skipped_replicates_are_counted(self, monkeypatch):
+        X = self.structured_design()
+        calls = []
+
+        def flaky_fit(design, tau):
+            calls.append(tau)
+            if len(calls) % 4 == 1:
+                raise DegenerateSampleError("forced")
+            return fit_quantile(design, tau)
+
+        monkeypatch.setattr(attribution, "fit_quantile", flaky_fit)
+        result = bootstrap_stability(X, 0.5, replications=12, seed=9)
+        assert (result.skipped, result.replications) == (3, 12)
+        assert result.kendall_tau == 1.0
+
+    def test_too_few_usable_replicates(self, monkeypatch):
+        def failing_fit(design, tau):
+            raise DegenerateSampleError("forced")
+
+        monkeypatch.setattr(attribution, "fit_quantile", failing_fit)
+        with pytest.raises(DegenerateSampleError, match="too few usable"):
+            bootstrap_stability(self.structured_design(), 0.5, replications=4, seed=9)
 
     def test_strong_signal_is_stable(self):
         X = self.structured_design()
         s = bootstrap_stability(X, 0.5, replications=16, seed=10)
-        assert s > 0.9
+        assert s.kendall_tau > 0.9
 
     def test_replication_floor(self):
         X = self.structured_design()

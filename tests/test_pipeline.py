@@ -1,5 +1,6 @@
 """End-to-end tests: pipeline orchestration, output files, and the CLI."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from crisishedge import attribution
 from crisishedge.cli import main
 from crisishedge.config import BootstrapConfig, load_episode
-from crisishedge.errors import ConfigError, DataError
+from crisishedge.errors import ConfigError, DataError, DegenerateSampleError
 from crisishedge.fixtures import FixtureKind, generate_fixture
 from crisishedge.hedge import Residency
 from crisishedge.pipeline import (
@@ -25,6 +27,37 @@ from crisishedge.pipeline import (
 BUNDLE_N = 60
 BUNDLE_SEED = 21
 FAST_REPS = 100
+
+# The columns of each CSV a run writes that must hold plain numbers.
+NUMERIC_FIELDS = {
+    "report.csv": REPORT_COLUMNS[3:],
+    "coefficients.csv": ("tau", "coefficient"),
+    "attribution.csv": ("phi",),
+    "figures/real_returns.csv": ("value",),
+    "figures/risk_return.csv": ("mean_pct", "std_pct"),
+    "figures/importance_bars.csv": ("share_pct",),
+    "sweep.csv": (
+        "tau", "he_pct", "tail_dependence", "tail_dependence_empirical",
+        "delta_he_pct", "delta_tail_dependence", "delta_tail_dependence_empirical",
+    ),
+}
+
+
+def assert_numeric_fields_parse(out: Path) -> None:
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv"))
+    assert set(written) <= set(NUMERIC_FIELDS), written
+    for name in written:
+        with (out / name).open(encoding="utf-8", newline="") as fh:
+            assert next(fh).startswith("# crisishedge ")
+            rows = list(csv.DictReader(fh))
+        assert rows, name
+        for row in rows:
+            for field in NUMERIC_FIELDS[name]:
+                value = row[field]
+                # sweep rows of infeasible levels leave the numbers empty
+                if value == "" and name == "sweep.csv":
+                    continue
+                float(value)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +129,9 @@ class TestOutputs:
         }
         assert doc["cv"] and doc["attribution"] is not None
 
+    def test_numeric_fields_parse_as_floats(self, run):
+        assert_numeric_fields_parse(run.out_dir)
+
     def test_rerun_is_bit_identical(self, episode, run, tmp_path):
         again = run_pipeline(episode, out_dir=tmp_path)
         for rel in ("report.csv", "report.full", "coefficients.csv"):
@@ -133,6 +169,27 @@ class TestRunResult:
 
     def test_diagnostics_are_strings(self, run):
         assert all(isinstance(d, str) for d in run.diagnostics)
+        assert not any("skipped" in d for d in run.diagnostics)
+
+    def test_skipped_stability_replicates_reach_diagnostics(
+        self, episode, tmp_path, monkeypatch
+    ):
+        fit = attribution.fit_quantile
+        calls = []
+
+        def flaky_fit(design, tau):
+            calls.append(tau)
+            if len(calls) % 4 == 1:
+                raise DegenerateSampleError("forced")
+            return fit(design, tau)
+
+        monkeypatch.setattr(attribution, "fit_quantile", flaky_fit)
+        result = run_pipeline(episode, out_dir=tmp_path, with_cv=False)
+        expected = f"attribution stability: skipped {FAST_REPS // 4}/{FAST_REPS} replicates"
+        assert expected in result.diagnostics
+        doc = json.loads((tmp_path / "report.full").read_text())
+        assert expected in doc["diagnostics"]
+        assert doc["attribution"]["stability_kendall_tau"] is not None
 
 
 class TestResolveOutDir:
@@ -244,6 +301,7 @@ class TestSensitivitySweep:
 
     def test_sweep_csv_written(self, sweep):
         _, _, out = sweep
+        assert_numeric_fields_parse(out)
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("# crisishedge ")
         assert lines[1] == (
