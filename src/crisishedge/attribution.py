@@ -17,9 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .copula import default_block_length, moving_block_indices
 from .errors import DataError, DegenerateSampleError, NumericalError
 from .qreg import DesignMatrix, QuantileModel, fit_quantile, _restandardized_subset
+from .resample import block_bootstrap
 
 logger = logging.getLogger(__name__)
 
@@ -334,25 +334,25 @@ def bootstrap_stability(
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    n = len(X)
-    length = default_block_length(n) if block_length is None else int(block_length)
-    children = np.random.SeedSequence(seed).spawn(replications)
-    rankings: list[tuple[str, ...]] = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        rows = np.sort(moving_block_indices(n, length, rng))
-        replicate = _resampled_design(X, rows)
-        try:
-            model = fit_quantile(replicate, tau)
-            linear = replicate.values[:, : replicate.n_linear]
-            _, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
-            rankings.append(importance_summary(model.columns, phi).ranking)
-        except DegenerateSampleError as exc:
-            logger.warning("stability replicate skipped: %s", exc)
-    if len(rankings) < 2:
+
+    def ranking(rows: np.ndarray) -> tuple[str, ...]:
+        replicate = _resampled_design(X, np.sort(rows))
+        model = fit_quantile(replicate, tau)
+        linear = replicate.values[:, : replicate.n_linear]
+        _, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
+        return importance_summary(model.columns, phi).ranking
+
+    boot = block_bootstrap(
+        ranking, len(X), replications=replications,
+        block_length=block_length, seed=seed,
+    )
+    for reason in boot.skipped:
+        logger.warning("stability replicate skipped: %s", reason)
+    if len(boot.values) < 2:
         raise DegenerateSampleError("too few usable replicates for stability")
-    skipped = replications - len(rankings)
-    return StabilityResult(stability_kendall(rankings), skipped, replications)
+    return StabilityResult(
+        stability_kendall(boot.values), len(boot.skipped), replications
+    )
 
 
 def _resampled_design(X: DesignMatrix, rows: np.ndarray) -> DesignMatrix:

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import optimize, stats
 
 from .errors import DataError, DegenerateSampleError, FitError, NumericalError
+from .resample import block_bootstrap
 
 logger = logging.getLogger(__name__)
 
@@ -342,21 +343,13 @@ def empirical_tail_dependence(sample: PseudoSample, tau: float) -> float:
     return joint / denom
 
 
-def default_block_length(n: int) -> int:
-    """Cube-root block-length rule for moving-block schemes."""
-    return max(1, math.ceil(n ** (1.0 / 3.0)))
+@dataclass(frozen=True)
+class BootstrapCI:
+    """Percentile interval of a bootstrap statistic and how many replicates it skipped."""
 
-
-def moving_block_indices(
-    n: int, block_length: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Index vector of length n assembled from random contiguous blocks."""
-    if not 1 <= block_length <= n:
-        raise DataError(f"block length {block_length} invalid for sample of {n}")
-    k = math.ceil(n / block_length)
-    starts = rng.integers(0, n - block_length + 1, size=k)
-    idx = (starts[:, None] + np.arange(block_length)[None, :]).ravel()
-    return idx[:n]
+    interval: tuple[float, float]
+    skipped: int
+    replications: int
 
 
 def block_bootstrap_ci(
@@ -367,37 +360,31 @@ def block_bootstrap_ci(
     level: float = 0.95,
     block_length: int | None = None,
     seed: int,
-) -> tuple[float, float]:
+) -> BootstrapCI:
     """Percentile CI of a tail statistic under a paired moving-block bootstrap.
 
     Blocks are drawn over the paired (u, v) sequence so temporal dependence
     within each margin and the cross-dependence survive together; ranks are
     recomputed inside every replicate, keeping the statistic rank-based.
-    Each replicate draws from its own seed derived from ``seed``, so results
-    are identical no matter how the loop is ordered or distributed.
+    Replicates run through ``resample.block_bootstrap``, each from its own
+    seed derived from ``seed``, so results are identical no matter how the
+    loop is ordered or distributed.  Replicates whose statistic raises
+    ``DegenerateSampleError`` are skipped and counted; more than 5% skipped
+    raises ``NumericalError``.
     """
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    n = sample.n
-    length = default_block_length(n) if block_length is None else int(block_length)
-    if length > n:
-        raise DataError(f"block length {length} exceeds sample size {n}")
-    if length < 1:
-        raise DataError("block length must be >= 1")
 
-    children = np.random.SeedSequence(seed).spawn(replications)
-    values: list[float] = []
-    failures = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        idx = moving_block_indices(n, length, rng)
-        replicate = PseudoSample.from_data(sample.u[idx], sample.v[idx])
-        try:
-            values.append(float(statistic(replicate)))
-        except DegenerateSampleError:
-            failures += 1
+    def replicate(rows: np.ndarray) -> float:
+        return float(statistic(PseudoSample.from_data(sample.u[rows], sample.v[rows])))
+
+    boot = block_bootstrap(
+        replicate, sample.n, replications=replications,
+        block_length=block_length, seed=seed,
+    )
+    failures = len(boot.skipped)
     if failures:
         logger.warning("bootstrap: %d/%d degenerate replicates skipped",
                        failures, replications)
@@ -405,10 +392,9 @@ def block_bootstrap_ci(
         raise NumericalError(
             f"bootstrap unstable: {failures}/{replications} replicates degenerate"
         )
-    arr = np.array(values)
     alpha = 1.0 - level
-    lo, hi = np.quantile(arr, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(lo), float(hi)
+    lo, hi = np.quantile(np.array(boot.values), [alpha / 2.0, 1.0 - alpha / 2.0])
+    return BootstrapCI((float(lo), float(hi)), failures, replications)
 
 
 def family_lambda_statistic(

@@ -445,14 +445,19 @@ def run_pipeline(
                     f"copula ({residency.value}): {d}" for d in fit.diagnostics
                 )
             chosen = cop.select_family(fits, episode.criterion)
-            ci = cop.block_bootstrap_ci(
+            boot = cop.block_bootstrap_ci(
                 sample,
                 cop.family_lambda_statistic(chosen.family),
                 replications=replications,
                 block_length=episode.bootstrap.block_length,
                 seed=residency_seed[residency],
             )
-            chosen = cop.attach_ci(chosen, ci)
+            if boot.skipped:
+                diagnostics.append(
+                    f"copula ({residency.value}): bootstrap skipped "
+                    f"{boot.skipped}/{boot.replications} replicates"
+                )
+            chosen = cop.attach_ci(chosen, boot.interval)
             selected[residency] = chosen
 
         with _stage(f"hedge ({residency.value})"):

@@ -22,6 +22,7 @@ from . import months as mo
 from .dataio import MacroSeries
 from .errors import ConfigError, DataError, DegenerateSampleError, EndogeneityError, FitError
 from .quantiles import empirical_quantile
+from .resample import ordered_map
 
 logger = logging.getLogger(__name__)
 
@@ -516,14 +517,8 @@ def expanding_window_cv(
             "yield fewer than 2 folds"
         )
 
-    folds: list[FoldResult] = []
-    paths: dict[str, list[float]] = {INTERCEPT_LABEL: []}
-    for col in X.columns:
-        paths[col] = []
-    abs_errors: list[np.ndarray] = []
-    model_losses = 0.0
-    baseline_losses = 0.0
-    for k, cut in enumerate(cuts, start=1):
+    def run_fold(k: int) -> tuple[FoldResult, QuantileModel, np.ndarray, float, float]:
+        cut = cuts[k]
         train_rows = np.arange(cut)
         test_rows = np.arange(cut, min(cut + step, n))
         train = _restandardized_subset(X, train_rows, train_rows)
@@ -535,27 +530,39 @@ def expanding_window_cv(
                 "lookahead guard tripped: test rows precede training rows"
             )
         model = fit_quantile(train, tau)
-        pred = predict(model, test)
-        err = test.target - pred
-        abs_errors.append(np.abs(err))
+        err = test.target - predict(model, test)
         fold_model_loss = float(np.sum(check_loss(err, tau)))
         base = empirical_quantile(test.target, tau)
         fold_base_loss = float(np.sum(check_loss(test.target - base, tau)))
-        model_losses += fold_model_loss
-        baseline_losses += fold_base_loss
         fold_r2 = (
             1.0 - fold_model_loss / fold_base_loss if fold_base_loss > 0.0 else float("nan")
         )
-        folds.append(
-            FoldResult(
-                fold=k,
-                train_rows=len(train_rows),
-                test_months=(test.months[0], test.months[-1]),
-                n_test=len(test_rows),
-                mae=float(np.mean(np.abs(err))),
-                pseudo_r2=fold_r2,
-            )
+        fold = FoldResult(
+            fold=k + 1,
+            train_rows=len(train_rows),
+            test_months=(test.months[0], test.months[-1]),
+            n_test=len(test_rows),
+            mae=float(np.mean(np.abs(err))),
+            pseudo_r2=fold_r2,
         )
+        return fold, model, np.abs(err), fold_model_loss, fold_base_loss
+
+    # Folds run independently (possibly on worker processes); the sums below
+    # are formed here in fold order so they match a serial walk exactly.
+    folds: list[FoldResult] = []
+    paths: dict[str, list[float]] = {INTERCEPT_LABEL: []}
+    for col in X.columns:
+        paths[col] = []
+    abs_errors: list[np.ndarray] = []
+    model_losses = 0.0
+    baseline_losses = 0.0
+    for fold, model, abs_err, fold_model_loss, fold_base_loss in ordered_map(
+        run_fold, len(cuts)
+    ):
+        folds.append(fold)
+        abs_errors.append(abs_err)
+        model_losses += fold_model_loss
+        baseline_losses += fold_base_loss
         paths[INTERCEPT_LABEL].append(model.intercept)
         for col in X.columns[: X.n_linear]:
             paths[col].append(model.betas[col])

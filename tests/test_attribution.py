@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -410,11 +412,10 @@ class TestBootstrapStability:
 
     def test_skipped_replicates_are_counted(self, monkeypatch):
         X = self.structured_design()
-        calls = []
 
         def flaky_fit(design, tau):
-            calls.append(tau)
-            if len(calls) % 4 == 1:
+            # Decided by the replicate's own rows, so it holds in any process.
+            if design.target[0] < -1.0:
                 raise DegenerateSampleError("forced")
             return fit_quantile(design, tau)
 
@@ -422,6 +423,28 @@ class TestBootstrapStability:
         result = bootstrap_stability(X, 0.5, replications=12, seed=9)
         assert (result.skipped, result.replications) == (3, 12)
         assert result.kendall_tau == 1.0
+
+    def test_skip_warnings_logged_by_parent_in_replicate_order(
+        self, monkeypatch, caplog, set_cpus
+    ):
+        X = self.structured_design()
+
+        def flaky_fit(design, tau):
+            if design.target[0] < -1.0:
+                raise DegenerateSampleError(f"first target {design.target[0]:.3f}")
+            return fit_quantile(design, tau)
+
+        monkeypatch.setattr(attribution, "fit_quantile", flaky_fit)
+        # Two CPUs put the replicates on worker processes, whose own log
+        # records would never reach caplog; only the parent's can.
+        set_cpus(2)
+        with caplog.at_level(logging.WARNING, logger="crisishedge.attribution"):
+            bootstrap_stability(X, 0.5, replications=12, seed=9)
+        assert caplog.messages == [
+            "stability replicate skipped: first target -5.154",
+            "stability replicate skipped: first target -1.608",
+            "stability replicate skipped: first target -2.510",
+        ]
 
     def test_too_few_usable_replicates(self, monkeypatch):
         def failing_fit(design, tau):

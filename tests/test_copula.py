@@ -10,7 +10,6 @@ from crisishedge.copula import (
     PseudoSample,
     attach_ci,
     block_bootstrap_ci,
-    default_block_length,
     empirical_lambda_statistic,
     empirical_tail_dependence,
     family_lambda_statistic,
@@ -18,12 +17,12 @@ from crisishedge.copula import (
     fit_families,
     log_density,
     lower_tail_dependence,
-    moving_block_indices,
     pseudo_observations,
     select_family,
     simulate_copula,
 )
 from crisishedge.errors import DataError, FitError, NumericalError, DegenerateSampleError
+from crisishedge.resample import default_block_length, moving_block_indices
 
 
 def sample_from(family, theta, n, seed):
@@ -253,22 +252,34 @@ class TestBootstrapCI:
         lo, hi = block_bootstrap_ci(
             s, family_lambda_statistic(CopulaFamily.CLAYTON),
             replications=200, seed=11,
-        )
+        ).interval
         assert lo <= fit.lambda_lower <= hi
 
     def test_too_many_degenerate_replicates_raise(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 100, seed=113)
 
-        calls = {"k": 0}
-
         def flaky(sample):
-            calls["k"] += 1
-            if calls["k"] % 2 == 0:
+            # Decided by the replicate's own data, so it holds in any process.
+            if sample.u[0] < 0.5:
                 raise DegenerateSampleError("synthetic failure")
             return 0.5
 
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="64/100 replicates degenerate"):
             block_bootstrap_ci(s, flaky, replications=100, seed=12)
+
+    def test_skipped_replicates_are_reported(self):
+        s = sample_from(CopulaFamily.CLAYTON, 2.0, 100, seed=113)
+
+        def flaky(sample):
+            # Skips 3 of 100 here: under the 5% bound, so the interval stands.
+            if sample.u[0] < 0.03:
+                raise DegenerateSampleError("synthetic failure")
+            return float(sample.v[0])
+
+        ci = block_bootstrap_ci(s, flaky, replications=100, seed=12)
+        assert (ci.skipped, ci.replications) == (3, 100)
+        lo, hi = ci.interval
+        assert 0.0 < lo <= hi < 1.0
 
     def test_replication_floor(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 100, seed=114)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crisishedge import attribution
+from crisishedge import attribution, copula
 from crisishedge.cli import main
 from crisishedge.config import BootstrapConfig, load_episode
 from crisishedge.errors import ConfigError, DataError, DegenerateSampleError
@@ -175,21 +175,48 @@ class TestRunResult:
         self, episode, tmp_path, monkeypatch
     ):
         fit = attribution.fit_quantile
-        calls = []
 
         def flaky_fit(design, tau):
-            calls.append(tau)
-            if len(calls) % 4 == 1:
+            # Decided by the replicate's own rows, so it holds in any process.
+            if design.target[0] > 0.02:
                 raise DegenerateSampleError("forced")
             return fit(design, tau)
 
         monkeypatch.setattr(attribution, "fit_quantile", flaky_fit)
         result = run_pipeline(episode, out_dir=tmp_path, with_cv=False)
-        expected = f"attribution stability: skipped {FAST_REPS // 4}/{FAST_REPS} replicates"
+        expected = f"attribution stability: skipped 18/{FAST_REPS} replicates"
         assert expected in result.diagnostics
         doc = json.loads((tmp_path / "report.full").read_text())
         assert expected in doc["diagnostics"]
         assert doc["attribution"]["stability_kendall_tau"] is not None
+
+    def test_skipped_copula_replicates_reach_diagnostics(
+        self, episode, tmp_path, monkeypatch
+    ):
+        real = copula.family_lambda_statistic
+
+        def flaky_statistic(family):
+            stat = real(family)
+
+            def flaky(replicate):
+                # Decided by the replicate's own data, so it holds in any process.
+                if replicate.u[0] < 0.03:
+                    raise DegenerateSampleError("forced")
+                return stat(replicate)
+
+            return flaky
+
+        monkeypatch.setattr(copula, "family_lambda_statistic", flaky_statistic)
+        result = run_pipeline(
+            episode, out_dir=tmp_path, with_cv=False, with_attribution=False
+        )
+        expected = [
+            f"copula ({leg}): bootstrap skipped 3/{FAST_REPS} replicates"
+            for leg in ("foreign", "local")
+        ]
+        assert [d for d in result.diagnostics if "skipped" in d] == expected
+        doc = json.loads((tmp_path / "report.full").read_text())
+        assert [d for d in doc["diagnostics"] if "skipped" in d] == expected
 
 
 class TestResolveOutDir:
