@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser(
-        "sweep", help="re-run the episode at alternative lower-tail levels"
+        "sweep", help="tabulate the episode at alternative lower-tail levels"
     )
     sweep.add_argument("config", type=Path, help="episode YAML file")
     sweep.add_argument(

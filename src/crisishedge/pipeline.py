@@ -9,13 +9,11 @@ corrupt the already-written report files; every file is written atomically.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
-import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,7 +31,6 @@ from . import tailsel
 from .config import CrisisEpisode, config_hash
 from .errors import CrisisHedgeError, DataError, DegenerateSampleError
 from .hedge import HedgeReport, LossSeries, Residency
-from .quantiles import CEIL_FUZZ
 from .tailsel import MIN_TAIL_COUNT
 
 logger = logging.getLogger(__name__)
@@ -316,15 +313,18 @@ def run_pipeline(
     fast: bool = False,
     out_dir: str | Path | None = None,
     write_outputs: bool = True,
-    with_cv: bool = True,
-    with_attribution: bool = True,
 ) -> RunResult:
     """Execute the full analysis for one crisis episode.
 
     ``fast`` caps bootstrap replications at 200 for desk-scale runs; the
     report CSV is unaffected because its headline numbers never depend on the
-    bootstrap.  ``with_cv``/``with_attribution`` let the sensitivity sweep
-    skip stages whose outputs it does not compare.
+    bootstrap.
+
+    The lower tail level ``tau_low`` reaches only the triplet's variance
+    warnings, the quantile regressions at ``tau_low``/``tau_high`` (with
+    their CV and the attribution built on them) and each copula fit's
+    ``empirical_lambda_at_tau``.  Hedge effectiveness, the selected copula
+    family, its analytic lambda_L and the bootstrap interval are free of it.
     """
     diagnostics: list[str] = []
     replications = (
@@ -396,7 +396,7 @@ def run_pipeline(
             model = qreg.fit_quantile(design, tau)
             models[tau] = model
             r2[tau] = qreg.pseudo_r2(model, design)
-            if with_cv and episode.cv is not None:
+            if episode.cv is not None:
                 try:
                     cv_reports[tau] = qreg.expanding_window_cv(
                         design,
@@ -499,36 +499,35 @@ def run_pipeline(
         )
         _write_coefficients(destination / "coefficients.csv", result, prov)
 
-    if with_attribution:
-        with _stage("attribution"):
-            low_model = models[triplet.tau_low]
-            rows = attr.attribute_window(low_model, design)
-            stability: float | None = None
-            try:
-                boot = attr.bootstrap_stability(
-                    design,
-                    triplet.tau_low,
-                    replications=max(2, replications),
-                    block_length=episode.bootstrap.block_length,
-                    seed=int(seeds[2]),
+    with _stage("attribution"):
+        low_model = models[triplet.tau_low]
+        rows = attr.attribute_window(low_model, design)
+        stability: float | None = None
+        try:
+            boot = attr.bootstrap_stability(
+                design,
+                triplet.tau_low,
+                replications=max(2, replications),
+                block_length=episode.bootstrap.block_length,
+                seed=int(seeds[2]),
+            )
+        except DegenerateSampleError as exc:
+            diagnostics.append(f"attribution stability: {exc}")
+        else:
+            stability = boot.kendall_tau
+            if boot.skipped:
+                diagnostics.append(
+                    f"attribution stability: skipped {boot.skipped}/"
+                    f"{boot.replications} replicates"
                 )
-            except DegenerateSampleError as exc:
-                diagnostics.append(f"attribution stability: {exc}")
-            else:
-                stability = boot.kendall_tau
-                if boot.skipped:
-                    diagnostics.append(
-                        f"attribution stability: skipped {boot.skipped}/"
-                        f"{boot.replications} replicates"
-                    )
-            phi = np.array([[row.phi[col] for row in rows] for col in low_model.columns])
-            try:
-                result.attributions = attr.importance_summary(
-                    low_model.columns, phi, stability=stability
-                )
-            except DegenerateSampleError as exc:
-                diagnostics.append(f"attribution: {exc}")
-            result.attribution_rows = rows
+        phi = np.array([[row.phi[col] for row in rows] for col in low_model.columns])
+        try:
+            result.attributions = attr.importance_summary(
+                low_model.columns, phi, stability=stability
+            )
+        except DegenerateSampleError as exc:
+            diagnostics.append(f"attribution: {exc}")
+        result.attribution_rows = rows
 
     if write_outputs and destination is not None:
         if result.attribution_rows:
@@ -566,39 +565,38 @@ def sensitivity_sweep(
     out_dir: str | Path | None = None,
     write_outputs: bool = True,
 ) -> tuple[RunResult, list[SweepEntry]]:
-    """Re-run the pipeline at alternative lower-tail levels and tabulate deltas.
+    """Tabulate the hedge outcome at alternative lower-tail levels.
 
-    The base run executes in full (and writes its outputs); override runs
-    skip cross-validation and attribution since the sweep compares only hedge
-    effectiveness and tail dependence.  Infeasible levels are listed with a
-    reason and the sweep continues.
+    Every level's rows come from one base run, which executes in full (and
+    writes its outputs).  Of the tabulated quantities only the empirical
+    tail dependence varies with tau; it is recomputed from the base run's
+    pseudo-samples.  Hedge effectiveness and the analytic tail dependence do
+    not depend on the tail level, so they are copied and their deltas are
+    exactly zero.  Infeasible levels are listed with a reason and the sweep
+    continues; a feasible level with an empty empirical tail raises.
     """
     base = run_pipeline(
         episode, fast=fast, out_dir=out_dir, write_outputs=write_outputs
     )
-    base_by_res = {r.residency: r for r in base.reports}
     t_post = len(base.post_window)
 
-    def rows_for(run: RunResult) -> tuple[SweepRow, ...]:
+    def rows_at(tau: float) -> tuple[SweepRow, ...]:
         rows = []
-        for report in sorted(run.reports, key=lambda r: r.residency.value):
-            ref = base_by_res.get(report.residency)
-            if ref is None:
-                continue
-            emp = report.tail_dependence_empirical
-            ref_emp = ref.tail_dependence_empirical
+        for report in base.reports:
+            with _stage(f"copula ({report.residency.value})"):
+                emp = cop.empirical_tail_dependence(
+                    base.pseudo_samples[report.residency], tau
+                )
             rows.append(
                 SweepRow(
                     residency=report.residency,
                     hedge_effectiveness_pct=report.hedge_effectiveness_pct,
                     tail_dependence=report.tail_dependence,
                     tail_dependence_empirical=emp,
-                    delta_hedge_effectiveness_pct=(
-                        report.hedge_effectiveness_pct - ref.hedge_effectiveness_pct
-                    ),
-                    delta_tail_dependence=report.tail_dependence - ref.tail_dependence,
+                    delta_hedge_effectiveness_pct=0.0,
+                    delta_tail_dependence=0.0,
                     delta_tail_dependence_empirical=(
-                        emp - ref_emp if emp is not None and ref_emp is not None else None
+                        emp - report.tail_dependence_empirical
                     ),
                 )
             )
@@ -609,7 +607,7 @@ def sensitivity_sweep(
             tau=base.triplet.tau_low,
             feasible=True,
             reason="base run",
-            rows=rows_for(base),
+            rows=rows_at(base.triplet.tau_low),
         )
     ]
     for tau in taus:
@@ -619,7 +617,7 @@ def sensitivity_sweep(
                 SweepEntry(tau=tau, feasible=False, reason="not a lower-tail level")
             )
             continue
-        if math.ceil(tau * t_post - CEIL_FUZZ) < MIN_TAIL_COUNT:
+        if tailsel.tail_count(tau, t_post) < MIN_TAIL_COUNT:
             entries.append(
                 SweepEntry(
                     tau=tau,
@@ -631,17 +629,7 @@ def sensitivity_sweep(
                 )
             )
             continue
-        override = dataclasses.replace(episode, quantile_override=(tau,))
-        run = run_pipeline(
-            override,
-            fast=fast,
-            write_outputs=False,
-            with_cv=False,
-            with_attribution=False,
-        )
-        entries.append(
-            SweepEntry(tau=tau, feasible=True, reason="", rows=rows_for(run))
-        )
+        entries.append(SweepEntry(tau=tau, feasible=True, reason="", rows=rows_at(tau)))
 
     if write_outputs:
         destination = resolve_out_dir(episode, out_dir)

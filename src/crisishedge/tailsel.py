@@ -70,6 +70,11 @@ def min_feasible_tail_quantile(
     return min_count / n
 
 
+def tail_count(tau: float, n: int) -> int:
+    """Observations a level-``tau`` empirical tail holds in a sample of ``n``."""
+    return math.ceil(tau * n - CEIL_FUZZ)
+
+
 def unify_tail_quantile(per_country: Mapping[str, float]) -> float:
     """Cross-country unification: the largest per-country tail level."""
     if not per_country:
@@ -135,7 +140,7 @@ def build_triplet(
         tau_low = float(tau_override)
         for country, returns in per_country_returns.items():
             n = len(returns)
-            if math.ceil(tau_low * n - CEIL_FUZZ) < min_count:
+            if tail_count(tau_low, n) < min_count:
                 raise DataError(
                     f"{country}: tau={tau_low} leaves fewer than "
                     f"{min_count} tail observations (T={n})"

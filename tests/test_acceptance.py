@@ -236,9 +236,7 @@ def test_bootstrap_ci_determinism_and_coverage(fixture_root):
     ci_big = block_bootstrap_ci(big, stat, replications=1000, seed=7).interval
 
     episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
-    result = run_pipeline(
-        episode, write_outputs=False, with_cv=False, with_attribution=False
-    )
+    result = run_pipeline(episode, write_outputs=False)
     brackets = []
     for residency, fit in sorted(result.copula_fits.items(), key=lambda kv: kv[0].value):
         lo, hi = fit.lambda_lower_ci
@@ -317,10 +315,7 @@ def test_hedge_effectiveness_characterization(fixture_root):
     observed = {}
     for kind in ("perfect_hedge", "anti_hedge", "independent"):
         episode = load_episode(fixture_root / kind / "episode.yaml")
-        result = run_pipeline(
-            episode, fast=True, write_outputs=False,
-            with_cv=False, with_attribution=False,
-        )
+        result = run_pipeline(episode, fast=True, write_outputs=False)
         observed[kind] = sorted(
             (r.residency.value, r.hedge_effectiveness_pct) for r in result.reports
         )
@@ -353,8 +348,13 @@ def test_sensitivity_sweep_stability(fixture_root):
         round(entry.tau, 4): sorted(r.hedge_effectiveness_pct for r in entry.rows)
         for entry in anti_entries
     }
-    anti_ok = all(entry.feasible for entry in anti_entries) and all(
-        values == [0.0, 0.0] for values in anti_he.values()
+    anti_empirical = {
+        row.tail_dependence_empirical for entry in anti_entries[1:] for row in entry.rows
+    }
+    anti_ok = (
+        all(entry.feasible for entry in anti_entries)
+        and all(values == [0.0, 0.0] for values in anti_he.values())
+        and anti_empirical == {0.0}
     )
 
     clayton = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
@@ -365,13 +365,28 @@ def test_sensitivity_sweep_stability(fixture_root):
         if entry.feasible
         for row in entry.rows
     )
-    clayton_ok = all(entry.feasible for entry in clayton_entries) and drift <= 0.05
+    # The empirical estimate at each swept level stays near the analytic one;
+    # at the base level (tau_low near 0.01) it does not.
+    empirical_gap = max(
+        (
+            abs(row.tail_dependence_empirical - row.tail_dependence)
+            for entry in clayton_entries[1:]
+            for row in entry.rows
+        ),
+        default=math.inf,
+    )
+    clayton_ok = (
+        all(entry.feasible for entry in clayton_entries)
+        and drift <= 0.05
+        and empirical_gap <= 0.05
+    )
 
     ok = anti_ok and clayton_ok
     _gate(
         "A08 sweep stability",
         ok,
-        f"anti-hedge HE by tau {anti_he}, tail-dependence drift {drift:.4f}",
+        f"anti-hedge HE by tau {anti_he}, anti-hedge empirical {sorted(anti_empirical)}, "
+        f"tail-dependence drift {drift:.4f}, clayton empirical gap {empirical_gap:.4f}",
     )
 
 

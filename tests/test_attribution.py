@@ -232,9 +232,7 @@ class TestAttributeWindow:
 def clayton_window(fixture_root):
     """The clayton_coupled design and its fitted lower-tail model."""
     episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
-    run = run_pipeline(
-        episode, fast=True, write_outputs=False, with_cv=False, with_attribution=False
-    )
+    run = run_pipeline(episode, fast=True, write_outputs=False)
     manifest = dataio.load_manifest(episode.series_manifest)
     panel = dict(dataio.load_panel(manifest))
     panel[qreg.TARGET_COLUMN] = dataio.MacroSeries(

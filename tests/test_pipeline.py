@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crisishedge import attribution, copula
+from crisishedge import attribution, copula, pipeline
 from crisishedge.cli import main
 from crisishedge.config import BootstrapConfig, load_episode
 from crisishedge.errors import ConfigError, DataError, DegenerateSampleError
@@ -183,7 +183,7 @@ class TestRunResult:
             return fit(design, tau)
 
         monkeypatch.setattr(attribution, "fit_quantile", flaky_fit)
-        result = run_pipeline(episode, out_dir=tmp_path, with_cv=False)
+        result = run_pipeline(episode, out_dir=tmp_path)
         expected = f"attribution stability: skipped 18/{FAST_REPS} replicates"
         assert expected in result.diagnostics
         doc = json.loads((tmp_path / "report.full").read_text())
@@ -207,9 +207,7 @@ class TestRunResult:
             return flaky
 
         monkeypatch.setattr(copula, "family_lambda_statistic", flaky_statistic)
-        result = run_pipeline(
-            episode, out_dir=tmp_path, with_cv=False, with_attribution=False
-        )
+        result = run_pipeline(episode, out_dir=tmp_path)
         expected = [
             f"copula ({leg}): bootstrap skipped 3/{FAST_REPS} replicates"
             for leg in ("foreign", "local")
@@ -269,9 +267,7 @@ class TestFailureModes:
         episode = dataclasses.replace(
             episode, bootstrap=BootstrapConfig(replications=FAST_REPS, seed=1)
         )
-        result = run_pipeline(
-            episode, write_outputs=False, with_cv=False, with_attribution=False
-        )
+        result = run_pipeline(episode, write_outputs=False)
         # Constant real losses kill the variance in both legs: every report row
         # is skipped but the run itself completes and explains why.
         assert result.reports == []
@@ -288,6 +284,29 @@ def sweep(episode, tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep_out")
     base, entries = sensitivity_sweep(episode, [0.10, 0.15, 0.9], out_dir=out)
     return base, entries, out
+
+
+@pytest.fixture(scope="module")
+def clayton_sweep(tmp_path_factory):
+    """A sweep of a generated clayton_coupled bundle, counting its base runs."""
+    root = tmp_path_factory.mktemp("clayton_bundle")
+    generate_fixture(FixtureKind.CLAYTON_COUPLED, root, n=120, seed=BUNDLE_SEED)
+    episode = dataclasses.replace(
+        load_episode(root / "episode.yaml"),
+        bootstrap=BootstrapConfig(replications=FAST_REPS, seed=BUNDLE_SEED),
+    )
+    calls = []
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return run_pipeline(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "run_pipeline", counting_run)
+        _, entries = sensitivity_sweep(
+            episode, [0.05, 0.10, 0.20], write_outputs=False
+        )
+    return episode, entries, len(calls)
 
 
 class TestSensitivitySweep:
@@ -337,6 +356,47 @@ class TestSensitivitySweep:
             "delta_tail_dependence_empirical"
         )
         assert len(lines) > 2
+
+    def test_rows_match_override_runs(self, clayton_sweep):
+        episode, entries, _ = clayton_sweep
+        overrides = [e for e in entries[1:] if e.feasible]
+        assert [e.tau for e in overrides] == [0.10, 0.20]
+        for entry in overrides:
+            ref = run_pipeline(
+                dataclasses.replace(episode, quantile_override=(entry.tau,)),
+                write_outputs=False,
+            )
+            assert [
+                (row.residency, row.hedge_effectiveness_pct, row.tail_dependence,
+                 row.tail_dependence_empirical)
+                for row in entry.rows
+            ] == [
+                (r.residency, r.hedge_effectiveness_pct, r.tail_dependence,
+                 r.tail_dependence_empirical)
+                for r in ref.reports
+            ]
+        # The empirical estimate differs between the base level and both
+        # overrides, so rows computed at the wrong level would not match.
+        empirical = {e.tau: e.rows[0].tail_dependence_empirical for e in entries if e.rows}
+        assert len(set(empirical.values())) == 3
+
+    def test_one_pipeline_run_per_sweep(self, clayton_sweep):
+        _, _, calls = clayton_sweep
+        assert calls == 1
+
+    def test_empty_empirical_tail_raises_with_stage(self, episode, monkeypatch):
+        real = copula.empirical_tail_dependence
+
+        def empty_at_override(sample, tau):
+            if tau == 0.15:
+                raise DegenerateSampleError("forced empty tail")
+            return real(sample, tau)
+
+        monkeypatch.setattr(copula, "empirical_tail_dependence", empty_at_override)
+        with pytest.raises(
+            DegenerateSampleError, match=r"^copula \(foreign\): forced empty tail$"
+        ):
+            sensitivity_sweep(episode, [0.15], write_outputs=False)
 
 
 class TestCli:

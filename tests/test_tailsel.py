@@ -5,6 +5,7 @@ from crisishedge.errors import DataError, DegenerateSampleError
 from crisishedge.tailsel import (
     build_triplet,
     min_feasible_tail_quantile,
+    tail_count,
     tail_variance_check,
     unify_tail_quantile,
 )
@@ -92,8 +93,14 @@ class TestBuildTriplet:
 
     def test_override_must_be_feasible_everywhere(self):
         rng = np.random.default_rng(4)
+        returns = rng.standard_normal(75)
         with pytest.raises(DataError):
-            build_triplet({"x": rng.standard_normal(75)}, tau_override=0.05)
+            build_triplet({"x": returns}, tau_override=0.05)
+        # ceil(0.0666 * 75) = 5 points is one short; ceil(0.0667 * 75) = 6 is enough.
+        assert (tail_count(0.0666, 75), tail_count(0.0667, 75)) == (5, 6)
+        with pytest.raises(DataError, match="fewer than 6 tail observations"):
+            build_triplet({"x": returns}, tau_override=0.0666)
+        assert build_triplet({"x": returns}, tau_override=0.0667).tau_low == 0.0667
 
     def test_override_outside_lower_half_rejected(self):
         rng = np.random.default_rng(5)
