@@ -336,7 +336,8 @@ def bootstrap_stability(
         raise ValueError("need at least 2 replications")
 
     def ranking(rows: np.ndarray) -> tuple[str, ...]:
-        replicate = _resampled_design(X, np.sort(rows))
+        rows = np.sort(rows)
+        replicate = _restandardized_subset(X, rows, rows)
         model = fit_quantile(replicate, tau)
         linear = replicate.values[:, : replicate.n_linear]
         _, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
@@ -354,17 +355,3 @@ def bootstrap_stability(
         stability_kendall(boot.values), len(boot.skipped), replications
     )
 
-
-def _resampled_design(X: DesignMatrix, rows: np.ndarray) -> DesignMatrix:
-    """Row-resampled design with months renumbered to stay strictly increasing."""
-    sub = _restandardized_subset(X, rows, rows)
-    # resampling duplicates months; replace stamps with the original grid
-    return DesignMatrix(
-        months=tuple(X.months[: len(rows)]),
-        columns=sub.columns,
-        values=sub.values,
-        target=sub.target,
-        interaction_pairs=sub.interaction_pairs,
-        dummy_columns=sub.dummy_columns,
-        raw_linear=sub.raw_linear,
-    )

@@ -7,6 +7,17 @@ information criteria.  Lower tail dependence comes in two flavours: the
 analytic coefficient implied by the fitted family and the empirical
 conditional frequency at a finite threshold.  Confidence intervals use a
 moving-block bootstrap of the paired raw sequence with per-replicate ranks.
+
+Boundary rule.  The likelihood is maximized over a bounded theta range
+(``THETA_BOUNDS``), and a maximum at either edge stands for the family's limit
+copula rather than for a finite theta.  At the upper bound all three families
+tend to the comonotone copula M, whose lower tail dependence is 1, so such a
+fit reports lambda_L = 1 (Gumbel's and Frank's finite-theta formula would say
+0, Clayton's slightly below 1).  At the lower bound Clayton and Gumbel tend to
+independence and Frank to the countermonotone copula W, all with lambda_L = 0,
+which the finite-theta formula already gives.  Either way the fit carries
+``boundary=True`` and a diagnostic; an upper-bound diagnostic names the limit.
+Bootstrap replicates refit through ``fit_copula`` and follow the same rule.
 """
 
 from __future__ import annotations
@@ -95,7 +106,8 @@ class PseudoSample:
 class CopulaFit:
     """One family's maximum-likelihood fit with tail-dependence summaries.
 
-    ``lambda_lower`` is the analytic coefficient implied by theta;
+    ``lambda_lower`` is the analytic coefficient implied by theta, or the limit
+    value 1 for a fit at the upper bound (see the module docstring);
     ``empirical_lambda_at_tau`` is the finite-threshold conditional frequency
     recorded when a threshold was supplied.  The bootstrap CI is attached by
     the caller after fitting (``dataclasses.replace``).
@@ -225,8 +237,9 @@ def fit_copula(
     start.  Frank admits negative dependence; the sample Kendall tau picks the
     half-interval to search (both halves when it is near zero).  A parameter
     landing within a relative 1e-4 of an interval edge is flagged as a
-    boundary fit, and an optimizer failure comes back as ``converged=False``
-    rather than an exception so family selection can still see the fit.
+    boundary fit (an upper-bound fit reports its limit lambda_L = 1), and an
+    optimizer failure comes back as ``converged=False`` rather than an
+    exception so family selection can still see the fit.
 
     ``tau`` optionally records the finite-threshold empirical tail estimate
     alongside the analytic one.
@@ -276,12 +289,14 @@ def fit_copula(
         ll = float("-inf") if not math.isfinite(ll) else ll
 
     edge_tol = _BOUNDARY_REL * (hi - lo)
-    boundary = theta <= lo + edge_tol or theta >= hi - edge_tol
+    at_upper = theta >= hi - edge_tol
+    boundary = at_upper or theta <= lo + edge_tol
     if family is CopulaFamily.FRANK and abs(theta) <= 1e-3:
         diagnostics.append("frank: theta near 0 (independence limit)")
     if boundary:
         diagnostics.append(
             f"{family.value}: theta={theta:.6g} at parameter-space boundary"
+            + ("; lambda_L=1 from the comonotone limit" if at_upper else "")
         )
 
     empirical = (
@@ -293,7 +308,7 @@ def fit_copula(
         log_likelihood=ll,
         aic=2.0 - 2.0 * ll,
         bic=math.log(sample.n) - 2.0 * ll,
-        lambda_lower=lower_tail_dependence(family, theta),
+        lambda_lower=1.0 if at_upper else lower_tail_dependence(family, theta),
         n=sample.n,
         converged=converged,
         boundary=boundary,
@@ -400,7 +415,11 @@ def block_bootstrap_ci(
 def family_lambda_statistic(
     family: CopulaFamily | str,
 ) -> Callable[[PseudoSample], float]:
-    """Bootstrap statistic: refit the given family, return its analytic tail coefficient."""
+    """Bootstrap statistic: refit the given family, return its ``lambda_lower``.
+
+    The refit applies ``fit_copula``'s boundary rule, so a replicate at the
+    upper bound counts as 1, like the point estimate.
+    """
     family = CopulaFamily(family)
 
     def stat(replicate: PseudoSample) -> float:

@@ -13,7 +13,8 @@ import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping
+from itertools import compress
+from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -94,11 +95,22 @@ class MacroSeries:
     def as_dict(self) -> dict[str, float]:
         return dict(self.observations)
 
-    def value_at(self, stamp: str) -> float:
-        try:
-            return self.as_dict()[stamp]
-        except KeyError:
-            raise KeyError(f"series {self.name!r} has no observation at {stamp}") from None
+    def at(self, months: Sequence[str], lag: int = 0) -> np.ndarray:
+        """Values at ``months`` shifted back by ``lag`` months, NaN where unobserved.
+
+        This is the one rule for reading a series at month ``m - lag``.  NaN
+        cannot be confused with data because observations are always finite.
+        """
+        if not self.is_monthly:
+            raise DataError(f"series {self.name!r} is day-stamped; lookups need months")
+        have = np.array([mo.month_index(s) for s in self.stamps], dtype=np.int64)
+        want = np.array([mo.month_index(m) for m in months], dtype=np.int64) - lag
+        out = np.full(want.shape, np.nan)
+        if have.size:
+            pos = np.minimum(np.searchsorted(have, want), have.size - 1)
+            hit = have[pos] == want
+            out[hit] = self.values[pos[hit]]
+        return out
 
     def window(self, start: str | None = None, end: str | None = None) -> "MacroSeries":
         """Restrict to stamps within ``[start, end]`` (inclusive, either side optional)."""
@@ -346,23 +358,26 @@ def fuse_hybrid(
 def pct_change(series: MacroSeries, *, name: str | None = None) -> MacroSeries:
     """Month-over-month fractional change of a positive monthly level series.
 
-    Output at month ``t`` exists only when month ``t-1`` is also observed, so
-    gaps in the input become gaps in the output rather than multi-month jumps.
+    This is the one-period-return rule for every level series (equity, FX,
+    price indices).  Output at month ``t`` exists only when month ``t-1`` is
+    also observed, so gaps in the input become gaps in the output rather than
+    multi-month jumps.
     """
     if not series.is_monthly:
         raise DataError(f"pct_change needs a monthly series; {series.name!r} is not")
-    if np.any(series.values <= 0.0):
-        raise DataError(f"pct_change needs strictly positive levels in {series.name!r}")
-    values = series.as_dict()
-    out: list[tuple[str, float]] = []
-    for m, v in series.observations:
-        prev = values.get(mo.shift_month(m, -1))
-        if prev is not None:
-            out.append((m, v / prev - 1.0))
+    levels = series.values
+    bad = np.flatnonzero(levels <= 0.0)
+    if bad.size:
+        raise DataError(
+            f"non-positive level at {series.stamps[bad[0]]} in series {series.name!r}"
+        )
+    prev = series.at(series.stamps, lag=1)
+    kept = ~np.isnan(prev)
+    change = levels[kept] / prev[kept] - 1.0
     return replace(
         series,
         name=name or f"{series.name}_pct",
-        observations=tuple(out),
+        observations=tuple(zip(compress(series.stamps, kept), change)),
         unit="fraction/month",
     )
 

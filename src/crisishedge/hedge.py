@@ -13,13 +13,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import months as mo
 from .copula import CopulaFit
-from .dataio import MacroSeries
+from .dataio import MacroSeries, pct_change
 from .errors import DataError, DegenerateSampleError
 from .returns import ReturnSeries
 from .tailsel import TailQuantileTriplet
@@ -97,46 +98,29 @@ def loss_series(
     residency = Residency(residency)
     if len(pi) and not pi.is_monthly:
         raise DataError(f"inflation series {pi.name!r} must be monthly")
-    pi_lookup = pi.as_dict()
-    if not pi_lookup:
+    if not len(pi):
         raise DataError("inflation series is empty")
 
     if residency is Residency.LOCAL:
-        months = tuple(sorted(pi_lookup))
-        values = np.array([pi_lookup[m] for m in months])
         return LossSeries(
-            months=months, loss=values, residency=residency,
-            pi=values, fx_ret=np.zeros(len(months)),
+            months=pi.stamps, loss=pi.values, residency=residency,
+            pi=pi.values, fx_ret=np.zeros(len(pi)),
         )
 
     if fx is None:
         raise DataError("foreign residency needs an FX series")
     if len(fx) and not fx.is_monthly:
         raise DataError(f"FX series {fx.name!r} must be monthly")
-    fx_lookup = fx.as_dict()
-    for m, level in fx_lookup.items():
-        if level <= 0.0:
-            raise DataError(f"non-positive FX level at {m}")
-    months_out: list[str] = []
-    loss: list[float] = []
-    pis: list[float] = []
-    fx_rets: list[float] = []
-    for m in sorted(pi_lookup):
-        prev = mo.shift_month(m, -1)
-        if m not in fx_lookup or prev not in fx_lookup:
-            continue
-        r_fx = fx_lookup[m] / fx_lookup[prev] - 1.0
-        months_out.append(m)
-        pis.append(pi_lookup[m])
-        fx_rets.append(r_fx)
-        loss.append(pi_lookup[m] + r_fx)
-    if not months_out:
+    fx_ret = pct_change(fx).at(pi.stamps)
+    kept = ~np.isnan(fx_ret)
+    if not kept.any():
         raise DataError(
             f"no months where {pi.name!r} and consecutive {fx.name!r} levels align"
         )
+    pis, fx_ret = pi.values[kept], fx_ret[kept]
     return LossSeries(
-        months=tuple(months_out), loss=np.array(loss), residency=residency,
-        pi=np.array(pis), fx_ret=np.array(fx_rets),
+        months=tuple(compress(pi.stamps, kept)), loss=pis + fx_ret,
+        residency=residency, pi=pis, fx_ret=fx_ret,
     )
 
 

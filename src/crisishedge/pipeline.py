@@ -349,11 +349,11 @@ def run_pipeline(
 
     with _stage("returns"):
         lead = mo.shift_month(episode.window_start, -1)
-        obs = ret.price_observations(
+        full_series = ret.build_return_series(
             panel[manifest.roles["equity"]].window(lead, episode.window_end),
             panel[manifest.roles["fx"]].window(lead, episode.window_end),
+            inflation,
         )
-        full_series = ret.build_return_series(obs, inflation)
         window_series = full_series.window(episode.window_start, episode.window_end)
         if len(window_series) < 2:
             raise DataError("fewer than 2 return months inside the analysis window")
@@ -396,17 +396,17 @@ def run_pipeline(
             model = qreg.fit_quantile(design, tau)
             models[tau] = model
             r2[tau] = qreg.pseudo_r2(model, design)
-            if episode.cv is not None:
-                try:
-                    cv_reports[tau] = qreg.expanding_window_cv(
-                        design,
-                        tau,
-                        episode.cv.initial_window,
-                        episode.cv.step,
-                        force_test_month=episode.cv.force_test_month,
-                    )
-                except (DataError, DegenerateSampleError) as exc:
-                    diagnostics.append(f"cv (tau={tau:.4g}): {exc}")
+        if episode.cv is not None:
+            try:
+                cv_reports = qreg.expanding_window_cv(
+                    design,
+                    tau_levels,
+                    episode.cv.initial_window,
+                    episode.cv.step,
+                    force_test_month=episode.cv.force_test_month,
+                )
+            except (DataError, DegenerateSampleError) as exc:
+                diagnostics.extend(f"cv (tau={tau:.4g}): {exc}" for tau in tau_levels)
 
     seeds = np.random.SeedSequence(episode.bootstrap.seed).generate_state(4)
     residency_seed = {Residency.LOCAL: int(seeds[0]), Residency.FOREIGN: int(seeds[1])}

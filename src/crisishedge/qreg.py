@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -97,15 +98,18 @@ class FeatureSchema:
         if len(set(self.interaction_pairs)) != len(self.interaction_pairs):
             raise ConfigError("duplicate interaction pairs")
 
+    def lagged_sources(self) -> tuple[tuple[str, int], ...]:
+        """(series, lag) behind each linear column, in column order."""
+        return tuple(
+            (feature, lag)
+            for feature in self.base_features
+            for lag in self.lag_spec.get(feature, (0,))
+        ) + tuple(
+            (dummy, lag) for dummy, lags in self.event_dummies.items() for lag in lags
+        )
+
     def linear_columns(self) -> tuple[str, ...]:
-        cols: list[str] = []
-        for feature in self.base_features:
-            for lag in self.lag_spec.get(feature, (0,)):
-                cols.append(lag_column_name(feature, lag))
-        for dummy, lags in self.event_dummies.items():
-            for lag in lags:
-                cols.append(lag_column_name(dummy, lag))
-        return tuple(cols)
+        return tuple(lag_column_name(f, lag) for f, lag in self.lagged_sources())
 
     def dummy_columns(self) -> frozenset[str]:
         return frozenset(
@@ -245,9 +249,9 @@ def engineer_features(
 ) -> DesignMatrix:
     """Build the design matrix for the target months of a window.
 
-    Lagged columns read the panel ``lag`` months back, so a series only needs
-    history, not shifting, to contribute.  Rows missing any input (target
-    included) are dropped and counted.  Continuous columns are z-scored over
+    Each column is one ``MacroSeries.at`` lookup ``lag`` months back, so a
+    series only needs history, not shifting, to contribute.  Rows missing any
+    feature input are dropped and counted.  Continuous columns are z-scored over
     the retained rows; event dummies must already be 0/1 and stay unscaled;
     interaction products are formed from the standardized parents.
     """
@@ -270,46 +274,16 @@ def engineer_features(
 
     linear_cols = schema.linear_columns()
     dummy_cols = schema.dummy_columns()
-    sources = {
-        lag_column_name(f, lag): (panel[f].as_dict(), lag)
-        for f in schema.base_features
-        for lag in schema.lag_spec.get(f, (0,))
-    }
-    sources.update(
-        {
-            lag_column_name(d, lag): (panel[d].as_dict(), lag)
-            for d, lags in schema.event_dummies.items()
-            for lag in lags
-        }
-    )
-    target_lookup = target_series.as_dict()
-
-    raw_rows: list[list[float]] = []
-    target_vals: list[float] = []
-    kept_months: list[str] = []
-    dropped = 0
-    for m in months:
-        row: list[float] = []
-        complete = m in target_lookup
-        for col in linear_cols:
-            lookup, lag = sources[col]
-            value = lookup.get(mo.shift_month(m, -lag))
-            if value is None:
-                complete = False
-                break
-            row.append(value)
-        if not complete:
-            dropped += 1
-            continue
-        raw_rows.append(row)
-        target_vals.append(target_lookup[m])
-        kept_months.append(m)
+    raw = np.empty((len(months), len(linear_cols)))
+    for j, (feature, lag) in enumerate(schema.lagged_sources()):
+        raw[:, j] = panel[feature].at(months, lag)
+    complete = ~np.isnan(raw).any(axis=1)
+    dropped = int(np.count_nonzero(~complete))
     if dropped:
         logger.info("engineer_features: dropped %d row(s) with gaps", dropped)
-    if not kept_months:
+    if not complete.any():
         raise DataError("every row in the window had gaps; nothing to fit")
-
-    raw = np.array(raw_rows, dtype=float)
+    raw = raw[complete]
     is_dummy = np.array([c in dummy_cols for c in linear_cols])
     for j, col in enumerate(linear_cols):
         if is_dummy[j] and not np.all(np.isin(raw[:, j], (0.0, 1.0))):
@@ -322,10 +296,10 @@ def engineer_features(
     values = _assemble_values(standardized, linear_cols, schema.interaction_pairs)
 
     return DesignMatrix(
-        months=tuple(kept_months),
+        months=tuple(compress(months, complete)),
         columns=linear_cols + schema.interaction_names(),
         values=values,
-        target=np.array(target_vals),
+        target=target_series.at(months)[complete],
         interaction_pairs=schema.interaction_pairs,
         dummy_columns=dummy_cols,
         raw_linear=raw,
@@ -474,19 +448,24 @@ def _restandardized_subset(X: DesignMatrix, stats_rows: np.ndarray, rows: np.nda
 
 def expanding_window_cv(
     X: DesignMatrix,
-    tau: float,
+    taus: Sequence[float],
     initial_window: int,
     step: int,
     *,
     force_test_month: str | None = None,
-) -> CVReport:
-    """Walk-forward evaluation with train-window-only standardization.
+) -> dict[float, CVReport]:
+    """Walk-forward evaluation at each level in ``taus``, train-window-only scaling.
 
     Fold k trains on the first ``initial_window + (k-1) * step`` rows and
     tests on the following ``step`` rows (the final fold may be shorter).
     ``force_test_month`` shrinks the initial window if needed so that month
     falls in a test region; every fold's ordering is re-checked so no test row
     can precede a training row.
+
+    The folds' designs are built once and every (tau, fold) pair is one unit
+    of a single ``ordered_map`` call.  The folds do not depend on tau, and
+    neither does any way they can fail (too few folds, a constant training or
+    test target), so a failure raises once for all levels.
     """
     if initial_window < 10:
         raise DataError(f"initial window must be >= 10, got {initial_window}")
@@ -517,18 +496,21 @@ def expanding_window_cv(
             "yield fewer than 2 folds"
         )
 
-    def run_fold(k: int) -> tuple[FoldResult, QuantileModel, np.ndarray, float, float]:
-        cut = cuts[k]
+    folds: list[tuple[DesignMatrix, DesignMatrix]] = []
+    for cut in cuts:
         train_rows = np.arange(cut)
         test_rows = np.arange(cut, min(cut + step, n))
         train = _restandardized_subset(X, train_rows, train_rows)
         test = _restandardized_subset(X, train_rows, test_rows)
-        last_train = mo.month_index(train.months[-1])
-        first_test = mo.month_index(test.months[0])
-        if last_train >= first_test:
+        if mo.month_index(train.months[-1]) >= mo.month_index(test.months[0]):
             raise RuntimeError(
                 "lookahead guard tripped: test rows precede training rows"
             )
+        folds.append((train, test))
+
+    def run_fold(i: int) -> tuple[FoldResult, QuantileModel, np.ndarray, float, float]:
+        tau, k = taus[i // len(folds)], i % len(folds)
+        train, test = folds[k]
         model = fit_quantile(train, tau)
         err = test.target - predict(model, test)
         fold_model_loss = float(np.sum(check_loss(err, tau)))
@@ -539,16 +521,30 @@ def expanding_window_cv(
         )
         fold = FoldResult(
             fold=k + 1,
-            train_rows=len(train_rows),
+            train_rows=len(train),
             test_months=(test.months[0], test.months[-1]),
-            n_test=len(test_rows),
+            n_test=len(test),
             mae=float(np.mean(np.abs(err))),
             pseudo_r2=fold_r2,
         )
         return fold, model, np.abs(err), fold_model_loss, fold_base_loss
 
-    # Folds run independently (possibly on worker processes); the sums below
-    # are formed here in fold order so they match a serial walk exactly.
+    results = ordered_map(run_fold, len(taus) * len(folds))
+    return {
+        tau: _pooled_report(X, results[t * len(folds): (t + 1) * len(folds)])
+        for t, tau in enumerate(taus)
+    }
+
+
+def _pooled_report(
+    X: DesignMatrix,
+    fold_results: Sequence[tuple[FoldResult, QuantileModel, np.ndarray, float, float]],
+) -> CVReport:
+    """One level's report from its folds' results.
+
+    The folds may have run on worker processes; the sums are formed here in
+    fold order so they match a serial walk exactly.
+    """
     folds: list[FoldResult] = []
     paths: dict[str, list[float]] = {INTERCEPT_LABEL: []}
     for col in X.columns:
@@ -556,9 +552,7 @@ def expanding_window_cv(
     abs_errors: list[np.ndarray] = []
     model_losses = 0.0
     baseline_losses = 0.0
-    for fold, model, abs_err, fold_model_loss, fold_base_loss in ordered_map(
-        run_fold, len(cuts)
-    ):
+    for fold, model, abs_err, fold_model_loss, fold_base_loss in fold_results:
         folds.append(fold)
         abs_errors.append(abs_err)
         model_losses += fold_model_loss

@@ -10,42 +10,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress
 
 import numpy as np
 
 from . import months as mo
-from .dataio import MacroSeries
+from .dataio import MacroSeries, pct_change
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class PriceObservation:
-    """One month's raw market state: equity index level and FX level.
-
-    ``fx_rate`` is local currency per unit of reference currency, so a rising
-    value is a depreciation of the local currency.  ``inflation_rate`` (a
-    monthly fraction) may ride along here or be supplied separately when the
-    return series is built.
-    """
-
-    month: str
-    index_level: float
-    fx_rate: float
-    inflation_rate: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "month", mo.month_of(self.month))
-        if not (np.isfinite(self.index_level) and self.index_level > 0.0):
-            raise ValueError(f"index level must be positive at {self.month}")
-        if not (np.isfinite(self.fx_rate) and self.fx_rate > 0.0):
-            raise ValueError(f"FX rate must be positive at {self.month}")
-        if self.inflation_rate is not None:
-            pi = float(self.inflation_rate)
-            if not (np.isfinite(pi) and 1.0 + pi > 0.0):
-                raise ValueError(f"inflation rate at {self.month} must exceed -1")
 
 
 @dataclass(frozen=True)
@@ -89,109 +62,87 @@ class ReturnSeries:
         )
 
 
-def nominal_return(index_t: float, index_prev: float) -> float:
-    """Simple one-period return of a positive price level."""
-    if not (index_t > 0.0 and index_prev > 0.0):
-        raise ValueError("price levels must be positive")
-    return index_t / index_prev - 1.0
+def real_return_domestic(
+    nominal: float | np.ndarray, inflation: float | np.ndarray
+) -> float | np.ndarray:
+    """Deflate a nominal return by same-period inflation, both fractions.
 
-
-def real_return_domestic(nominal: float, inflation: float) -> float:
-    """Deflate a nominal return by same-period inflation, both fractions."""
-    if not 1.0 + inflation > 0.0:
+    Scalars or aligned arrays; arrays are deflated elementwise.
+    """
+    if not np.all(1.0 + inflation > 0.0):
         raise ValueError("inflation must exceed -1")
     return (1.0 + nominal) / (1.0 + inflation) - 1.0
 
 
 def real_return_foreign(
-    nominal: float, fx_prev: float, fx_t: float, inflation: float
-) -> float:
-    """Real return for a reference-currency resident.
+    nominal: float | np.ndarray,
+    fx_prev: float | np.ndarray,
+    fx_t: float | np.ndarray,
+    inflation: float | np.ndarray,
+) -> float | np.ndarray:
+    """Real return for a reference-currency resident, scalars or aligned arrays.
 
     The position converts through the FX rate (local per reference unit), so
     the gross nominal return is scaled by ``fx_prev / fx_t`` before deflating.
     The FX factor is formed first; with an unchanged rate it is exactly 1.0 and
     the result coincides bit for bit with the domestic real return.
     """
-    if not (fx_prev > 0.0 and fx_t > 0.0):
+    if not (np.all(fx_prev > 0.0) and np.all(fx_t > 0.0)):
         raise ValueError("FX rates must be positive")
-    if not 1.0 + inflation > 0.0:
+    if not np.all(1.0 + inflation > 0.0):
         raise ValueError("inflation must exceed -1")
     fx_factor = fx_prev / fx_t
     return (1.0 + nominal) * fx_factor / (1.0 + inflation) - 1.0
 
 
-def price_observations(
-    equity: MacroSeries, fx: MacroSeries
-) -> tuple[PriceObservation, ...]:
-    """Pair monthly equity-index and FX levels on their common months."""
+def build_return_series(
+    equity: MacroSeries, fx: MacroSeries, inflation: MacroSeries
+) -> ReturnSeries:
+    """Align monthly equity and FX levels with inflation into return triples.
+
+    Returns are formed on the months where both levels are observed.  The
+    return for month ``t`` needs both levels at ``t-1`` too (the nominal leg
+    is ``pct_change`` of the equity levels); a month after a gap is skipped
+    with a warning, and a month without inflation is dropped with a warning.
+    """
     for s in (equity, fx):
         if len(s) and not s.is_monthly:
             raise DataError(f"series {s.name!r} must be monthly")
-    e, f = equity.as_dict(), fx.as_dict()
-    common = sorted(set(e) & set(f))
-    if not common:
+    months = sorted(set(equity.stamps) & set(fx.stamps))
+    if not months:
         raise DataError(
             f"no overlapping months between {equity.name!r} and {fx.name!r}"
         )
-    try:
-        return tuple(
-            PriceObservation(month=m, index_level=e[m], fx_rate=f[m]) for m in common
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-
-
-def build_return_series(
-    prices: Sequence[PriceObservation],
-    inflation: MacroSeries | None = None,
-) -> ReturnSeries:
-    """Turn monthly price observations into aligned return triples.
-
-    A return for month ``t`` needs levels at both ``t`` and ``t-1``; months
-    following a gap are skipped with a warning.  Inflation comes from the
-    ``inflation`` series when given (it wins over any rate embedded in the
-    observations); months with no inflation at all are dropped with a warning.
-    """
-    if len(prices) < 2:
+    nominal = pct_change(equity).at(months)
+    rate, rate_prev = fx.at(months), fx.at(months, lag=1)
+    bad = np.flatnonzero(rate <= 0.0)
+    if bad.size:
+        raise DataError(f"FX rate must be positive at {months[bad[0]]}")
+    if len(months) < 2:
         raise DataError("need at least 2 price observations to form returns")
-    obs = sorted(prices, key=lambda o: o.month)
-    for a, b in zip(obs, obs[1:]):
-        if a.month == b.month:
-            raise DataError(f"duplicate price observation for {a.month}")
-    pi_lookup: dict[str, float] = {}
-    if inflation is not None:
-        if len(inflation) and not inflation.is_monthly:
-            raise DataError(f"inflation series {inflation.name!r} must be monthly")
-        pi_lookup = inflation.as_dict()
+    if len(inflation) and not inflation.is_monthly:
+        raise DataError(f"inflation series {inflation.name!r} must be monthly")
+    pi = inflation.at(months)
 
-    months: list[str] = []
-    nominal: list[float] = []
-    real_dom: list[float] = []
-    real_for: list[float] = []
-    for prev, cur in zip(obs, obs[1:]):
-        if mo.month_index(cur.month) != mo.month_index(prev.month) + 1:
-            logger.warning(
-                "gap before %s (previous observation %s); skipping return",
-                cur.month, prev.month,
-            )
-            continue
-        pi = pi_lookup.get(cur.month, cur.inflation_rate)
-        if pi is None:
-            logger.warning("no inflation for %s; dropping month", cur.month)
-            continue
-        if not 1.0 + pi > 0.0:
-            raise DataError(f"inflation at {cur.month} must exceed -1, got {pi}")
-        r = nominal_return(cur.index_level, prev.index_level)
-        months.append(cur.month)
-        nominal.append(r)
-        real_dom.append(real_return_domestic(r, pi))
-        real_for.append(real_return_foreign(r, prev.fx_rate, cur.fx_rate, pi))
-    if not months:
+    gap = np.isnan(nominal) | np.isnan(rate_prev)
+    for k in np.flatnonzero(gap[1:]) + 1:
+        logger.warning(
+            "gap before %s (previous observation %s); skipping return",
+            months[k], months[k - 1],
+        )
+    for k in np.flatnonzero(~gap & np.isnan(pi)):
+        logger.warning("no inflation for %s; dropping month", months[k])
+    kept = ~gap & ~np.isnan(pi)
+    bad = np.flatnonzero(kept & ~(1.0 + pi > 0.0))
+    if bad.size:
+        k = bad[0]
+        raise DataError(f"inflation at {months[k]} must exceed -1, got {pi[k]}")
+    if not kept.any():
         raise DataError("no months with complete price and inflation data")
+    r, pi = nominal[kept], pi[kept]
     return ReturnSeries(
-        months=tuple(months),
-        nominal=np.array(nominal),
-        real_domestic=np.array(real_dom),
-        real_foreign=np.array(real_for),
+        months=tuple(compress(months, kept)),
+        nominal=r,
+        real_domestic=real_return_domestic(r, pi),
+        real_foreign=real_return_foreign(r, rate_prev[kept], rate[kept], pi),
     )

@@ -6,6 +6,7 @@ output alone.  Tolerances are part of the contract; do not loosen them.
 """
 
 import dataclasses
+import json
 import math
 import subprocess
 import sys
@@ -319,6 +320,16 @@ def test_hedge_effectiveness_characterization(fixture_root):
         observed[kind] = sorted(
             (r.residency.value, r.hedge_effectiveness_pct) for r in result.reports
         )
+        if kind == "perfect_hedge":
+            # Comonotone data: the reported (analytic) tail dependence must
+            # agree with the empirical one, whichever family wins at its bound.
+            tail_gap = max(
+                (
+                    abs(r.tail_dependence - r.tail_dependence_empirical)
+                    for r in result.reports
+                ),
+                default=math.inf,
+            )
 
     rng = np.random.default_rng(77)
     loss = rng.normal(0.02, 0.01, size=200)
@@ -330,12 +341,14 @@ def test_hedge_effectiveness_characterization(fixture_root):
         and all(he == 0.0 for _, he in observed["anti_hedge"])
         and all(he == 0.0 for _, he in observed["independent"])
         and abs(halved - 50.0) <= 1e-9
+        and tail_gap <= 0.05
     )
     _gate(
         "A07 hedge-effectiveness characterization",
         ok,
         f"perfect={observed['perfect_hedge']}, anti={observed['anti_hedge']}, "
-        f"noise={observed['independent']}, half-variance {halved:.12f}%",
+        f"noise={observed['independent']}, half-variance {halved:.12f}%, "
+        f"perfect-hedge analytic vs empirical tail dependence gap {tail_gap:.4f}",
     )
 
 
@@ -424,7 +437,55 @@ def test_real_return_identities():
     )
 
 
+# Hot-path outputs compared against goldens: (output path, golden suffix).
+# Rows and labels must match exactly; numeric fields within REL/ABS below.
+GOLDEN_CSVS = (
+    ("coefficients.csv", "coefficients.csv"),
+    ("attribution.csv", "attribution.csv"),
+    ("figures/real_returns.csv", "real_returns.csv"),
+)
+GOLDEN_REL_TOL = 1e-9
+GOLDEN_ABS_TOL = 1e-12
+
+
+def _golden_csv_mismatch(produced: str, golden: str) -> str | None:
+    """First difference between two CSV texts, or None when they agree.
+
+    The provenance comment and every non-numeric field must be identical;
+    numeric fields may differ within GOLDEN_REL_TOL relative (GOLDEN_ABS_TOL
+    absolute).
+    """
+    got, want = produced.splitlines(), golden.splitlines()
+    if len(got) != len(want):
+        return f"{len(got)} lines, golden has {len(want)}"
+    for lineno, (g, w) in enumerate(zip(got, want), start=1):
+        if g == w:
+            continue
+        g_fields, w_fields = g.split(","), w.split(",")
+        if w.startswith("#") or len(g_fields) != len(w_fields):
+            return f"line {lineno}: {g!r} != {w!r}"
+        for gf, wf in zip(g_fields, w_fields):
+            try:
+                expected = float(wf)
+            except ValueError:
+                if gf != wf:
+                    return f"line {lineno}: label {gf!r} != {wf!r}"
+                continue
+            try:
+                actual = float(gf)
+            except ValueError:
+                return f"line {lineno}: {gf!r} is not a number (golden {wf})"
+            if not math.isclose(
+                actual, expected, rel_tol=GOLDEN_REL_TOL, abs_tol=GOLDEN_ABS_TOL
+            ):
+                return f"line {lineno}: {actual!r} vs golden {expected!r}"
+    return None
+
+
 def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
+    stability_golden = json.loads(
+        (golden_root / "stability_kendall_tau.json").read_text(encoding="utf-8")
+    )
     mismatches = []
     for kind in ("perfect_hedge", "anti_hedge", "clayton_coupled", "independent"):
         out = tmp_path / kind
@@ -449,9 +510,27 @@ def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
         golden = (golden_root / f"{kind}_report.csv").read_bytes()
         if produced != golden:
             mismatches.append(f"{kind}: report.csv differs from golden")
+        for name, suffix in GOLDEN_CSVS:
+            problem = _golden_csv_mismatch(
+                (out / name).read_text(encoding="utf-8"),
+                (golden_root / f"{kind}_{suffix}").read_text(encoding="utf-8"),
+            )
+            if problem is not None:
+                mismatches.append(f"{kind}: {name} {problem}")
+        full = json.loads((out / "report.full").read_text(encoding="utf-8"))
+        stability = full["attribution"]["stability_kendall_tau"]
+        if stability != stability_golden[kind]:
+            mismatches.append(
+                f"{kind}: stability_kendall_tau {stability!r} != {stability_golden[kind]!r}"
+            )
     ok = not mismatches
     _gate(
         "A10 golden end-to-end",
         ok,
-        "all four fixture reports byte-identical" if ok else "; ".join(mismatches),
+        (
+            "all four fixture reports byte-identical; coefficients, attribution, "
+            "real returns within 1e-9 rel and stability exact"
+        )
+        if ok
+        else "; ".join(mismatches),
     )

@@ -8,6 +8,7 @@ from crisishedge.copula import (
     CopulaFamily,
     CopulaFit,
     PseudoSample,
+    THETA_BOUNDS,
     attach_ci,
     block_bootstrap_ci,
     empirical_lambda_statistic,
@@ -127,6 +128,38 @@ class TestFitCopula:
         assert fit.theta < 0.05
         assert fit.boundary
         assert any("boundary" in d for d in fit.diagnostics)
+
+    @pytest.mark.parametrize("family", list(CopulaFamily))
+    def test_upper_bound_fit_reports_comonotone_limit(self, family, monkeypatch):
+        if family is CopulaFamily.FRANK:
+            # On comonotone ranks Frank's likelihood peaks near theta = 37,
+            # inside its range; a narrower range puts the fit on its edge.
+            monkeypatch.setitem(THETA_BOUNDS, family, (-30.0, 30.0))
+        upper = THETA_BOUNDS[family][1]
+        x = np.random.default_rng(107).normal(size=120)
+        s = PseudoSample.from_data(x, 2.0 * x + 1.0)  # Kendall tau = 1
+        fit = fit_copula(s, family)
+        assert fit.boundary
+        assert fit.theta >= upper - 0.01
+        assert fit.lambda_lower == 1.0
+        assert any(
+            "at parameter-space boundary; lambda_L=1 from the comonotone limit" in d
+            for d in fit.diagnostics
+        )
+        assert family_lambda_statistic(family)(s) == 1.0
+
+    @pytest.mark.parametrize("family", list(CopulaFamily))
+    def test_lower_bound_fit_keeps_zero(self, family):
+        x = np.random.default_rng(108).normal(size=120)
+        s = PseudoSample.from_data(x, -x)  # Kendall tau = -1
+        fit = fit_copula(s, family)
+        assert fit.boundary
+        assert fit.lambda_lower == 0.0
+        lower = THETA_BOUNDS[family][0]
+        assert fit.diagnostics == (
+            f"{family.value}: theta={fit.theta:.6g} at parameter-space boundary",
+        )
+        assert fit.theta <= lower + 0.01
 
     def test_frank_negative_dependence(self):
         s = sample_from(CopulaFamily.FRANK, -6.0, 2000, seed=102)

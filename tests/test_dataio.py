@@ -156,6 +156,44 @@ class TestFuseHybrid:
             fuse_hybrid(daily, daily, 0.5)
 
 
+class TestLaggedLookup:
+    def series(self):
+        # 2020-03 is not observed.
+        return MacroSeries(
+            "s", (("2020-01", 1.0), ("2020-02", 2.0), ("2020-04", 4.0), ("2020-05", 5.0))
+        )
+
+    def test_same_month_values_and_gaps(self):
+        got = self.series().at(["2020-02", "2020-03", "2020-05"])
+        np.testing.assert_array_equal(got, [2.0, np.nan, 5.0])
+
+    def test_lag_reads_earlier_months(self):
+        got = self.series().at(["2020-02", "2020-04", "2020-05", "2021-01"], lag=1)
+        np.testing.assert_array_equal(got, [1.0, np.nan, 4.0, np.nan])
+
+    def test_lag_before_first_month_is_nan(self):
+        got = self.series().at(["2020-01", "2020-02", "2020-03"], lag=2)
+        np.testing.assert_array_equal(got, [np.nan, np.nan, 1.0])
+
+    def test_months_after_last_observation_are_nan(self):
+        got = self.series().at(["2020-06", "2019-12"])
+        assert np.isnan(got).all()
+
+    def test_year_boundary(self):
+        s = make_series("s", [1.0, 2.0], start="2019-12")
+        np.testing.assert_array_equal(s.at(["2020-01"], lag=1), [1.0])
+
+    def test_empty_series_and_empty_query(self):
+        empty = MacroSeries("e", ())
+        assert np.isnan(empty.at(["2020-01", "2020-02"], lag=1)).all()
+        assert self.series().at([]).shape == (0,)
+
+    def test_day_stamped_series_rejected(self):
+        s = MacroSeries("d", (("2020-01-03", 1.0),))
+        with pytest.raises(DataError, match="day-stamped"):
+            s.at(["2020-01"])
+
+
 class TestPctChange:
     def test_levels_to_fractions(self):
         s = make_series("idx", [100.0, 110.0, 99.0])
@@ -176,6 +214,17 @@ class TestPctChange:
         s = make_series("idx", [100.0, -1.0])
         with pytest.raises(DataError):
             pct_change(s)
+
+    def test_non_positive_level_names_its_month(self):
+        s = make_series("idx", [100.0, 110.0, 0.0, 120.0])
+        with pytest.raises(DataError, match="non-positive level at 2020-03 in series 'idx'"):
+            pct_change(s)
+
+    def test_values_are_level_over_previous_level_minus_one(self):
+        s = make_series("idx", [3.0, 7.0, 11.0, 13.0])
+        levels = [3.0, 7.0, 11.0, 13.0]
+        expected = [b / a - 1.0 for a, b in zip(levels, levels[1:])]
+        assert list(pct_change(s).values) == expected
 
 
 class TestManifest:

@@ -85,6 +85,24 @@ class TestLossSeries:
         out = loss_series(pi, fx, Residency.FOREIGN)
         assert out.months == ("2020-02", "2020-03")
 
+    def test_foreign_fx_gap_drops_the_months_it_feeds(self):
+        from crisishedge.dataio import MacroSeries
+
+        pi = make_series("cpi_rate", [0.01, 0.02, 0.03, 0.04, 0.05], start="2020-02")
+        levels = {"2020-01": 2.0, "2020-02": 2.2, "2020-04": 2.5, "2020-05": 2.4, "2020-06": 3.1}
+        fx = MacroSeries("fx_usd", tuple(levels.items()))
+        out = loss_series(pi, fx, Residency.FOREIGN)
+        # 2020-03 has no FX level, 2020-04 none at m-1.
+        assert out.months == ("2020-02", "2020-05", "2020-06")
+        p = pi.as_dict()
+        expected_fx = [
+            levels["2020-02"] / levels["2020-01"] - 1.0,
+            levels["2020-05"] / levels["2020-04"] - 1.0,
+            levels["2020-06"] / levels["2020-05"] - 1.0,
+        ]
+        assert list(out.fx_ret) == expected_fx
+        assert list(out.loss) == [p[m] + r for m, r in zip(out.months, expected_fx)]
+
     def test_residency_accepts_strings(self):
         pi = make_series("cpi_rate", [0.01] * 4)
         out = loss_series(pi, None, "local")
@@ -98,7 +116,7 @@ class TestLossSeries:
     def test_non_positive_fx_level_rejected(self):
         pi = make_series("cpi_rate", [0.01] * 3, start="2020-02")
         fx = make_series("fx_usd", [1.0, -0.5, 1.0, 1.0], start="2020-01")
-        with pytest.raises(DataError, match="non-positive"):
+        with pytest.raises(DataError, match="non-positive level at 2020-02"):
             loss_series(pi, fx, Residency.FOREIGN)
 
     def test_no_alignment_rejected(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crisishedge import months as mo
+from crisishedge.dataio import MacroSeries
 from crisishedge.errors import (
     ConfigError,
     DataError,
@@ -220,6 +221,21 @@ class TestEngineerFeatures:
         assert X.months == ("2020-02", "2020-03", "2020-04")
         assert X.dropped_rows == 0
         np.testing.assert_allclose(X.raw_linear[:, 0], [10.0, 20.0, 30.0])
+
+    def test_gap_at_lagged_month_drops_the_row_it_feeds(self):
+        # f is missing 2020-03; with lag 2 that gap feeds the 2020-05 row only.
+        f = make_series("f", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], start="2020-01")
+        f = MacroSeries("f", tuple(o for o in f.observations if o[0] != "2020-03"))
+        panel = {
+            TARGET_COLUMN: make_series(TARGET_COLUMN, [0.1, 0.2, 0.3, 0.4, 0.5], start="2020-03"),
+            "f": f,
+        }
+        schema = FeatureSchema(base_features=("f",), lag_spec={"f": (0, 2)})
+        X = engineer_features(panel, schema)
+        assert X.months == ("2020-04", "2020-06", "2020-07")
+        assert X.dropped_rows == 2  # 2020-03 (lag 0) and 2020-05 (lag 2)
+        np.testing.assert_array_equal(X.raw_linear, [[4.0, 2.0], [6.0, 4.0], [7.0, 5.0]])
+        np.testing.assert_array_equal(X.target, [0.2, 0.4, 0.5])
 
     def test_continuous_columns_standardized(self):
         panel, _ = self.panel()
@@ -458,10 +474,15 @@ def noise_matrix(n: int, seed: int, p: int = 2) -> DesignMatrix:
     return dm(values, target)
 
 
+def cv_at(X: DesignMatrix, tau: float, **kwargs):
+    """The report of one tail level from ``expanding_window_cv``."""
+    return expanding_window_cv(X, (tau,), **kwargs)[tau]
+
+
 class TestExpandingWindowCV:
     def test_fold_arithmetic_30_20_5(self):
         X = noise_matrix(30, seed=40)
-        report = expanding_window_cv(X, 0.5, initial_window=20, step=5)
+        report = cv_at(X, 0.5, initial_window=20, step=5)
         assert len(report.folds) == 2
         assert report.folds[0].train_rows == 20
         assert report.folds[0].test_months == (X.months[20], X.months[24])
@@ -470,24 +491,24 @@ class TestExpandingWindowCV:
 
     def test_final_fold_may_be_short(self):
         X = noise_matrix(28, seed=41)
-        report = expanding_window_cv(X, 0.5, initial_window=20, step=5)
+        report = cv_at(X, 0.5, initial_window=20, step=5)
         assert [f.n_test for f in report.folds] == [5, 3]
 
     def test_no_test_row_precedes_training(self):
         X = noise_matrix(60, seed=42)
-        report = expanding_window_cv(X, 0.5, initial_window=20, step=10)
+        report = cv_at(X, 0.5, initial_window=20, step=10)
         for fold in report.folds:
             last_train = X.months[fold.train_rows - 1]
             assert mo.month_index(fold.test_months[0]) > mo.month_index(last_train)
 
     def test_white_noise_pooled_r2_small(self):
         X = noise_matrix(120, seed=43)
-        report = expanding_window_cv(X, 0.5, initial_window=36, step=12)
+        report = cv_at(X, 0.5, initial_window=36, step=12)
         assert report.pooled_pseudo_r2 <= 0.05
 
     def test_coefficient_paths_cover_all_terms(self):
         X = noise_matrix(40, seed=44)
-        report = expanding_window_cv(X, 0.5, initial_window=20, step=10)
+        report = cv_at(X, 0.5, initial_window=20, step=10)
         assert set(report.coefficient_paths) == {INTERCEPT_LABEL, *X.columns}
         for path in report.coefficient_paths.values():
             assert len(path) == len(report.folds)
@@ -495,7 +516,7 @@ class TestExpandingWindowCV:
     def test_force_test_month_shrinks_initial_window(self):
         X = noise_matrix(30, seed=45)
         forced = X.months[15]
-        report = expanding_window_cv(
+        report = cv_at(
             X, 0.5, initial_window=20, step=5, force_test_month=forced
         )
         assert report.folds[0].train_rows == 15
@@ -504,35 +525,64 @@ class TestExpandingWindowCV:
     def test_force_test_month_too_early(self):
         X = noise_matrix(30, seed=46)
         with pytest.raises(DataError):
-            expanding_window_cv(
+            cv_at(
                 X, 0.5, initial_window=20, step=5, force_test_month=X.months[5]
             )
 
     def test_force_test_month_unknown(self):
         X = noise_matrix(30, seed=47)
         with pytest.raises(DataError):
-            expanding_window_cv(
+            cv_at(
                 X, 0.5, initial_window=20, step=5, force_test_month="1999-01"
             )
 
     def test_insufficient_rows_for_two_folds(self):
         X = noise_matrix(22, seed=48)
         with pytest.raises(DataError):
-            expanding_window_cv(X, 0.5, initial_window=20, step=5)
+            cv_at(X, 0.5, initial_window=20, step=5)
 
     def test_initial_window_floor(self):
         X = noise_matrix(30, seed=49)
         with pytest.raises(DataError):
-            expanding_window_cv(X, 0.5, initial_window=9, step=5)
+            cv_at(X, 0.5, initial_window=9, step=5)
 
     def test_step_floor(self):
         X = noise_matrix(30, seed=50)
         with pytest.raises(DataError):
-            expanding_window_cv(X, 0.5, initial_window=20, step=0)
+            cv_at(X, 0.5, initial_window=20, step=0)
 
     def test_pooled_mae_matches_fold_errors(self):
         X = noise_matrix(40, seed=51)
-        report = expanding_window_cv(X, 0.5, initial_window=20, step=10)
+        report = cv_at(X, 0.5, initial_window=20, step=10)
         weighted = sum(f.mae * f.n_test for f in report.folds)
         total = sum(f.n_test for f in report.folds)
         assert report.pooled_mae == pytest.approx(weighted / total)
+
+    def test_levels_match_single_level_runs(self):
+        X = noise_matrix(60, seed=52, p=3)
+        taus = (0.1, 0.5, 0.9)
+        together = expanding_window_cv(X, taus, initial_window=20, step=10)
+        assert list(together) == list(taus)
+        for tau in taus:
+            assert repr(together[tau]) == repr(cv_at(X, tau, initial_window=20, step=10))
+
+    def test_every_level_and_fold_goes_through_one_map(self, monkeypatch):
+        from crisishedge import qreg
+
+        calls = []
+        real_map = qreg.ordered_map
+
+        def counting_map(fn, count):
+            calls.append(count)
+            return real_map(fn, count)
+
+        monkeypatch.setattr(qreg, "ordered_map", counting_map)
+        X = noise_matrix(60, seed=53)
+        reports = expanding_window_cv(X, (0.1, 0.5, 0.9), initial_window=20, step=10)
+        assert calls == [3 * 4]
+        assert all(len(r.folds) == 4 for r in reports.values())
+
+    def test_constant_target_raises_once_for_all_levels(self):
+        X = dm(np.random.default_rng(54).normal(size=(40, 2)), np.full(40, 0.3))
+        with pytest.raises(DegenerateSampleError, match="constant"):
+            expanding_window_cv(X, (0.1, 0.5, 0.9), initial_window=20, step=10)

@@ -134,9 +134,10 @@ class TestSerialEqualsPooled:
     def test_expanding_window_cv(self, set_cpus):
         X = noise_matrix(80, seed=41)
         serial, pooled = serial_and_pooled(
-            set_cpus, lambda: expanding_window_cv(X, 0.5, initial_window=20, step=10)
+            set_cpus,
+            lambda: expanding_window_cv(X, (0.1, 0.5, 0.9), initial_window=20, step=10),
         )
-        assert len(serial.folds) == 6
+        assert len(serial[0.5].folds) == 6
         assert repr(serial) == repr(pooled)
 
     def test_pipeline_outputs_byte_identical(self, set_cpus, fixture_root, tmp_path):
