@@ -18,8 +18,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateSampleError, NumericalError
-from .qreg import DesignMatrix, QuantileModel, fit_quantile, _restandardized_subset
-from .resample import block_bootstrap
+from .qreg import (
+    CHUNK_ROWS,
+    DesignMatrix,
+    FitCertificates,
+    QuantileModel,
+    _quantile_model,
+    _with_intercept,
+    require_varying,
+    restandardized_values,
+    solve_check_loss,
+)
+from .resample import block_resamples
 
 logger = logging.getLogger(__name__)
 
@@ -64,11 +74,13 @@ class ImportanceSummary:
 
 @dataclass(frozen=True)
 class StabilityResult:
-    """Bootstrap ranking stability and how many replicates it had to skip."""
+    """Bootstrap ranking stability, how many replicates it had to skip, and
+    the certificates of the replicates' quantile fits."""
 
     kendall_tau: float
     skipped: int
     replications: int
+    certificates: FitCertificates = FitCertificates()
 
 
 def _gather(model: QuantileModel, mapping: Mapping[str, float], what: str) -> np.ndarray:
@@ -328,30 +340,57 @@ def bootstrap_stability(
 
     Each replicate resamples design rows in blocks, re-standardizes from its
     own rows, refits the quantile model, and re-ranks features by mean |phi|.
-    Per-replicate derived seeds keep the aggregate independent of execution
-    order.  Columns that degenerate inside a replicate simply attract zero
-    attributions, so rankings stay comparable; degenerate replicates are counted.
+    Replicates are built and fitted together, about ``CHUNK_ROWS`` design
+    rows at a time; per-replicate derived seeds and a batch-independent solver
+    keep every replicate's ranking independent of the others.  Columns that
+    degenerate inside a replicate simply attract zero attributions, so
+    rankings stay comparable; a replicate with a constant target or all-zero
+    attributions is skipped and counted.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
-
-    def ranking(rows: np.ndarray) -> tuple[str, ...]:
-        rows = np.sort(rows)
-        replicate = _restandardized_subset(X, rows, rows)
-        model = fit_quantile(replicate, tau)
-        linear = replicate.values[:, : replicate.n_linear]
-        _, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
-        return importance_summary(model.columns, phi).ranking
-
-    boot = block_bootstrap(
-        ranking, len(X), replications=replications,
-        block_length=block_length, seed=seed,
+    n = len(X)
+    if n < 10:
+        raise DataError(f"need at least 10 rows to fit, got {n}")
+    rows = np.sort(
+        block_resamples(n, replications=replications, block_length=block_length, seed=seed),
+        axis=1,
     )
-    for reason in boot.skipped:
+    outcomes: list[tuple[str, ...] | DegenerateSampleError] = []
+    certificates = FitCertificates()
+    per = max(1, CHUNK_ROWS // n)
+    for start in range(0, replications, per):
+        chunk = rows[start: start + per]
+        values = restandardized_values(X, chunk, chunk)
+        targets = X.target[chunk]
+        fitted = []
+        for b, target in enumerate(targets):
+            try:
+                require_varying(target)
+            except DegenerateSampleError as exc:
+                outcomes.append(exc)
+            else:
+                fitted.append(b)
+                outcomes.append(())
+        coefs, fits = solve_check_loss(
+            _with_intercept(values[fitted]), targets[fitted], (tau,)
+        )
+        certificates += fits
+        for b, coef, loss in zip(fitted, coefs[0], fits.loss):
+            model = _quantile_model(X, tau, coef, loss)
+            linear = values[b][:, : X.n_linear]
+            _, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
+            try:
+                outcomes[start + b] = importance_summary(model.columns, phi).ranking
+            except DegenerateSampleError as exc:
+                outcomes[start + b] = exc
+
+    skipped = [str(o) for o in outcomes if isinstance(o, DegenerateSampleError)]
+    for reason in skipped:
         logger.warning("stability replicate skipped: %s", reason)
-    if len(boot.values) < 2:
+    rankings = [o for o in outcomes if not isinstance(o, DegenerateSampleError)]
+    if len(rankings) < 2:
         raise DegenerateSampleError("too few usable replicates for stability")
     return StabilityResult(
-        stability_kendall(boot.values), len(boot.skipped), replications
+        stability_kendall(rankings), len(skipped), replications, certificates
     )
-

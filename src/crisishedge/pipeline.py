@@ -59,6 +59,7 @@ class RunResult:
     post_window: ret.ReturnSeries
     losses: dict[Residency, LossSeries]
     pseudo_samples: dict[Residency, cop.PseudoSample]
+    design: qreg.DesignMatrix
     models: dict[float, qreg.QuantileModel]
     pseudo_r2_in_sample: dict[float, float]
     cv: dict[float, qreg.CVReport]
@@ -70,6 +71,7 @@ class RunResult:
     diagnostics: list[str]
     provenance: dict[str, object]
     out_dir: Path | None
+    quantile_fits: qreg.FitCertificates = qreg.FitCertificates()
 
 
 @contextmanager
@@ -477,6 +479,7 @@ def run_pipeline(
         post_window=post,
         losses=losses,
         pseudo_samples=samples,
+        design=design,
         models=models,
         pseudo_r2_in_sample=r2,
         cv=cv_reports,
@@ -503,8 +506,13 @@ def run_pipeline(
         low_model = models[triplet.tau_low]
         rows = attr.attribute_window(low_model, design)
         stability: float | None = None
+        fits = sum(
+            [models[tau].certificate for tau in tau_levels]
+            + [report.certificates for report in cv_reports.values()],
+            qreg.FitCertificates(),
+        )
         try:
-            boot = attr.bootstrap_stability(
+            stable = attr.bootstrap_stability(
                 design,
                 triplet.tau_low,
                 replications=max(2, replications),
@@ -514,11 +522,12 @@ def run_pipeline(
         except DegenerateSampleError as exc:
             diagnostics.append(f"attribution stability: {exc}")
         else:
-            stability = boot.kendall_tau
-            if boot.skipped:
+            stability = stable.kendall_tau
+            fits += stable.certificates
+            if stable.skipped:
                 diagnostics.append(
-                    f"attribution stability: skipped {boot.skipped}/"
-                    f"{boot.replications} replicates"
+                    f"attribution stability: skipped {stable.skipped}/"
+                    f"{stable.replications} replicates"
                 )
         phi = np.array([[row.phi[col] for row in rows] for col in low_model.columns])
         try:
@@ -528,6 +537,11 @@ def run_pipeline(
         except DegenerateSampleError as exc:
             diagnostics.append(f"attribution: {exc}")
         result.attribution_rows = rows
+        result.quantile_fits = fits
+        if fits.fallbacks:
+            diagnostics.append(
+                f"qreg: {fits.fallbacks}/{len(fits)} quantile fits fell back to HiGHS"
+            )
 
     if write_outputs and destination is not None:
         if result.attribution_rows:

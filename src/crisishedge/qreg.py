@@ -2,16 +2,15 @@
 
 Feature engineering turns a monthly panel into a design matrix of lagged,
 standardized columns plus declared pairwise interaction products; fitting
-minimizes the asymmetric check loss, posed as a linear program over split
-residuals and solved exactly.  The target is always the nominal equity return
-and an endogeneity guard keeps any equity-derived identifier out of the
-feature side by construction.
+minimizes the asymmetric check loss, a linear program solved in batches by a
+Frisch-Newton interior-point method and certified by its duality gap.  The
+target is always the nominal equity return and an endogeneity guard keeps any
+equity-derived identifier out of the feature side by construction.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Mapping, Sequence
@@ -23,7 +22,6 @@ from . import months as mo
 from .dataio import MacroSeries
 from .errors import ConfigError, DataError, DegenerateSampleError, EndogeneityError, FitError
 from .quantiles import empirical_quantile
-from .resample import ordered_map
 
 logger = logging.getLogger(__name__)
 
@@ -179,6 +177,37 @@ class DesignMatrix:
 
 
 @dataclass(frozen=True)
+class FitCertificates:
+    """How each of a group of check-loss fits was certified, in fit order.
+
+    ``loss`` is the check loss of the returned coefficients and ``gap`` the
+    duality gap at which the interior-point method stopped (0 for an exact
+    order-statistic fit).  A fit whose gap did not reach
+    ``GAP_TOL * (1 + loss)`` within the iteration cap was re-solved by HiGHS
+    and is flagged in ``fallback``; its gap is the last one reached.
+    """
+
+    loss: tuple[float, ...] = ()
+    gap: tuple[float, ...] = ()
+    fallback: tuple[bool, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.loss)
+
+    def __getitem__(self, part: slice) -> FitCertificates:
+        return FitCertificates(self.loss[part], self.gap[part], self.fallback[part])
+
+    def __add__(self, other: FitCertificates) -> FitCertificates:
+        return FitCertificates(
+            self.loss + other.loss, self.gap + other.gap, self.fallback + other.fallback
+        )
+
+    @property
+    def fallbacks(self) -> int:
+        return sum(self.fallback)
+
+
+@dataclass(frozen=True)
 class QuantileModel:
     """Coefficients of one check-loss fit at a single quantile level."""
 
@@ -189,6 +218,7 @@ class QuantileModel:
     objective_value: float
     columns: tuple[str, ...]
     schema: FeatureSchema | None = None
+    certificate: FitCertificates | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
@@ -205,28 +235,24 @@ class QuantileModel:
 def _standardize_columns(
     raw: np.ndarray,
     is_dummy: np.ndarray,
-    stats_rows: np.ndarray,
-) -> tuple[np.ndarray, list[int]]:
-    """Z-score continuous columns using moments from ``stats_rows`` only.
+    stats: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Z-score the continuous columns of ``raw`` with the moments of ``stats``.
 
-    Dummies pass through untouched.  A column with zero variance over the
-    statistics window divides by 1 instead of 0 and is reported back so the
-    fit can drop it.
+    ``raw`` is (..., n, L) and ``stats`` (..., m, L) holds the rows whose
+    moments scale it, so a stack of row sets is standardized in one call.
+    Dummies pass through untouched.  A column with zero variance over its
+    statistics rows is centred and divided by 1 instead of 0; the returned
+    (..., L) mask marks those columns so callers can report them.  Each
+    column's moments are taken over a contiguous row, so the result for one
+    row set does not depend on the others stacked with it.
     """
-    out = raw.astype(float).copy()
-    degenerate: list[int] = []
-    for j in range(raw.shape[1]):
-        if is_dummy[j]:
-            continue
-        col = raw[stats_rows, j]
-        mean = float(np.mean(col))
-        std = float(np.std(col))
-        if std == 0.0:
-            degenerate.append(j)
-            out[:, j] = raw[:, j] - mean
-        else:
-            out[:, j] = (raw[:, j] - mean) / std
-    return out, degenerate
+    cols = np.ascontiguousarray(np.swapaxes(stats, -1, -2))
+    mean = np.mean(cols, axis=-1)[..., None, :]
+    std = np.std(cols, axis=-1)[..., None, :]
+    degenerate = (std == 0.0) & ~is_dummy
+    scaled = (raw - mean) / np.where(std == 0.0, 1.0, std)
+    return np.where(is_dummy, raw, scaled), degenerate[..., 0, :]
 
 
 def _assemble_values(
@@ -237,8 +263,8 @@ def _assemble_values(
     pos = {c: i for i, c in enumerate(columns)}
     blocks = [standardized]
     for a, b in interaction_pairs:
-        blocks.append((standardized[:, pos[a]] * standardized[:, pos[b]])[:, None])
-    return np.hstack(blocks)
+        blocks.append((standardized[..., pos[a]] * standardized[..., pos[b]])[..., None])
+    return np.concatenate(blocks, axis=-1)
 
 
 def engineer_features(
@@ -289,9 +315,8 @@ def engineer_features(
         if is_dummy[j] and not np.all(np.isin(raw[:, j], (0.0, 1.0))):
             raise DataError(f"event dummy {col!r} has values outside {{0, 1}}")
 
-    all_rows = np.arange(raw.shape[0])
-    standardized, degenerate = _standardize_columns(raw, is_dummy, all_rows)
-    for j in degenerate:
+    standardized, degenerate = _standardize_columns(raw, is_dummy, raw)
+    for j in np.flatnonzero(degenerate):
         logger.warning("column %r has zero variance over the window", linear_cols[j])
     values = _assemble_values(standardized, linear_cols, schema.interaction_pairs)
 
@@ -307,76 +332,284 @@ def engineer_features(
     )
 
 
+# Batched Frisch-Newton interior-point method for check-loss fits.
+GAP_TOL = 1e-9  # a fit stops once its duality gap <= GAP_TOL * (1 + check loss)
+CHUNK_ROWS = 6000  # design rows solved together; bounds the solver's memory
+_MAX_ITER = 50  # iterations before a fit falls back to HiGHS
+_STEP = 0.99995  # fraction of the distance to the boundary a step may cover
+_RIDGE = 1e-14  # diagonal ridge on the normal equations, relative to their trace
+
+
+def require_varying(target: np.ndarray) -> None:
+    """Reject a constant target, for which no quantile fit is defined."""
+    if np.ptp(target) == 0.0:
+        raise DegenerateSampleError("target is constant; quantile fit undefined")
+
+
+def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Per member, the largest t with v + t * dv >= 0 (inf if dv never falls)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dv < 0.0, -v / dv, np.inf).min(axis=1)
+
+
+def _normal_matrix(weighted_t: np.ndarray, X: np.ndarray, usable: np.ndarray) -> np.ndarray:
+    """X' W X per member, ridged, with each unused column pinned to 0 by a unit diagonal."""
+    M = weighted_t @ X
+    k = np.arange(M.shape[-1])
+    diag = M[:, k, k]
+    M[:, k, k] = np.where(usable, diag + _RIDGE * diag.sum(axis=1, keepdims=True), 1.0)
+    return M
+
+
+def _newton_step(
+    X: np.ndarray,
+    usable: np.ndarray,
+    x: np.ndarray,
+    s: np.ndarray,
+    z: np.ndarray,
+    w: np.ndarray,
+    dual: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """One Mehrotra predictor-corrector step for every member of a batch.
+
+    The bounded dual LP is min c'x subject to X'x = (1 - tau) X'1 and
+    0 <= x <= 1, with slack s = 1 - x; its dual has X dual + z - w = c with
+    z, w >= 0.  Both feasibilities are kept, so the step only drives the
+    complementarity products x*z and s*w towards 0.
+    """
+    Xt = np.swapaxes(X, 1, 2)
+    q = 1.0 / (z / x + w / s)
+    r = z - w
+    M = _normal_matrix(Xt * q[:, None, :], X, usable)
+
+    def direction(v):
+        # The Newton system reduced to the normal equations; v = 0 is the
+        # affine (predictor) step.
+        dy = np.linalg.solve(M, Xt @ (q * (r - v))[:, :, None])[:, :, 0]
+        return dy, q * ((X @ dy[:, :, None])[:, :, 0] + v - r)
+
+    def step_lengths(dx, dz, dw):
+        fp = np.minimum(_step_to_boundary(x, dx), _step_to_boundary(s, -dx))
+        fd = np.minimum(_step_to_boundary(z, dz), _step_to_boundary(w, dw))
+        return np.minimum(_STEP * fp, 1.0)[:, None], np.minimum(_STEP * fd, 1.0)[:, None]
+
+    dy, dx = direction(np.zeros_like(x))
+    dz = -z * (dx / x + 1.0)
+    dw = -w * (-dx / s + 1.0)
+    fp, fd = step_lengths(dx, dz, dw)
+    short = (np.minimum(fp, fd) < 1.0)[:, 0]
+    if short.any():
+        # Corrector: aim at the centring target Mehrotra's heuristic picks
+        # from how far the affine step got, less the affine second-order term.
+        mu = np.sum(x * z, axis=1) + np.sum(s * w, axis=1)
+        reach = np.sum((x + fp * dx) * (z + fd * dz), axis=1) + np.sum(
+            (s - fp * dx) * (w + fd * dw), axis=1
+        )
+        ratio = reach / mu
+        mu = (mu * ratio * ratio * ratio / (2 * x.shape[1]))[:, None]
+        dxdz = dx * dz
+        dsdw = -dx * dw
+        xinv = 1.0 / x
+        sinv = 1.0 / s
+        cy, cx = direction(mu * (xinv - sinv) - xinv * dxdz + sinv * dsdw)
+        cz = xinv * (mu - dxdz - z * cx) - z
+        cw = sinv * (mu - dsdw + w * cx) - w
+        cp, cd = step_lengths(cx, cz, cw)
+        keep = short[:, None]
+        dy = np.where(keep, cy, dy)
+        dx, dz, dw = np.where(keep, cx, dx), np.where(keep, cz, dz), np.where(keep, cw, dw)
+        fp, fd = np.where(keep, cp, fp), np.where(keep, cd, fd)
+    return x + fp * dx, s - fp * dx, z + fd * dz, w + fd * dw, dual + fd * dy
+
+
+def _frisch_newton(
+    designs: np.ndarray, targets: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coefficients, gaps, converged) for one chunk of problems at one level."""
+    batch, n, p = designs.shape
+    real = designs[:, :, 0] != 0.0
+    lo = np.where(real[:, :, None], designs, np.inf).min(axis=1)
+    hi = np.where(real[:, :, None], designs, -np.inf).max(axis=1)
+    usable = hi > lo
+    usable[:, 0] = True
+    X = designs * usable[:, None, :]
+    c = -targets
+
+    # Least-squares start.  x = 1 - tau is feasible for the bounded dual; z
+    # and w split the residual exactly, with a small floor on both sides of a
+    # near-zero residual so that neither complementarity pair starts stuck.
+    dual = np.linalg.solve(
+        _normal_matrix(np.swapaxes(X, 1, 2), X, usable),
+        np.swapaxes(X, 1, 2) @ c[:, :, None],
+    )[:, :, 0]
+    r = c - (X @ dual[:, :, None])[:, :, 0]
+    floor = 0.001 * (np.abs(r) < 1e-9 * (1.0 + np.abs(targets)))
+    z = np.maximum(r, 0.0) + floor
+    w = z - r
+    x = np.full((batch, n), 1.0 - tau)
+    s = 1.0 - x
+
+    gap = np.full(batch, np.inf)
+    converged = np.zeros(batch, dtype=bool)
+    coef = np.zeros((batch, p))
+    # A design whose only usable column is the intercept has the exact
+    # order-statistic solution.
+    exact = ~usable[:, 1:].any(axis=1)
+    for b in np.flatnonzero(exact):
+        coef[b, 0] = empirical_quantile(targets[b][real[b]], tau)
+    gap[exact] = 0.0
+    converged[exact] = True
+    live = np.flatnonzero(~exact)
+    for it in range(_MAX_ITER + 1):
+        resid = targets[live] + (X[live] @ dual[live][:, :, None])[:, :, 0]
+        loss = np.sum(resid * (tau - (resid < 0.0)), axis=1)
+        gap[live] = np.sum(x[live] * z[live], axis=1) + np.sum(s[live] * w[live], axis=1)
+        done = gap[live] <= GAP_TOL * (1.0 + loss)
+        converged[live[done]] = True
+        coef[live[done]] = np.where(usable[live[done]], -dual[live[done]], 0.0)
+        live = live[~done & np.isfinite(gap[live])]
+        if it == _MAX_ITER or live.size == 0:
+            break
+        x[live], s[live], z[live], w[live], dual[live] = _newton_step(
+            X[live], usable[live], x[live], s[live], z[live], w[live], dual[live]
+        )
+    return coef, gap, converged
+
+
+def _highs_fit(design: np.ndarray, target: np.ndarray, tau: float) -> np.ndarray:
+    """One check-loss fit as the primal LP over split residuals, by HiGHS.
+
+    Residuals split into u, v >= 0 with design @ b + u - v = y, minimizing
+    tau * sum(u) + (1 - tau) * sum(v).  Padding rows and constant columns
+    (other than the intercept) are dropped; dropped columns get 0.
+    """
+    rows = design[:, 0] != 0.0
+    mat, y = design[rows], target[rows]
+    keep = np.ptp(mat, axis=0) > 0.0
+    keep[0] = True
+    mat = mat[:, keep]
+    n, p = mat.shape
+    c = np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)])
+    identity = sparse.identity(n, format="csr")
+    A = sparse.hstack([sparse.csr_matrix(mat), identity, -identity])
+    bounds = [(None, None)] * p + [(0.0, None)] * (2 * n)
+    res = optimize.linprog(c, A_eq=A, b_eq=y, bounds=bounds, method="highs")
+    if not res.success:
+        raise FitError(f"quantile LP did not converge: {res.message}")
+    coef = np.zeros(design.shape[1])
+    coef[keep] = res.x[:p]
+    return coef
+
+
+def solve_check_loss(
+    designs: np.ndarray, targets: np.ndarray, taus: Sequence[float]
+) -> tuple[np.ndarray, FitCertificates]:
+    """Fit every design at every level; returns (T, B, p) coefficients.
+
+    ``designs`` is (B, n, p) with the intercept in column 0, ``targets`` is
+    (B, n) and ``taus`` holds the T levels.  A row whose intercept entry is 0
+    is padding: it must be 0 throughout, target included, and leaves the
+    optimum alone, so problems of unequal length share one batch.  Columns
+    constant over a design's rows get coefficient 0, and a design with no
+    other usable column takes the exact order-statistic intercept.
+
+    The fits are solved together, one level at a time in chunks of about
+    ``CHUNK_ROWS`` design rows, by the Frisch-Newton method of
+    ``fit_quantile``; each stops on its own duality gap and is then frozen,
+    so a fit's coefficients do not depend on the batch or the chunk it is
+    solved in.  A fit that does not reach its gap within the iteration cap is
+    re-solved by HiGHS and flagged in the certificates, which list the fits
+    level by level in design order.
+    """
+    designs = np.asarray(designs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    batch, n, p = designs.shape
+    coef = np.empty((len(taus), batch, p))
+    gap = np.empty((len(taus), batch))
+    fallback = np.empty((len(taus), batch), dtype=bool)
+    loss = np.empty((len(taus), batch))
+    per = max(1, CHUNK_ROWS // n)
+    for t, tau in enumerate(taus):
+        for i in range(0, batch, per):
+            part = slice(i, i + per)
+            coef[t, part], gap[t, part], converged = _frisch_newton(
+                designs[part], targets[part], float(tau)
+            )
+            fallback[t, part] = ~converged
+        for b in np.flatnonzero(fallback[t]):
+            coef[t, b] = _highs_fit(designs[b], targets[b], float(tau))
+        resid = targets - (designs @ coef[t, :, :, None])[:, :, 0]
+        loss[t] = np.sum(resid * (tau - (resid < 0.0)), axis=1)
+    return coef, FitCertificates(
+        tuple(loss.ravel().tolist()),
+        tuple(np.where(np.isfinite(gap), gap, np.inf).ravel().tolist()),
+        tuple(fallback.ravel().tolist()),
+    )
+
+
+def _quantile_model(
+    X: DesignMatrix,
+    tau: float,
+    coef: np.ndarray,
+    objective: float,
+    certificate: FitCertificates | None = None,
+) -> QuantileModel:
+    """Wrap (intercept, columns...) coefficients for ``X``'s columns."""
+    n_linear = X.n_linear
+    return QuantileModel(
+        tau=tau,
+        intercept=float(coef[0]),
+        betas={col: float(coef[1 + j]) for j, col in enumerate(X.columns[:n_linear])},
+        gammas={
+            pair: float(coef[1 + n_linear + i])
+            for i, pair in enumerate(X.interaction_pairs)
+        },
+        objective_value=max(objective, 0.0),
+        columns=X.columns[:n_linear],
+        certificate=certificate,
+    )
+
+
+def _with_intercept(values: np.ndarray) -> np.ndarray:
+    """Prepend the intercept column to (..., n, M) feature values."""
+    ones = np.ones(values.shape[:-1] + (1,))
+    return np.concatenate([ones, values], axis=-1)
+
+
 def fit_quantile(X: DesignMatrix, tau: float) -> QuantileModel:
     """Minimize the summed check loss over intercept + linear + interaction terms.
 
-    The problem is linear: residuals split into positive and negative parts
-    u, v >= 0 with equality X b + u - v = y and objective
-    tau * sum(u) + (1 - tau) * sum(v).  Solved by the HiGHS simplex/interior
-    LP, which certifies a global optimum of this convex program and is
-    deterministic for fixed inputs.  Columns with zero variance over the fit
-    window are dropped (coefficient 0) to avoid LP degeneracy, and a model
-    with no usable columns falls back to the exact order-statistic rule for
-    the intercept.
+    The fit is a batch of one for ``solve_check_loss``: the Frisch-Newton
+    interior-point method, a Mehrotra predictor-corrector on the bounded dual
+    ``max y'a s.t. X'a = (1 - tau) X'1, 0 <= a <= 1`` (Portnoy & Koenker
+    1997; Koenker 2005, section 6.2; the algorithm of R quantreg's
+    ``rq.fit.fnb``).  It stops once the duality gap is at most
+    ``GAP_TOL * (1 + check loss)``, which certifies the loss to that
+    tolerance, and falls back to the HiGHS LP if it does not get there.
+
+    Canonical point: when the minimizer is not unique (the shipped fixtures'
+    lower-tail fits are not), the result is the interior-point optimum, a
+    point inside the optimal face, not a simplex vertex.  On the
+    clayton_coupled fixture its coefficients move by less than 1e-9 across
+    stop tolerances from 1e-7 to 1e-10, so it is reproducible, whereas a
+    vertex depends on the simplex solver's pivoting.  Columns with zero
+    variance over the fit window get coefficient 0, and a model with no
+    usable columns takes the exact order-statistic rule for the intercept.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     n = len(X)
     if n < 10:
         raise DataError(f"need at least 10 rows to fit, got {n}")
-    y = X.target
-    if np.ptp(y) == 0.0:
-        raise DegenerateSampleError("target is constant; quantile fit undefined")
-
-    keep = [j for j in range(len(X.columns)) if np.ptp(X.values[:, j]) > 0.0]
-    for j in range(len(X.columns)):
-        if j not in keep:
-            # Constant columns get coefficient 0.0 by convention; debug level
-            # because CV folds and bootstrap replicates hit this routinely.
-            logger.debug(
-                "fit_quantile: dropping zero-variance column %r", X.columns[j]
-            )
-
-    coef = np.zeros(len(X.columns))
-    if keep:
-        mat = X.values[:, keep]
-        p = mat.shape[1]
-        c = np.concatenate(
-            [np.zeros(p + 1), np.full(n, tau), np.full(n, 1.0 - tau)]
-        )
-        design = sparse.hstack(
-            [
-                sparse.csr_matrix(np.column_stack([np.ones(n), mat])),
-                sparse.identity(n, format="csr"),
-                -sparse.identity(n, format="csr"),
-            ]
-        )
-        bounds = [(None, None)] * (p + 1) + [(0.0, None)] * (2 * n)
-        res = optimize.linprog(c, A_eq=design, b_eq=y, bounds=bounds, method="highs")
-        if not res.success:
-            raise FitError(f"quantile LP did not converge: {res.message}")
-        intercept = float(res.x[0])
-        for idx, j in enumerate(keep):
-            coef[j] = float(res.x[1 + idx])
-    else:
-        intercept = empirical_quantile(y, tau)
-
-    n_linear = X.n_linear
-    betas = {col: float(coef[j]) for j, col in enumerate(X.columns[:n_linear])}
-    gammas = {
-        pair: float(coef[n_linear + i])
-        for i, pair in enumerate(X.interaction_pairs)
-    }
-    residual = y - (intercept + X.values @ coef)
-    objective = float(np.sum(check_loss(residual, tau)))
-    return QuantileModel(
-        tau=tau,
-        intercept=intercept,
-        betas=betas,
-        gammas=gammas,
-        objective_value=max(objective, 0.0),
-        columns=X.columns[:n_linear],
+    require_varying(X.target)
+    for j in np.flatnonzero(np.ptp(X.values, axis=0) == 0.0):
+        # Constant columns get coefficient 0.0 by convention; debug level
+        # because CV folds and bootstrap replicates hit this routinely.
+        logger.debug("fit_quantile: dropping zero-variance column %r", X.columns[j])
+    coef, certificate = solve_check_loss(
+        _with_intercept(X.values)[None], X.target[None], (tau,)
     )
+    return _quantile_model(X, tau, coef[0, 0], certificate.loss[0], certificate)
 
 
 def predict(model: QuantileModel, X: DesignMatrix) -> np.ndarray:
@@ -426,19 +659,30 @@ class CVReport:
     pooled_mae: float
     pooled_pseudo_r2: float
     coefficient_paths: Mapping[str, tuple[float, ...]]
+    certificates: FitCertificates = FitCertificates()
+
+
+def restandardized_values(
+    X: DesignMatrix, stats_rows: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Design values of ``rows`` scaled with the moments of ``stats_rows`` only.
+
+    Both index arrays may carry leading batch axes, (..., m) and (..., k), to
+    rebuild a stack of row subsets in one call; the result is (..., k, M).
+    """
+    is_dummy = np.array([c in X.dummy_columns for c in X.linear_column_names])
+    standardized, _ = _standardize_columns(
+        X.raw_linear[rows], is_dummy, X.raw_linear[stats_rows]
+    )
+    return _assemble_values(standardized, X.linear_column_names, X.interaction_pairs)
 
 
 def _restandardized_subset(X: DesignMatrix, stats_rows: np.ndarray, rows: np.ndarray) -> DesignMatrix:
     """Rebuild a row subset with scalings derived from ``stats_rows`` only."""
-    is_dummy = np.array([c in X.dummy_columns for c in X.linear_column_names])
-    standardized, _ = _standardize_columns(X.raw_linear, is_dummy, stats_rows)
-    values = _assemble_values(
-        standardized[rows], X.linear_column_names, X.interaction_pairs
-    )
     return DesignMatrix(
         months=tuple(X.months[i] for i in rows),
         columns=X.columns,
-        values=values,
+        values=restandardized_values(X, stats_rows, rows),
         target=X.target[rows],
         interaction_pairs=X.interaction_pairs,
         dummy_columns=X.dummy_columns,
@@ -462,10 +706,11 @@ def expanding_window_cv(
     falls in a test region; every fold's ordering is re-checked so no test row
     can precede a training row.
 
-    The folds' designs are built once and every (tau, fold) pair is one unit
-    of a single ``ordered_map`` call.  The folds do not depend on tau, and
-    neither does any way they can fail (too few folds, a constant training or
-    test target), so a failure raises once for all levels.
+    The folds' designs are built once, zero-padded to the longest training
+    window, and every (tau, fold) pair is one member of a single
+    ``solve_check_loss`` batch.  The folds do not depend on tau, and neither
+    does any way they can fail (too few folds, a constant training or test
+    target), so a failure raises once for all levels.
     """
     if initial_window < 10:
         raise DataError(f"initial window must be >= 10, got {initial_window}")
@@ -508,10 +753,20 @@ def expanding_window_cv(
             )
         folds.append((train, test))
 
-    def run_fold(i: int) -> tuple[FoldResult, QuantileModel, np.ndarray, float, float]:
-        tau, k = taus[i // len(folds)], i % len(folds)
+    widest = max(len(train) for train, _ in folds)
+    designs = np.zeros((len(folds), widest, 1 + len(X.columns)))
+    targets = np.zeros((len(folds), widest))
+    for k, (train, _) in enumerate(folds):
+        require_varying(train.target)
+        designs[k, : len(train)] = _with_intercept(train.values)
+        targets[k, : len(train)] = train.target
+    coefs, certificates = solve_check_loss(designs, targets, taus)
+
+    def fold_result(
+        tau: float, k: int, coef: np.ndarray, loss: float
+    ) -> tuple[FoldResult, QuantileModel, np.ndarray, float, float]:
         train, test = folds[k]
-        model = fit_quantile(train, tau)
+        model = _quantile_model(train, tau, coef, loss)
         err = test.target - predict(model, test)
         fold_model_loss = float(np.sum(check_loss(err, tau)))
         base = empirical_quantile(test.target, tau)
@@ -529,22 +784,22 @@ def expanding_window_cv(
         )
         return fold, model, np.abs(err), fold_model_loss, fold_base_loss
 
-    results = ordered_map(run_fold, len(taus) * len(folds))
-    return {
-        tau: _pooled_report(X, results[t * len(folds): (t + 1) * len(folds)])
-        for t, tau in enumerate(taus)
-    }
+    reports = {}
+    for t, tau in enumerate(taus):
+        level = certificates[t * len(folds): (t + 1) * len(folds)]
+        results = [
+            fold_result(tau, k, coefs[t, k], level.loss[k]) for k in range(len(folds))
+        ]
+        reports[tau] = _pooled_report(X, results, level)
+    return reports
 
 
 def _pooled_report(
     X: DesignMatrix,
     fold_results: Sequence[tuple[FoldResult, QuantileModel, np.ndarray, float, float]],
+    certificates: FitCertificates,
 ) -> CVReport:
-    """One level's report from its folds' results.
-
-    The folds may have run on worker processes; the sums are formed here in
-    fold order so they match a serial walk exactly.
-    """
+    """One level's report from its folds' results, summed in fold order."""
     folds: list[FoldResult] = []
     paths: dict[str, list[float]] = {INTERCEPT_LABEL: []}
     for col in X.columns:
@@ -572,4 +827,5 @@ def _pooled_report(
         pooled_mae=pooled_mae,
         pooled_pseudo_r2=pooled_r2,
         coefficient_paths={k: tuple(v) for k, v in paths.items()},
+        certificates=certificates,
     )

@@ -1,14 +1,14 @@
 """Moving-block resampling and the order-preserving replicate map under it.
 
-Bootstrap replicates and cross-validation folds are independent units of
-work: each replicate draws from its own ``SeedSequence`` child and each fold
-from fixed rows, so the results do not depend on where or in which order the
-units run.  ``ordered_map`` runs them on forked worker processes, one per CPU
-available to this process, and returns the results in index order, so every
-aggregate the callers form from them is the same as a serial loop's.  The
-function to map reaches the workers through fork rather than pickling, which
-lets callers pass closures; only indices and results cross the process
-boundary.  Logging, skip counting and aggregation stay with the caller.
+Bootstrap replicates are independent units of work: each draws its rows
+from its own ``SeedSequence`` child (``block_resamples``), so the results do
+not depend on where or in which order the replicates run.  ``ordered_map``
+runs them on forked worker processes, one per CPU available to this process,
+and returns the results in index order, so every aggregate the callers form
+from them is the same as a serial loop's.  The function to map reaches the
+workers through fork rather than pickling, which lets callers pass closures;
+only indices and results cross the process boundary.  Logging, skip counting
+and aggregation stay with the caller.
 """
 
 from __future__ import annotations
@@ -110,6 +110,27 @@ class _Skip:
     reason: str
 
 
+def block_resamples(
+    n: int, *, replications: int, block_length: int | None = None, seed: int
+) -> np.ndarray:
+    """(replications, n) row indices of moving-block resamples.
+
+    Replicate ``r`` draws its rows (blocks of ``block_length``, default the
+    cube-root rule) from the ``r``-th child of ``SeedSequence(seed)``, so its
+    rows depend only on its own seed, not on ``replications``.
+    """
+    length = default_block_length(n) if block_length is None else int(block_length)
+    if length > n:
+        raise DataError(f"block length {length} exceeds sample size {n}")
+    if length < 1:
+        raise DataError("block length must be >= 1")
+    children = np.random.SeedSequence(seed).spawn(replications)
+    return np.array(
+        [moving_block_indices(n, length, np.random.default_rng(c)) for c in children],
+        dtype=np.intp,
+    ).reshape(replications, n)
+
+
 def block_bootstrap(
     fn: Callable[[np.ndarray], T],
     n: int,
@@ -118,25 +139,18 @@ def block_bootstrap(
     block_length: int | None = None,
     seed: int,
 ) -> Replicates:
-    """Evaluate ``fn`` on the rows of ``replications`` moving-block resamples.
+    """Evaluate ``fn`` on the rows of each of ``block_resamples``' replicates.
 
-    Replicate ``r`` draws its row indices (length ``n``, blocks of
-    ``block_length``, default the cube-root rule) from the ``r``-th child of
-    ``SeedSequence(seed)``, so each result depends only on its own seed.  A
-    replicate whose ``fn`` raises ``DegenerateSampleError`` is skipped and
+    A replicate whose ``fn`` raises ``DegenerateSampleError`` is skipped and
     its message kept; any other exception propagates.
     """
-    length = default_block_length(n) if block_length is None else int(block_length)
-    if length > n:
-        raise DataError(f"block length {length} exceeds sample size {n}")
-    if length < 1:
-        raise DataError("block length must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(replications)
+    rows = block_resamples(
+        n, replications=replications, block_length=block_length, seed=seed
+    )
 
     def replicate(r: int) -> T | _Skip:
-        rows = moving_block_indices(n, length, np.random.default_rng(children[r]))
         try:
-            return fn(rows)
+            return fn(rows[r])
         except DegenerateSampleError as exc:
             return _Skip(str(exc))
 

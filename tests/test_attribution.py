@@ -24,7 +24,13 @@ from crisishedge.attribution import (
 from crisishedge.config import load_episode
 from crisishedge.errors import DataError, DegenerateSampleError
 from crisishedge.pipeline import run_pipeline
-from crisishedge.qreg import DesignMatrix, QuantileModel, fit_quantile, predict
+from crisishedge.qreg import (
+    DesignMatrix,
+    QuantileModel,
+    fit_quantile,
+    predict,
+    require_varying,
+)
 
 
 def linear_model(betas, gammas=None, intercept=0.0, columns=None) -> QuantileModel:
@@ -395,7 +401,26 @@ class TestBootstrapStability:
         assert bootstrap_stability(X, 0.25, replications=12, seed=9).kendall_tau == (
             0.03535353535353535
         )
-        model = fit_quantile(X, 0.25)
+        # The shares pin the Shapley kernel, so they are taken from the fit
+        # they were first recorded with (a HiGHS vertex); the live fit is the
+        # same optimum and must agree with it to 1e-8.
+        model = linear_model(
+            {
+                "a": 1.0975887438996998,
+                "b": 0.8402385647045748,
+                "c": 0.8882513014255603,
+                "d": 0.676168642628497,
+            },
+            {("a", "b"): 0.6475330484327275},
+            intercept=-0.16133845013296233,
+        )
+        fitted = fit_quantile(X, 0.25)
+        assert fitted.intercept == pytest.approx(model.intercept, abs=1e-8)
+        for col in model.columns:
+            assert fitted.betas[col] == pytest.approx(model.betas[col], abs=1e-8)
+        assert fitted.gammas[("a", "b")] == pytest.approx(
+            model.gammas[("a", "b")], abs=1e-8
+        )
         phi = np.array(
             [[r.phi[c] for r in attribute_window(model, X)] for c in model.columns]
         )
@@ -411,31 +436,27 @@ class TestBootstrapStability:
     def test_skipped_replicates_are_counted(self, monkeypatch):
         X = self.structured_design()
 
-        def flaky_fit(design, tau):
-            # Decided by the replicate's own rows, so it holds in any process.
-            if design.target[0] < -1.0:
+        def flaky_check(target):
+            # Decided by the replicate's own rows.
+            if target[0] < -1.0:
                 raise DegenerateSampleError("forced")
-            return fit_quantile(design, tau)
+            require_varying(target)
 
-        monkeypatch.setattr(attribution, "fit_quantile", flaky_fit)
+        monkeypatch.setattr(attribution, "require_varying", flaky_check)
         result = bootstrap_stability(X, 0.5, replications=12, seed=9)
         assert (result.skipped, result.replications) == (3, 12)
         assert result.kendall_tau == 1.0
+        assert len(result.certificates) == 9
 
-    def test_skip_warnings_logged_by_parent_in_replicate_order(
-        self, monkeypatch, caplog, set_cpus
-    ):
+    def test_skip_warnings_logged_by_parent_in_replicate_order(self, monkeypatch, caplog):
         X = self.structured_design()
 
-        def flaky_fit(design, tau):
-            if design.target[0] < -1.0:
-                raise DegenerateSampleError(f"first target {design.target[0]:.3f}")
-            return fit_quantile(design, tau)
+        def flaky_check(target):
+            if target[0] < -1.0:
+                raise DegenerateSampleError(f"first target {target[0]:.3f}")
+            require_varying(target)
 
-        monkeypatch.setattr(attribution, "fit_quantile", flaky_fit)
-        # Two CPUs put the replicates on worker processes, whose own log
-        # records would never reach caplog; only the parent's can.
-        set_cpus(2)
+        monkeypatch.setattr(attribution, "require_varying", flaky_check)
         with caplog.at_level(logging.WARNING, logger="crisishedge.attribution"):
             bootstrap_stability(X, 0.5, replications=12, seed=9)
         assert caplog.messages == [
@@ -445,10 +466,10 @@ class TestBootstrapStability:
         ]
 
     def test_too_few_usable_replicates(self, monkeypatch):
-        def failing_fit(design, tau):
+        def failing_check(target):
             raise DegenerateSampleError("forced")
 
-        monkeypatch.setattr(attribution, "fit_quantile", failing_fit)
+        monkeypatch.setattr(attribution, "require_varying", failing_check)
         with pytest.raises(DegenerateSampleError, match="too few usable"):
             bootstrap_stability(self.structured_design(), 0.5, replications=4, seed=9)
 

@@ -6,9 +6,11 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import optimize
 
-from crisishedge import attribution, copula, pipeline
+from crisishedge import attribution, copula, pipeline, qreg
 from crisishedge.cli import main
 from crisishedge.config import BootstrapConfig, load_episode
 from crisishedge.errors import ConfigError, DataError, DegenerateSampleError
@@ -174,15 +176,15 @@ class TestRunResult:
     def test_skipped_stability_replicates_reach_diagnostics(
         self, episode, tmp_path, monkeypatch
     ):
-        fit = attribution.fit_quantile
+        check = attribution.require_varying
 
-        def flaky_fit(design, tau):
-            # Decided by the replicate's own rows, so it holds in any process.
-            if design.target[0] > 0.02:
+        def flaky_check(target):
+            # Decided by the replicate's own rows.
+            if target[0] > 0.02:
                 raise DegenerateSampleError("forced")
-            return fit(design, tau)
+            check(target)
 
-        monkeypatch.setattr(attribution, "fit_quantile", flaky_fit)
+        monkeypatch.setattr(attribution, "require_varying", flaky_check)
         result = run_pipeline(episode, out_dir=tmp_path)
         expected = f"attribution stability: skipped 18/{FAST_REPS} replicates"
         assert expected in result.diagnostics
@@ -215,6 +217,55 @@ class TestRunResult:
         assert [d for d in result.diagnostics if "skipped" in d] == expected
         doc = json.loads((tmp_path / "report.full").read_text())
         assert [d for d in doc["diagnostics"] if "skipped" in d] == expected
+
+
+class TestQuantileFitCertificates:
+    """The LP optimality certificate of every quantile fit in a shipped run."""
+
+    # Stated here, not imported: the solver's stop rule is what is checked.
+    GAP_TOL = 1e-9
+
+    @pytest.fixture(scope="class")
+    def clayton_run(self, fixture_root):
+        episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
+        return run_pipeline(episode, fast=True, write_outputs=False)
+
+    def test_every_fit_met_its_gap_or_fell_back(self, clayton_run):
+        fits = clayton_run.quantile_fits
+        stability = pipeline.FAST_REPLICATIONS
+        cv = sum(len(r.folds) for r in clayton_run.cv.values())
+        assert cv > 0
+        assert len(fits) == 3 + cv + stability
+        for loss, gap, fell_back in zip(fits.loss, fits.gap, fits.fallback):
+            assert fell_back or 0.0 <= gap <= self.GAP_TOL * (1.0 + loss)
+        assert fits.fallbacks == 0
+        assert not any(d.startswith("qreg:") for d in clayton_run.diagnostics)
+
+    def test_base_fits_match_the_highs_optimum(self, clayton_run):
+        X = clayton_run.design
+        n, p = X.values.shape
+        for tau, model in clayton_run.models.items():
+            res = optimize.linprog(
+                np.concatenate([np.zeros(p + 1), np.full(n, tau), np.full(n, 1.0 - tau)]),
+                A_eq=np.hstack([np.ones((n, 1)), X.values, np.eye(n), -np.eye(n)]),
+                b_eq=X.target,
+                bounds=[(None, None)] * (p + 1) + [(0.0, None)] * (2 * n),
+                method="highs",
+            )
+            assert res.success
+            assert abs(model.objective_value - res.fun) <= self.GAP_TOL * (1.0 + res.fun)
+
+    def test_fallbacks_reach_diagnostics(self, episode, tmp_path, monkeypatch):
+        # With no iterations allowed, every interior-point fit falls back.
+        monkeypatch.setattr(qreg, "_MAX_ITER", 0)
+        result = run_pipeline(episode, out_dir=tmp_path)
+        fits = result.quantile_fits
+        assert len(fits) > FAST_REPS
+        assert fits.fallbacks == len(fits)
+        expected = f"qreg: {len(fits)}/{len(fits)} quantile fits fell back to HiGHS"
+        assert expected in result.diagnostics
+        doc = json.loads((tmp_path / "report.full").read_text())
+        assert expected in doc["diagnostics"]
 
 
 class TestResolveOutDir:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from crisishedge import months as mo
+from crisishedge import qreg
 from crisishedge.dataio import MacroSeries
 from crisishedge.errors import (
     ConfigError,
@@ -26,6 +28,7 @@ from crisishedge.qreg import (
     lag_column_name,
     predict,
     pseudo_r2,
+    solve_check_loss,
 )
 
 from conftest import make_series
@@ -409,6 +412,113 @@ class TestFitQuantile:
             )
 
 
+def highs_loss(design: np.ndarray, y: np.ndarray, tau: float) -> float:
+    """Optimal check loss of one problem by HiGHS on the split-residual LP."""
+    n, p = design.shape
+    res = optimize.linprog(
+        np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)]),
+        A_eq=np.hstack([design, np.eye(n), -np.eye(n)]),
+        b_eq=y,
+        bounds=[(None, None)] * p + [(0.0, None)] * (2 * n),
+        method="highs",
+    )
+    assert res.success
+    return float(res.fun)
+
+
+LEVELS = (0.0104, 0.08, 0.5, 0.92)
+
+
+def padded_problems(seed: int, count: int = 12, p: int = 4):
+    """Problems of unequal length, zero-padded to the longest."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(20, 90, size=count)
+    designs = np.zeros((count, lengths.max(), 1 + p))
+    targets = np.zeros((count, lengths.max()))
+    for b, n in enumerate(lengths):
+        x = rng.normal(size=(n, p))
+        x[:, -1] = rng.random(n) < 0.1  # a sparse dummy
+        designs[b, :n, 0] = 1.0
+        designs[b, :n, 1:] = x
+        targets[b, :n] = x @ rng.normal(size=p) + rng.standard_t(3, size=n)
+    return designs, targets, lengths
+
+
+class TestSolveCheckLoss:
+    GAP_TOL = 1e-9
+
+    def test_losses_match_the_highs_optimum(self):
+        designs, targets, lengths = padded_problems(60)
+        coef, fits = solve_check_loss(designs, targets, LEVELS)
+        assert coef.shape == (len(LEVELS), len(lengths), designs.shape[2])
+        assert len(fits) == len(LEVELS) * len(lengths) and fits.fallbacks == 0
+        for t, tau in enumerate(LEVELS):
+            for b, n in enumerate(lengths):
+                i = t * len(lengths) + b
+                oracle = highs_loss(designs[b, :n], targets[b, :n], tau)
+                assert abs(fits.loss[i] - oracle) <= self.GAP_TOL * (1.0 + oracle)
+                assert fits.gap[i] <= self.GAP_TOL * (1.0 + fits.loss[i])
+
+    def test_fit_alone_equals_fit_in_batch(self, monkeypatch):
+        designs, targets, _ = padded_problems(61)
+        batched, batched_fits = solve_check_loss(designs, targets, LEVELS)
+        monkeypatch.setattr(qreg, "CHUNK_ROWS", 3 * designs.shape[1])
+        chunked, chunked_fits = solve_check_loss(designs, targets, LEVELS)
+        assert np.array_equal(chunked, batched) and chunked_fits == batched_fits
+        for t, tau in enumerate(LEVELS):
+            for b in range(len(designs)):
+                alone, fits = solve_check_loss(designs[b:b + 1], targets[b:b + 1], (tau,))
+                assert np.array_equal(alone[0, 0], batched[t, b])
+                i = t * len(designs) + b
+                assert fits == batched_fits[i:i + 1]
+
+    def test_padding_leaves_the_optimum(self):
+        designs, targets, lengths = padded_problems(62)
+        _, padded = solve_check_loss(designs, targets, LEVELS)
+        for t, tau in enumerate(LEVELS):
+            for b, n in enumerate(lengths):
+                _, alone = solve_check_loss(designs[b:b + 1, :n], targets[b:b + 1, :n], (tau,))
+                i = t * len(lengths) + b
+                assert abs(padded.loss[i] - alone.loss[0]) <= self.GAP_TOL * (1.0 + alone.loss[0])
+
+    def test_dummy_on_repeated_rows(self):
+        # A block-resampled dummy that covers only copies of one row leaves a
+        # least-squares residual of ~1e-17 there: the start must stay feasible.
+        rng = np.random.default_rng(63)
+        x = rng.normal(size=(60, 2))
+        y = x @ np.array([0.5, -0.3]) + rng.normal(0, 0.1, 60)
+        x[:5], y[:5] = x[0], y[0]
+        dummy = np.zeros(60)
+        dummy[:5] = 1.0
+        design = np.column_stack([np.ones(60), x, dummy])
+        _, fits = solve_check_loss(design[None], y[None], LEVELS)
+        assert fits.fallbacks == 0
+        for t, tau in enumerate(LEVELS):
+            oracle = highs_loss(design, y, tau)
+            assert abs(fits.loss[t] - oracle) <= self.GAP_TOL * (1.0 + oracle)
+
+    def test_constant_column_gets_positive_zero(self):
+        rng = np.random.default_rng(64)
+        x = rng.normal(size=40)
+        design = np.column_stack([np.ones(40), x, np.full(40, 3.0)])
+        coef, _ = solve_check_loss(design[None], (1.0 + x)[None], (0.3,))
+        assert coef[0, 0, 2] == 0.0 and not np.signbit(coef[0, 0, 2])
+
+    def test_fit_that_misses_its_gap_falls_back_to_highs(self, monkeypatch):
+        designs, targets, lengths = padded_problems(65, count=3)
+        monkeypatch.setattr(qreg, "_MAX_ITER", 2)
+        _, fits = solve_check_loss(designs, targets, (0.25,))
+        assert fits.fallback == (True, True, True)
+        for b, n in enumerate(lengths):
+            oracle = highs_loss(designs[b, :n], targets[b, :n], 0.25)
+            assert fits.loss[b] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+            assert fits.gap[b] > self.GAP_TOL * (1.0 + fits.loss[b])
+
+    def test_empty_batch(self):
+        coef, fits = solve_check_loss(np.zeros((0, 10, 3)), np.zeros((0, 10)), (0.5,))
+        assert coef.shape == (1, 0, 3) and len(fits) == 0
+
+
 class TestPredict:
     def test_matches_manual_evaluation(self):
         rng = np.random.default_rng(27)
@@ -558,6 +668,16 @@ class TestExpandingWindowCV:
         total = sum(f.n_test for f in report.folds)
         assert report.pooled_mae == pytest.approx(weighted / total)
 
+    def test_folds_reach_the_unpadded_optimum(self):
+        X = noise_matrix(70, seed=55, p=3)
+        report = cv_at(X, 0.25, initial_window=20, step=10)
+        for k, fold in enumerate(report.folds):
+            rows = np.arange(fold.train_rows)
+            train = qreg._restandardized_subset(X, rows, rows)
+            alone = fit_quantile(train, 0.25).objective_value
+            batched = report.certificates.loss[k]
+            assert abs(batched - alone) <= 1e-9 * (1.0 + alone)
+
     def test_levels_match_single_level_runs(self):
         X = noise_matrix(60, seed=52, p=3)
         taus = (0.1, 0.5, 0.9)
@@ -566,21 +686,22 @@ class TestExpandingWindowCV:
         for tau in taus:
             assert repr(together[tau]) == repr(cv_at(X, tau, initial_window=20, step=10))
 
-    def test_every_level_and_fold_goes_through_one_map(self, monkeypatch):
+    def test_every_level_and_fold_goes_through_one_solve(self, monkeypatch):
         from crisishedge import qreg
 
         calls = []
-        real_map = qreg.ordered_map
+        real_solve = qreg.solve_check_loss
 
-        def counting_map(fn, count):
-            calls.append(count)
-            return real_map(fn, count)
+        def counting_solve(designs, targets, taus):
+            calls.append((designs.shape[0], tuple(taus)))
+            return real_solve(designs, targets, taus)
 
-        monkeypatch.setattr(qreg, "ordered_map", counting_map)
+        monkeypatch.setattr(qreg, "solve_check_loss", counting_solve)
         X = noise_matrix(60, seed=53)
         reports = expanding_window_cv(X, (0.1, 0.5, 0.9), initial_window=20, step=10)
-        assert calls == [3 * 4]
+        assert calls == [(4, (0.1, 0.5, 0.9))]
         assert all(len(r.folds) == 4 for r in reports.values())
+        assert all(len(r.certificates) == 4 for r in reports.values())
 
     def test_constant_target_raises_once_for_all_levels(self):
         X = dm(np.random.default_rng(54).normal(size=(40, 2)), np.full(40, 0.3))

@@ -1,8 +1,10 @@
-"""The replicate driver: ordered map over forked workers, block bootstrap.
+"""The replicate driver (ordered map over forked workers, block bootstrap)
+and the batched quantile fits of the bootstrap and cross-validation loops.
 
 Tests that need the pool set two CPUs through ``set_cpus``, so they use
 workers on any machine that can fork; one CPU runs the same maps inline,
 which is the serial reference every pooled result must equal bit for bit.
+Batched fits are held to the same standard against one fit at a time.
 """
 
 import multiprocessing
@@ -12,12 +14,22 @@ import time
 import numpy as np
 import pytest
 
-from crisishedge import load_episode, run_pipeline
-from crisishedge.attribution import bootstrap_stability
+from crisishedge import attribution, load_episode, qreg, run_pipeline
+from crisishedge.attribution import (
+    _shapley_matrix,
+    bootstrap_stability,
+    importance_summary,
+    stability_kendall,
+)
 from crisishedge.copula import CopulaFamily, block_bootstrap_ci, family_lambda_statistic
 from crisishedge.errors import DataError, DegenerateSampleError, FitError
-from crisishedge.qreg import expanding_window_cv
-from crisishedge.resample import block_bootstrap, ordered_map
+from crisishedge.qreg import (
+    FitCertificates,
+    _restandardized_subset,
+    expanding_window_cv,
+    fit_quantile,
+)
+from crisishedge.resample import block_bootstrap, block_resamples, ordered_map
 
 from test_attribution import make_design
 from test_copula import sample_from
@@ -121,25 +133,6 @@ class TestSerialEqualsPooled:
         )
         assert serial == pooled
 
-    def test_bootstrap_stability(self, set_cpus):
-        rng = np.random.default_rng(68)
-        Z = rng.normal(size=(48, 4))
-        y = Z @ np.array([1.0, 0.9, 0.8, 0.7]) + rng.normal(0, 0.5, 48)
-        X = make_design(Z, y, ("a", "b", "c", "d"))
-        serial, pooled = serial_and_pooled(
-            set_cpus, lambda: bootstrap_stability(X, 0.25, replications=24, seed=9)
-        )
-        assert serial == pooled
-
-    def test_expanding_window_cv(self, set_cpus):
-        X = noise_matrix(80, seed=41)
-        serial, pooled = serial_and_pooled(
-            set_cpus,
-            lambda: expanding_window_cv(X, (0.1, 0.5, 0.9), initial_window=20, step=10),
-        )
-        assert len(serial[0.5].folds) == 6
-        assert repr(serial) == repr(pooled)
-
     def test_pipeline_outputs_byte_identical(self, set_cpus, fixture_root, tmp_path):
         episode = load_episode(fixture_root / "perfect_hedge" / "episode.yaml")
         outs = {}
@@ -154,3 +147,58 @@ class TestSerialEqualsPooled:
         )
         for rel in files:
             assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes(), rel
+
+
+def crowded_design(n=48, seed=68):
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(n, 4))
+    y = Z @ np.array([1.0, 0.9, 0.8, 0.7]) + rng.normal(0, 0.5, n)
+    return make_design(Z, y, ("a", "b", "c", "d"))
+
+
+class TestBatchedEqualsOneAtATime:
+    def test_bootstrap_stability(self):
+        X = crowded_design()
+        batched = bootstrap_stability(X, 0.25, replications=24, seed=9)
+        rankings = []
+        certificates = FitCertificates()
+        for rows in np.sort(block_resamples(len(X), replications=24, seed=9), axis=1):
+            replicate = _restandardized_subset(X, rows, rows)
+            model = fit_quantile(replicate, 0.25)
+            linear = replicate.values[:, : replicate.n_linear]
+            _, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
+            rankings.append(importance_summary(model.columns, phi).ranking)
+            certificates += model.certificate
+        assert batched.kendall_tau == stability_kendall(rankings)
+        assert batched.skipped == 0
+        assert batched.certificates == certificates
+
+    def test_expanding_window_cv(self):
+        X = noise_matrix(80, seed=41)
+        taus = (0.1, 0.5, 0.9)
+        together = expanding_window_cv(X, taus, initial_window=20, step=10)
+        assert len(together[0.5].folds) == 6
+        alone = {tau: expanding_window_cv(X, (tau,), initial_window=20, step=10)[tau]
+                 for tau in taus}
+        assert repr(together) == repr(alone)
+
+    def test_replicate_fit_independent_of_replications_and_chunk(self, monkeypatch):
+        X = crowded_design()
+        solved = []
+        real_solve = attribution.solve_check_loss
+
+        def recording_solve(designs, targets, taus):
+            coef, certificates = real_solve(designs, targets, taus)
+            solved.extend(coef[0])
+            return coef, certificates
+
+        monkeypatch.setattr(attribution, "solve_check_loss", recording_solve)
+        bootstrap_stability(X, 0.25, replications=24, seed=9)
+        one_chunk = np.array(solved)
+        solved.clear()
+        # Chunks of 5 replicates, each solved in chunks of 2.
+        monkeypatch.setattr(attribution, "CHUNK_ROWS", 5 * len(X))
+        monkeypatch.setattr(qreg, "CHUNK_ROWS", 2 * len(X))
+        bootstrap_stability(X, 0.25, replications=40, seed=9)
+        assert len(solved) == 40
+        assert np.array_equal(np.array(solved[:24]), one_chunk)
