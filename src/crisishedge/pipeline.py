@@ -459,6 +459,15 @@ def run_pipeline(
                     f"copula ({residency.value}): bootstrap skipped "
                     f"{boot.skipped}/{boot.replications} replicates"
                 )
+            if boot.nonconverged:
+                diagnostics.append(
+                    f"copula ({residency.value}): bootstrap {boot.nonconverged}/"
+                    f"{boot.replications} replicate fits did not converge"
+                )
+            diagnostics.append(
+                f"copula ({residency.value}): bootstrap {boot.boundary}/"
+                f"{boot.replications} replicate fits at a parameter bound"
+            )
             chosen = cop.attach_ci(chosen, boot.interval)
             selected[residency] = chosen
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -34,14 +33,3 @@ def golden_root():
     assert GOLDEN_ROOT.is_dir(), "golden files are missing"
     return GOLDEN_ROOT
 
-
-@pytest.fixture
-def set_cpus(monkeypatch):
-    """Set how many CPUs the process sees; with 1, replicate maps run inline."""
-
-    def set_(n: int) -> None:
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
-        )
-
-    return set_

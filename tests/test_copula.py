@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from crisishedge.copula import (
     CopulaFamily,
     CopulaFit,
+    PseudoBatch,
     PseudoSample,
+    ReplicateValues,
     THETA_BOUNDS,
     attach_ci,
     block_bootstrap_ci,
@@ -146,7 +148,7 @@ class TestFitCopula:
             "at parameter-space boundary; lambda_L=1 from the comonotone limit" in d
             for d in fit.diagnostics
         )
-        assert family_lambda_statistic(family)(s) == 1.0
+        assert family_lambda_statistic(family)(PseudoBatch.of(s)).values[0] == 1.0
 
     @pytest.mark.parametrize("family", list(CopulaFamily))
     def test_lower_bound_fit_keeps_zero(self, family):
@@ -291,11 +293,13 @@ class TestBootstrapCI:
     def test_too_many_degenerate_replicates_raise(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 100, seed=113)
 
-        def flaky(sample):
-            # Decided by the replicate's own data, so it holds in any process.
-            if sample.u[0] < 0.5:
-                raise DegenerateSampleError("synthetic failure")
-            return 0.5
+        def flaky(batch):
+            # Decided by each replicate's own data, so it holds in any chunk.
+            failing = batch.u[:, 0] < 0.5
+            return ReplicateValues(
+                np.full(len(batch), 0.5),
+                tuple("synthetic failure" if f else None for f in failing),
+            )
 
         with pytest.raises(NumericalError, match="64/100 replicates degenerate"):
             block_bootstrap_ci(s, flaky, replications=100, seed=12)
@@ -303,11 +307,13 @@ class TestBootstrapCI:
     def test_skipped_replicates_are_reported(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 100, seed=113)
 
-        def flaky(sample):
+        def flaky(batch):
             # Skips 3 of 100 here: under the 5% bound, so the interval stands.
-            if sample.u[0] < 0.03:
-                raise DegenerateSampleError("synthetic failure")
-            return float(sample.v[0])
+            failing = batch.u[:, 0] < 0.03
+            return ReplicateValues(
+                batch.v[:, 0].copy(),
+                tuple("synthetic failure" if f else None for f in failing),
+            )
 
         ci = block_bootstrap_ci(s, flaky, replications=100, seed=12)
         assert (ci.skipped, ci.replications) == (3, 100)
@@ -339,14 +345,26 @@ class TestStatistics:
     def test_family_statistic_refits_on_replicate(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 400, seed=116)
         stat = family_lambda_statistic(CopulaFamily.CLAYTON)
-        value = stat(s)
+        values = stat(PseudoBatch.of(s))
         fit = fit_copula(s, "clayton")
-        assert value == pytest.approx(fit.lambda_lower)
+        assert values.values[0] == fit.lambda_lower
+        assert values.skipped == (None,)
+        assert values.converged[0] == fit.converged
+        assert values.boundary[0] == fit.boundary
 
     def test_empirical_statistic_closure(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 400, seed=117)
         stat = empirical_lambda_statistic(0.1)
-        assert stat(s) == pytest.approx(empirical_tail_dependence(s, 0.1))
+        assert stat(PseudoBatch.of(s)).values[0] == empirical_tail_dependence(s, 0.1)
+
+    def test_empirical_statistic_skips_empty_conditioning_set(self):
+        batch = PseudoBatch(u=np.array([[0.05, 0.5], [0.5, 0.6]]),
+                            v=np.array([[0.05, 0.5], [0.5, 0.6]]))
+        values = empirical_lambda_statistic(0.1)(batch)
+        assert values.values[0] == 1.0
+        assert values.skipped == (
+            None, "no observations with u <= 0.1; conditioning set empty",
+        )
 
 
 class TestSimulate:

@@ -200,11 +200,13 @@ class TestRunResult:
         def flaky_statistic(family):
             stat = real(family)
 
-            def flaky(replicate):
-                # Decided by the replicate's own data, so it holds in any process.
-                if replicate.u[0] < 0.03:
-                    raise DegenerateSampleError("forced")
-                return stat(replicate)
+            def flaky(batch):
+                # Decided by each replicate's own data, so it holds in any chunk.
+                values = stat(batch)
+                forced = batch.u[:, 0] < 0.03
+                return dataclasses.replace(values, skipped=tuple(
+                    "forced" if f else s for f, s in zip(forced, values.skipped)
+                ))
 
             return flaky
 
@@ -217,6 +219,42 @@ class TestRunResult:
         assert [d for d in result.diagnostics if "skipped" in d] == expected
         doc = json.loads((tmp_path / "report.full").read_text())
         assert [d for d in doc["diagnostics"] if "skipped" in d] == expected
+
+    def test_boundary_replicate_fits_reach_diagnostics(self, run):
+        # The perfect hedge is comonotone, so every replicate fits at the upper bound.
+        expected = [
+            f"copula ({leg}): bootstrap {FAST_REPS}/{FAST_REPS} replicate fits "
+            "at a parameter bound"
+            for leg in ("foreign", "local")
+        ]
+        assert [d for d in run.diagnostics if "replicate fits" in d] == expected
+        doc = json.loads((run.out_dir / "report.full").read_text())
+        assert [d for d in doc["diagnostics"] if "replicate fits" in d] == expected
+
+    def test_nonconverged_copula_replicates_reach_diagnostics(
+        self, episode, tmp_path, monkeypatch
+    ):
+        real = copula.family_lambda_statistic
+
+        def stalling_statistic(family):
+            stat = real(family)
+
+            def stalling(batch):
+                values = stat(batch)
+                stalled = batch.u[:, 0] < 0.03
+                return dataclasses.replace(values, converged=values.converged & ~stalled)
+
+            return stalling
+
+        monkeypatch.setattr(copula, "family_lambda_statistic", stalling_statistic)
+        result = run_pipeline(episode, out_dir=tmp_path)
+        expected = [
+            f"copula ({leg}): bootstrap 3/{FAST_REPS} replicate fits did not converge"
+            for leg in ("foreign", "local")
+        ]
+        assert [d for d in result.diagnostics if "converge" in d] == expected
+        doc = json.loads((tmp_path / "report.full").read_text())
+        assert [d for d in doc["diagnostics"] if "converge" in d] == expected
 
 
 class TestQuantileFitCertificates:

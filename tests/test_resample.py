@@ -1,152 +1,182 @@
-"""The replicate driver (ordered map over forked workers, block bootstrap)
-and the batched quantile fits of the bootstrap and cross-validation loops.
+"""Block resampling and the batched fits of the bootstrap and
+cross-validation loops.
 
-Tests that need the pool set two CPUs through ``set_cpus``, so they use
-workers on any machine that can fork; one CPU runs the same maps inline,
-which is the serial reference every pooled result must equal bit for bit.
-Batched fits are held to the same standard against one fit at a time.
+Every batched fit is held to one standard: it must equal, bit for bit, the
+same fit done one replicate at a time.  For the copula bootstrap the
+one-at-a-time reference is scipy's scalar bounded search on each
+replicate's own pseudo-sample, kept here as an oracle.
 """
 
-import multiprocessing
-import os
-import time
+import math
+from functools import cache
 
 import numpy as np
 import pytest
+from scipy import optimize, stats
 
-from crisishedge import attribution, load_episode, qreg, run_pipeline
+from crisishedge import attribution, copula, load_episode, qreg, run_pipeline
 from crisishedge.attribution import (
     _shapley_matrix,
     bootstrap_stability,
     importance_summary,
     stability_kendall,
 )
-from crisishedge.copula import CopulaFamily, block_bootstrap_ci, family_lambda_statistic
-from crisishedge.errors import DataError, DegenerateSampleError, FitError
+from crisishedge.copula import (
+    THETA_BOUNDS,
+    CopulaFamily,
+    PseudoSample,
+    block_bootstrap_ci,
+    family_lambda_statistic,
+    log_density,
+    lower_tail_dependence,
+)
+from crisishedge.errors import DataError, NumericalError
 from crisishedge.qreg import (
     FitCertificates,
     _restandardized_subset,
     expanding_window_cv,
     fit_quantile,
 )
-from crisishedge.resample import block_bootstrap, block_resamples, ordered_map
+from crisishedge.resample import block_resamples
 
 from test_attribution import make_design
 from test_copula import sample_from
 from test_qreg import noise_matrix
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the worker pool needs the fork start method",
-)
+
+def reference_fit(sample, family, maxiter=500):
+    """One copula fit the scalar way: scipy's bounded search on one replicate.
+
+    Returns theta, lambda_L, whether it converged, whether it sits at a
+    bound, and which of Frank's half-intervals the sample's Kendall tau chose.
+    """
+    u, v = sample.u, sample.v
+
+    def nll(theta):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            total = -float(np.sum(log_density(family, theta, u, v)))
+        return total if math.isfinite(total) else 1e300
+
+    lo, hi = THETA_BOUNDS[family]
+    half = None
+    if family is CopulaFamily.FRANK:
+        tau = float(stats.kendalltau(u, v).statistic)
+        if not math.isfinite(tau) or abs(tau) < 0.05:
+            half, intervals = "both", [(1e-6, hi), (lo, -1e-6)]
+        elif tau > 0:
+            half, intervals = "positive", [(1e-6, hi)]
+        else:
+            half, intervals = "negative", [(lo, -1e-6)]
+    else:
+        intervals = [(lo, hi)]
+    best, converged = None, True
+    for a, b in intervals:
+        res = optimize.minimize_scalar(
+            nll, bounds=(a, b), method="bounded",
+            options={"xatol": 1e-10, "maxiter": maxiter},
+        )
+        converged = converged and bool(res.success)
+        if best is None or res.fun < best.fun:
+            best = res
+    theta, ll = float(best.x), -float(best.fun)
+    converged = converged and math.isfinite(ll) and ll > -1e299
+    edge = 1e-4 * (hi - lo)
+    at_upper = theta >= hi - edge
+    lam = 1.0 if at_upper else lower_tail_dependence(family, theta)
+    return theta, lam, converged, at_upper or theta <= lo + edge, half
 
 
-def serial_and_pooled(set_cpus, fn):
-    set_cpus(1)
-    serial = fn()
-    set_cpus(2)
-    return serial, fn()
+def comonotone_sample():
+    x = np.random.default_rng(107).normal(size=120)
+    return PseudoSample.from_data(x, 2.0 * x + 1.0)
 
 
-class TestOrderedMap:
-    def test_results_in_index_order(self, set_cpus):
-        set_cpus(2)
-        # Later indices finish first, so completion order differs from index order.
-        def slow_early(i):
-            time.sleep(0.001 * (40 - i))
-            return i * i
+# name -> (sample, family fitted to each replicate)
+COPULA_CASES = {
+    "clayton": (lambda: sample_from(CopulaFamily.CLAYTON, 2.0, 120, seed=116),
+                CopulaFamily.CLAYTON),
+    "gumbel-upper-bound": (comonotone_sample, CopulaFamily.GUMBEL),
+    "gumbel-near-independence": (
+        lambda: sample_from(CopulaFamily.GUMBEL, 1.05, 120, seed=117), CopulaFamily.GUMBEL),
+    # Replicate taus fall on both sides of +-0.05 and between them.
+    "frank-both-halves": (lambda: sample_from(CopulaFamily.FRANK, 0.45, 120, seed=2),
+                          CopulaFamily.FRANK),
+}
+COPULA_REPS = 100
 
-        assert ordered_map(slow_early, 40) == [i * i for i in range(40)]
-        assert ordered_map(slow_early, 0) == []
 
-    @needs_fork
-    def test_work_runs_in_worker_processes(self, set_cpus):
-        set_cpus(2)
-        pids = ordered_map(lambda i: os.getpid(), 8)
-        assert os.getpid() not in pids
-        set_cpus(1)
-        assert ordered_map(lambda i: os.getpid(), 8) == [os.getpid()] * 8
+@cache
+def one_at_a_time(case, maxiter=500):
+    make, family = COPULA_CASES[case]
+    sample = make()
+    rows = block_resamples(sample.n, replications=COPULA_REPS, seed=5)
+    return [
+        reference_fit(PseudoSample.from_data(sample.u[r], sample.v[r]), family, maxiter)
+        for r in rows
+    ]
 
-    @needs_fork
-    def test_nested_map_runs_inline_in_the_worker(self, set_cpus):
-        set_cpus(2)
-        inner = ordered_map(lambda i: ordered_map(lambda j: os.getpid(), 3), 4)
-        for pids in inner:
-            assert len(set(pids)) == 1 and pids[0] != os.getpid()
 
-    def test_closure_as_fn(self, set_cpus):
-        set_cpus(2)
-        table = {i: f"item-{i}" for i in range(12)}
-        scale = np.arange(12.0)
+def batched(monkeypatch, case, chunk=None):
+    """The bootstrap CI of ``case`` and every lane fit it made, in replicate order."""
+    make, family = COPULA_CASES[case]
+    sample = make()
+    if chunk is not None:
+        monkeypatch.setattr(copula, "CHUNK_POINTS", chunk * sample.n)
+    fits = []
+    real_fit = copula.fit_batch
 
-        def lookup(i):
-            return table[i], float(scale[i] * 2.0)
+    def recording_fit(batch, family):
+        fit = real_fit(batch, family)
+        fits.append(fit)
+        return fit
 
-        assert ordered_map(lookup, 12) == [lookup(i) for i in range(12)]
-
-    def test_worker_exception_reaches_caller(self, set_cpus):
-        set_cpus(2)
-
-        def fn(i):
-            if i == 7:
-                raise FitError(f"replicate {i} did not converge")
-            return i
-
-        with pytest.raises(FitError, match="replicate 7 did not converge"):
-            ordered_map(fn, 20)
-        assert multiprocessing.active_children() == []
-
-    def test_no_children_left(self, set_cpus):
-        set_cpus(2)
-        assert ordered_map(lambda i: i + 1, 10) == list(range(1, 11))
-        assert multiprocessing.active_children() == []
+    monkeypatch.setattr(copula, "fit_batch", recording_fit)
+    ci = block_bootstrap_ci(
+        sample, family_lambda_statistic(family), replications=COPULA_REPS, seed=5
+    )
+    lanes = {
+        name: np.concatenate([getattr(f, name) for f in fits])
+        for name in ("theta", "lambda_lower", "converged", "boundary")
+    }
+    return ci, lanes
 
 
 class TestBlockBootstrap:
-    def test_skips_keep_messages_in_replicate_order(self, set_cpus):
-        def fn(rows):
-            if rows[0] < 10:
-                raise DegenerateSampleError(f"starts at row {rows[0]}")
-            return int(rows[0])
-
-        serial, pooled = serial_and_pooled(
-            set_cpus, lambda: block_bootstrap(fn, 60, replications=50, seed=3)
-        )
-        assert serial == pooled
-        assert len(serial.values) + len(serial.skipped) == 50
-        assert serial.skipped and serial.values
-        assert all(r.startswith("starts at row ") for r in serial.skipped)
-
     def test_block_length_validated(self):
         with pytest.raises(DataError, match="exceeds sample size"):
-            block_bootstrap(len, 5, replications=3, block_length=6, seed=1)
+            block_resamples(5, replications=3, block_length=6, seed=1)
         with pytest.raises(DataError, match=">= 1"):
-            block_bootstrap(len, 5, replications=3, block_length=0, seed=1)
+            block_resamples(5, replications=3, block_length=0, seed=1)
+
+    def test_replicate_rows_independent_of_replications(self):
+        few = block_resamples(60, replications=5, seed=3)
+        many = block_resamples(60, replications=50, seed=3)
+        assert np.array_equal(many[:5], few)
 
 
-class TestSerialEqualsPooled:
-    def test_block_bootstrap_ci(self, set_cpus):
-        s = sample_from(CopulaFamily.CLAYTON, 2.0, 120, seed=116)
-        stat = family_lambda_statistic(CopulaFamily.CLAYTON)
-        serial, pooled = serial_and_pooled(
-            set_cpus, lambda: block_bootstrap_ci(s, stat, replications=100, seed=5)
-        )
-        assert serial == pooled
+class TestSerialEqualsBatched:
+    def test_block_bootstrap_ci(self, monkeypatch):
+        ci, lanes = batched(monkeypatch, "clayton")
+        reference = np.array([fit[1] for fit in one_at_a_time("clayton")])
+        assert ci.interval == tuple(np.quantile(reference, [0.025, 0.975]))
+        assert np.array_equal(lanes["lambda_lower"], reference)
+        assert (ci.skipped, ci.nonconverged, ci.boundary) == (0, 0, 0)
 
-    def test_pipeline_outputs_byte_identical(self, set_cpus, fixture_root, tmp_path):
+    def test_pipeline_outputs_byte_identical(self, fixture_root, tmp_path, monkeypatch):
         episode = load_episode(fixture_root / "perfect_hedge" / "episode.yaml")
-        outs = {}
-        for cpus in (1, 2):
-            set_cpus(cpus)
-            outs[cpus] = tmp_path / f"cpus{cpus}"
-            run_pipeline(episode, fast=True, out_dir=outs[cpus])
-        files = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+        samples = run_pipeline(episode, fast=True, out_dir=tmp_path / "batched").pseudo_samples
+        # One replicate per chunk: the bootstrap fits one replicate at a time.
+        monkeypatch.setattr(copula, "CHUNK_POINTS", min(s.n for s in samples.values()))
+        run_pipeline(episode, fast=True, out_dir=tmp_path / "alone")
+        outs = {k: tmp_path / k for k in ("batched", "alone")}
+        files = sorted(p.relative_to(outs["batched"]) for p in outs["batched"].rglob("*")
+                       if p.is_file())
         assert len(files) == 7
         assert files == sorted(
-            p.relative_to(outs[2]) for p in outs[2].rglob("*") if p.is_file()
+            p.relative_to(outs["alone"]) for p in outs["alone"].rglob("*") if p.is_file()
         )
         for rel in files:
-            assert (outs[1] / rel).read_bytes() == (outs[2] / rel).read_bytes(), rel
+            assert (outs["batched"] / rel).read_bytes() == (outs["alone"] / rel).read_bytes(), rel
 
 
 def crowded_design(n=48, seed=68):
@@ -202,3 +232,31 @@ class TestBatchedEqualsOneAtATime:
         bootstrap_stability(X, 0.25, replications=40, seed=9)
         assert len(solved) == 40
         assert np.array_equal(np.array(solved[:24]), one_chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 7, COPULA_REPS])
+    @pytest.mark.parametrize("case", sorted(COPULA_CASES))
+    def test_copula_replicate_fits(self, monkeypatch, case, chunk):
+        reference = one_at_a_time(case)
+        _, lanes = batched(monkeypatch, case, chunk)
+        for k, name in enumerate(("theta", "lambda_lower", "converged", "boundary")):
+            assert np.array_equal(lanes[name], np.array([fit[k] for fit in reference])), name
+        halves = {fit[4] for fit in reference}
+        if case.startswith("frank"):
+            assert halves == {"positive", "negative", "both"}
+        if case.startswith("gumbel"):
+            assert lanes["boundary"].any()
+
+    def test_nonconverged_fits_are_excluded_and_counted(self, monkeypatch):
+        monkeypatch.setattr(copula, "MAXITER", 25)
+        reference = one_at_a_time("clayton", maxiter=25)
+        ci, lanes = batched(monkeypatch, "clayton")
+        converged = np.array([fit[2] for fit in reference])
+        assert np.array_equal(lanes["converged"], converged)
+        assert (ci.nonconverged, ci.skipped) == (3, 0)
+        kept = [fit[1] for fit in reference if fit[2]]
+        assert ci.interval == tuple(np.quantile(kept, [0.025, 0.975]))
+
+        # 16 of 100 fail at 20 evaluations: over the 5% bound.
+        monkeypatch.setattr(copula, "MAXITER", 20)
+        with pytest.raises(NumericalError, match="16/100 replicates degenerate or not converged"):
+            batched(monkeypatch, "clayton")
