@@ -42,7 +42,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError, DegenerateSampleError, FitError, NumericalError
 from .resample import block_resamples
@@ -77,18 +76,43 @@ _SEARCH_MESSAGES = {1: "Maximum number of function calls reached.",
                     2: "NaN result encountered."}
 
 
+def _rank(x: np.ndarray, *, dense: bool = False) -> np.ndarray:
+    """Ranks from 1 along the last axis, as ``scipy.stats.rankdata`` gives them.
+
+    Average ranks (ties share the mean of their positions) are float64 and
+    exact, being integers or half-integers; dense ranks (ties share one rank,
+    the next value gets the next integer) are int64.  Input must be NaN-free.
+    """
+    order = np.argsort(x, axis=-1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=-1)
+    starts = np.ones(x.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    if dense:
+        ranked = np.cumsum(starts, axis=-1, dtype=np.int64)
+    else:
+        # A tie group starting at 0-based position f with c members has mean
+        # rank f + (c + 1) / 2; f is taken modulo the lane length.
+        first = np.flatnonzero(starts)
+        counts = np.diff(first, append=starts.size)
+        ranked = np.repeat(first % x.shape[-1] + (counts + 1) / 2, counts).reshape(x.shape)
+    ranks = np.empty_like(ranked)
+    np.put_along_axis(ranks, order, ranked, axis=-1)
+    return ranks
+
+
 def pseudo_observations(x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Rank-transform a sample to (0,1): average rank over n + 1.
 
     Invariant under strictly monotone transforms of the input; ties share
-    their average rank.
+    their average rank.  The ranks are computed in numpy and equal
+    ``scipy.stats.rankdata(x, method="average")`` bit for bit.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise DataError("pseudo-observations need a 1-D sample of length >= 2")
     if not np.all(np.isfinite(arr)):
         raise DataError("pseudo-observations need finite input")
-    return stats.rankdata(arr, method="average") / (arr.size + 1.0)
+    return _rank(arr) / (arr.size + 1.0)
 
 
 @dataclass(frozen=True)
@@ -392,8 +416,8 @@ class PseudoBatch:
         """Each row of ``rows`` resamples ``sample``; ranks are recomputed per lane."""
         scale = rows.shape[1] + 1.0
         return cls(
-            stats.rankdata(sample.u[rows], method="average", axis=1) / scale,
-            stats.rankdata(sample.v[rows], method="average", axis=1) / scale,
+            _rank(sample.u[rows]) / scale,
+            _rank(sample.v[rows]) / scale,
         )
 
 
@@ -406,8 +430,8 @@ def _kendall_tau(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     NaN where a margin is constant.
     """
     n = u.shape[1]
-    x = stats.rankdata(u, method="dense", axis=1).astype(np.int64)
-    y = stats.rankdata(v, method="dense", axis=1).astype(np.int64)
+    x = _rank(u, dense=True)
+    y = _rank(v, dense=True)
     order = np.lexsort((y, x), axis=-1)
     x = np.take_along_axis(x, order, axis=1)
     y = np.take_along_axis(y, order, axis=1)

@@ -12,6 +12,7 @@ import csv
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from itertools import compress
 from typing import Mapping, Sequence
@@ -51,6 +52,9 @@ class MacroSeries:
     unit: str = ""
     source_kind: SourceKind = SourceKind.OFFICIAL
     reliability: float | None = None
+    # Derived once from ``observations``.
+    is_monthly: bool = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -76,13 +80,16 @@ class MacroSeries:
             raise ValueError(f"reliability must lie in [0, 1], got {self.reliability}")
         object.__setattr__(self, "observations", tuple(cleaned))
         object.__setattr__(self, "source_kind", SourceKind(self.source_kind))
+        object.__setattr__(self, "is_monthly", False not in monthly_flags)
+        object.__setattr__(self, "_values", np.array([v for _, v in cleaned], dtype=float))
 
     def __len__(self) -> int:
         return len(self.observations)
 
-    @property
-    def is_monthly(self) -> bool:
-        return all(mo.is_month(s) for s, _ in self.observations)
+    @cached_property
+    def _month_index(self) -> np.ndarray:
+        """Each stamp's flat month index, computed on the first lookup."""
+        return np.array([mo.month_index(s) for s, _ in self.observations], dtype=np.int64)
 
     @property
     def stamps(self) -> tuple[str, ...]:
@@ -90,7 +97,7 @@ class MacroSeries:
 
     @property
     def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.observations], dtype=float)
+        return self._values.copy()
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.observations)
@@ -103,13 +110,13 @@ class MacroSeries:
         """
         if not self.is_monthly:
             raise DataError(f"series {self.name!r} is day-stamped; lookups need months")
-        have = np.array([mo.month_index(s) for s in self.stamps], dtype=np.int64)
+        have = self._month_index
         want = np.array([mo.month_index(m) for m in months], dtype=np.int64) - lag
         out = np.full(want.shape, np.nan)
         if have.size:
             pos = np.minimum(np.searchsorted(have, want), have.size - 1)
             hit = have[pos] == want
-            out[hit] = self.values[pos[hit]]
+            out[hit] = self._values[pos[hit]]
         return out
 
     def window(self, start: str | None = None, end: str | None = None) -> "MacroSeries":

@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy import stats
 
 from . import months as mo
 from .config import CONFIG_SCHEMA_VERSION
@@ -112,6 +111,8 @@ def generate_fixture(
             returns = 0.014 - pi[1:]
         fx_growth = 0.0
     else:
+        from scipy import stats  # only fixture generation needs normal quantiles
+
         fused = True
         fx_growth = 0.001
         if kind is FixtureKind.CLAYTON_COUPLED:

@@ -16,7 +16,6 @@ from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import optimize, sparse
 
 from . import months as mo
 from .dataio import MacroSeries
@@ -481,8 +480,11 @@ def _highs_fit(design: np.ndarray, target: np.ndarray, tau: float) -> np.ndarray
 
     Residuals split into u, v >= 0 with design @ b + u - v = y, minimizing
     tau * sum(u) + (1 - tau) * sum(v).  Padding rows and constant columns
-    (other than the intercept) are dropped; dropped columns get 0.
+    (other than the intercept) are dropped; dropped columns get 0.  scipy is
+    imported here, so only a run that falls back pays for it.
     """
+    from scipy import optimize, sparse
+
     rows = design[:, 0] != 0.0
     mat, y = design[rows], target[rows]
     keep = np.ptp(mat, axis=0) > 0.0

@@ -11,6 +11,7 @@ from crisishedge.copula import (
     PseudoSample,
     ReplicateValues,
     THETA_BOUNDS,
+    _rank,
     attach_ci,
     block_bootstrap_ci,
     empirical_lambda_statistic,
@@ -50,6 +51,34 @@ class TestPseudoObservations:
         p = pseudo_observations(np.arange(1000.0))
         assert p.min() > 0.0
         assert p.max() < 1.0
+
+
+class TestRank:
+    """The numpy ranks against ``scipy.stats.rankdata``, compared as bytes."""
+
+    @staticmethod
+    def lanes():
+        rng = np.random.default_rng(12)
+        yield "random 1-D", rng.normal(size=57)
+        yield "ties 1-D", rng.integers(0, 5, size=40).astype(float)
+        yield "n = 2", np.array([0.3, -0.1])
+        yield "n = 2 tied", np.array([0.3, 0.3])
+        yield "random lanes", rng.random((9, 31))
+        ties = rng.integers(0, 4, size=(6, 25)).astype(float)
+        ties[2] = 7.0  # one lane where every value is tied
+        yield "tied lanes", ties
+        yield "n = 2 lanes", np.array([[1.0, 0.0], [2.0, 2.0], [-1.0, 3.0]])
+
+    @pytest.mark.parametrize("method", ["average", "dense"])
+    def test_matches_scipy_bit_for_bit(self, method):
+        from scipy import stats
+
+        for label, x in self.lanes():
+            got = _rank(x, dense=method == "dense")
+            want = stats.rankdata(x, method=method, axis=-1)
+            assert got.dtype == want.dtype, label
+            assert got.shape == want.shape, label
+            assert got.tobytes() == want.tobytes(), label
 
 
 class TestAnalyticTailDependence:

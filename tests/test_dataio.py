@@ -193,6 +193,13 @@ class TestLaggedLookup:
         with pytest.raises(DataError, match="day-stamped"):
             s.at(["2020-01"])
 
+    def test_window_looks_up_its_own_months(self):
+        s = self.series()
+        s.at(["2020-01"])
+        w = s.window("2020-02", "2020-04")
+        np.testing.assert_array_equal(w.at(["2020-01", "2020-02", "2020-04"]), [np.nan, 2.0, 4.0])
+        assert w == MacroSeries("s", (("2020-02", 2.0), ("2020-04", 4.0)))
+
 
 class TestPctChange:
     def test_levels_to_fractions(self):

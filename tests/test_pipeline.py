@@ -4,12 +4,15 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+import crisishedge
 from crisishedge import attribution, copula, pipeline, qreg
 from crisishedge.cli import main
 from crisishedge.config import BootstrapConfig, load_episode
@@ -304,6 +307,38 @@ class TestQuantileFitCertificates:
         assert expected in result.diagnostics
         doc = json.loads((tmp_path / "report.full").read_text())
         assert expected in doc["diagnostics"]
+
+
+class TestColdPath:
+    """A run imports numpy and PyYAML, not scipy's heavy subpackages."""
+
+    HEAVY = ("scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.linalg")
+
+    def test_fast_run_loads_no_scipy_subpackage(self, fixture_root):
+        # Other tests import scipy into this process, so the run gets a fresh one.
+        # anti_hedge's Frank fit picks its half-interval from dense ranks.
+        config = fixture_root / "anti_hedge" / "episode.yaml"
+        script = (
+            "import json, sys\n"
+            "import crisishedge\n"
+            f"episode = crisishedge.load_episode({str(config)!r})\n"
+            "result = crisishedge.run_pipeline(episode, fast=True, write_outputs=False)\n"
+            "fits = [f.family.value for c in result.copula_candidates.values() for f in c]\n"
+            "print(json.dumps({'families': fits, 'modules': sorted(sys.modules)}))\n"
+        )
+        package_root = str(Path(crisishedge.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert "frank" in seen["families"]
+        heavy = [m for m in seen["modules"]
+                 if any(m == h or m.startswith(h + ".") for h in self.HEAVY)]
+        assert heavy == []
 
 
 class TestResolveOutDir:
