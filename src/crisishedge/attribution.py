@@ -23,7 +23,6 @@ from .qreg import (
     DesignMatrix,
     FitCertificates,
     QuantileModel,
-    _quantile_model,
     _with_intercept,
     require_varying,
     restandardized_values,
@@ -92,14 +91,21 @@ def _gather(model: QuantileModel, mapping: Mapping[str, float], what: str) -> np
     return out
 
 
-def _pair_indices(model: QuantileModel) -> list[tuple[int, int, float]]:
-    positions = {c: j for j, c in enumerate(model.columns)}
+def _pair_positions(
+    columns: Sequence[str], pairs: Sequence[tuple[str, str]]
+) -> list[tuple[int, int]]:
+    positions = {c: j for j, c in enumerate(columns)}
     out = []
-    for (a, b), gamma in model.gammas.items():
+    for a, b in pairs:
         if a not in positions or b not in positions:
             raise DataError(f"interaction ({a!r}, {b!r}) references unknown columns")
-        out.append((positions[a], positions[b], float(gamma)))
+        out.append((positions[a], positions[b]))
     return out
+
+
+def _pair_indices(model: QuantileModel) -> list[tuple[int, int, float]]:
+    positions = _pair_positions(model.columns, tuple(model.gammas))
+    return [(i, j, float(g)) for (i, j), g in zip(positions, model.gammas.values())]
 
 
 def _beta_vector(model: QuantileModel) -> np.ndarray:
@@ -122,30 +128,53 @@ def _coalition_value(
     return value
 
 
+def _shapley_batch(
+    coef: np.ndarray,
+    linear: np.ndarray,
+    mu: np.ndarray,
+    pairs: Sequence[tuple[int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi0 (B,) and the (B x M x n) closed-form Shapley values of B (n x M) blocks.
+
+    ``coef`` is (B, 1 + M + P): the intercept, M linear coefficients and one
+    interaction coefficient per entry of ``pairs``, the column positions of
+    the P product terms; ``mu`` (B x M) holds each block's baseline means.
+    Linear terms contribute beta_j * (x_j - mu_j); a pairwise product term
+    gamma * x_a * x_b splits evenly between its two parents, each taking
+    gamma * (x_own - mu_own) * (x_other + mu_other) / 2.  Every block is
+    computed as it would be alone.  The exact efficiency identity is asserted
+    on every row as a cheap certificate.
+    """
+    m = linear.shape[-1]
+    intercept, beta, gamma = coef[:, 0], coef[:, 1: 1 + m], coef[:, 1 + m:]
+    centred = linear - mu[:, None, :]
+    phi = np.ascontiguousarray(np.swapaxes(beta[:, None, :] * centred, 1, 2))
+    phi0 = intercept + (beta[:, None, :] @ mu[:, :, None])[:, 0, 0]
+    full = intercept[:, None] + (linear @ beta[:, :, None])[:, :, 0]
+    for k, (i, j) in enumerate(pairs):
+        g = gamma[:, k, None]
+        phi[:, i] += g * centred[:, :, i] * (linear[:, :, j] + mu[:, j, None]) / 2.0
+        phi[:, j] += g * centred[:, :, j] * (linear[:, :, i] + mu[:, i, None]) / 2.0
+        phi0 += gamma[:, k] * mu[:, i] * mu[:, j]
+        full += g * linear[:, :, i] * linear[:, :, j]
+    gap = np.abs(phi0[:, None] + phi.sum(axis=1) - full)
+    broken = np.any(gap > 1e-9 * (1.0 + np.abs(full)), axis=1)
+    if broken.any():
+        worst = gap[np.argmax(broken)].max()
+        raise NumericalError(f"attribution efficiency violated by {worst:g}")
+    return phi0, phi
+
+
 def _shapley_matrix(
     model: QuantileModel, linear: np.ndarray, mu: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """phi0 and the (M x n) closed-form Shapley values of an (n x M) block.
-
-    Linear terms contribute beta_j * (x_j - mu_j); a pairwise product term
-    gamma * x_a * x_b splits evenly between its two parents, each taking
-    gamma * (x_own - mu_own) * (x_other + mu_other) / 2.  The exact
-    efficiency identity is asserted on every row as a cheap certificate.
-    """
-    beta = _beta_vector(model)
-    centred = linear - mu
-    phi = np.ascontiguousarray((beta * centred).T)
-    phi0 = model.intercept + float(np.dot(beta, mu))
-    full = model.intercept + linear @ beta
-    for i, j, gamma in _pair_indices(model):
-        phi[i] += gamma * centred[:, i] * (linear[:, j] + mu[j]) / 2.0
-        phi[j] += gamma * centred[:, j] * (linear[:, i] + mu[i]) / 2.0
-        phi0 += gamma * mu[i] * mu[j]
-        full += gamma * linear[:, i] * linear[:, j]
-    gap = np.abs(phi0 + phi.sum(axis=0) - full)
-    if np.any(gap > 1e-9 * (1.0 + np.abs(full))):
-        raise NumericalError(f"attribution efficiency violated by {gap.max():g}")
-    return float(phi0), phi
+    """phi0 and the (M x n) Shapley values of an (n x M) block: a stack of one."""
+    pairs = _pair_indices(model)
+    coef = np.array([model.intercept, *_beta_vector(model), *(g for _, _, g in pairs)])
+    phi0, phi = _shapley_batch(
+        coef[None], linear[None], mu[None], [(i, j) for i, j, _ in pairs]
+    )
+    return float(phi0[0]), phi[0]
 
 
 def _results(
@@ -297,6 +326,43 @@ def importance_summary(
     )
 
 
+def _sum_left_to_right(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis term by term in index order, as Python's ``sum`` does."""
+    total = np.zeros(a.shape[:-1])
+    for j in range(a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
+def _rankings(
+    columns: Sequence[str], phi: np.ndarray
+) -> list[tuple[str, ...] | DegenerateSampleError]:
+    """``importance_summary(columns, phi[b]).ranking`` for each (M x n) block of a stack.
+
+    Shares, drift and the drift push into the largest (share, name) follow
+    ``importance_summary`` operation for operation, with column totals summed
+    in the same order, so each ranking is the one it gives; a block whose
+    attributions are all zero becomes the DegenerateSampleError it raises.
+    """
+    means = np.mean(np.abs(phi), axis=2)
+    total = _sum_left_to_right(means)
+    zero = total == 0.0
+    shares = 100.0 * means / np.where(zero, 1.0, total)[:, None]
+    drift = 100.0 - _sum_left_to_right(shares)
+    name_rank = np.empty(len(columns), dtype=int)
+    name_rank[sorted(range(len(columns)), key=columns.__getitem__)] = np.arange(len(columns))
+    tied_top = shares == shares.max(axis=1, keepdims=True)
+    top = np.argmax(np.where(tied_top, name_rank, -1), axis=1)
+    shares[np.arange(len(shares)), top] += drift
+    order = np.lexsort((np.broadcast_to(name_rank, shares.shape), -shares), axis=1)
+    return [
+        DegenerateSampleError("all attributions are zero; shares undefined")
+        if degenerate
+        else tuple(columns[k] for k in row)
+        for row, degenerate in zip(order.tolist(), zero.tolist())
+    ]
+
+
 def stability_kendall(rankings: Sequence[Sequence[str]]) -> float:
     """Mean pairwise Kendall tau over bootstrap importance rankings.
 
@@ -328,6 +394,31 @@ def stability_kendall(rankings: Sequence[Sequence[str]]) -> float:
     return net / (ranking_pairs * item_pairs)
 
 
+def _chunk_rankings(
+    X: DesignMatrix, tau: float, rows: np.ndarray, pairs: Sequence[tuple[int, int]]
+) -> tuple[list[tuple[str, ...] | DegenerateSampleError], FitCertificates]:
+    """Rank features for each of a chunk of bootstrap row sets, fitted as one batch."""
+    values = restandardized_values(X, rows, rows)
+    targets = X.target[rows]
+    outcomes: list[tuple[str, ...] | DegenerateSampleError] = []
+    fitted = []
+    for b, target in enumerate(targets):
+        try:
+            require_varying(target)
+        except DegenerateSampleError as exc:
+            outcomes.append(exc)
+        else:
+            fitted.append(b)
+            outcomes.append(())
+    values = values[fitted]
+    coefs, fits = solve_check_loss(_with_intercept(values), targets[fitted], (tau,))
+    linear = values[:, :, : X.n_linear]
+    _, phi = _shapley_batch(coefs[0], linear, np.mean(linear, axis=1), pairs)
+    for b, ranking in zip(fitted, _rankings(X.linear_column_names, phi)):
+        outcomes[b] = ranking
+    return outcomes, fits
+
+
 def bootstrap_stability(
     X: DesignMatrix,
     tau: float,
@@ -340,12 +431,14 @@ def bootstrap_stability(
 
     Each replicate resamples design rows in blocks, re-standardizes from its
     own rows, refits the quantile model, and re-ranks features by mean |phi|.
-    Replicates are built and fitted together, about ``CHUNK_ROWS`` design
-    rows at a time; per-replicate derived seeds and a batch-independent solver
-    keep every replicate's ranking independent of the others.  Columns that
-    degenerate inside a replicate simply attract zero attributions, so
-    rankings stay comparable; a replicate with a constant target or all-zero
-    attributions is skipped and counted.
+    Replicates are handled a chunk of about ``CHUNK_ROWS`` design rows at a
+    time, each step array-at-a-time: one batched fit, one (B x M x n) stack
+    of Shapley values, one batched ranking that equals ``importance_summary``
+    on each replicate's own values.  Per-replicate derived seeds and a
+    batch-independent solver keep every replicate's ranking independent of
+    the others.  Columns that degenerate inside a replicate simply attract
+    zero attributions, so rankings stay comparable; a replicate with a
+    constant target or all-zero attributions is skipped and counted.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
@@ -356,34 +449,14 @@ def bootstrap_stability(
         block_resamples(n, replications=replications, block_length=block_length, seed=seed),
         axis=1,
     )
+    pairs = _pair_positions(X.linear_column_names, X.interaction_pairs)
     outcomes: list[tuple[str, ...] | DegenerateSampleError] = []
     certificates = FitCertificates()
     per = max(1, CHUNK_ROWS // n)
     for start in range(0, replications, per):
-        chunk = rows[start: start + per]
-        values = restandardized_values(X, chunk, chunk)
-        targets = X.target[chunk]
-        fitted = []
-        for b, target in enumerate(targets):
-            try:
-                require_varying(target)
-            except DegenerateSampleError as exc:
-                outcomes.append(exc)
-            else:
-                fitted.append(b)
-                outcomes.append(())
-        coefs, fits = solve_check_loss(
-            _with_intercept(values[fitted]), targets[fitted], (tau,)
-        )
+        chunk, fits = _chunk_rankings(X, tau, rows[start: start + per], pairs)
+        outcomes += chunk
         certificates += fits
-        for b, coef, loss in zip(fitted, coefs[0], fits.loss):
-            model = _quantile_model(X, tau, coef, loss)
-            linear = values[b][:, : X.n_linear]
-            _, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
-            try:
-                outcomes[start + b] = importance_summary(model.columns, phi).ranking
-            except DegenerateSampleError as exc:
-                outcomes[start + b] = exc
 
     skipped = [str(o) for o in outcomes if isinstance(o, DegenerateSampleError)]
     for reason in skipped:

@@ -9,6 +9,7 @@ month index.
 
 from __future__ import annotations
 
+import functools
 import re
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
@@ -45,8 +46,14 @@ def month_of(stamp: str) -> str:
     return parse_stamp(stamp)[:7]
 
 
+@functools.lru_cache(maxsize=4096)
 def month_index(month: str) -> int:
-    """Map ``YYYY-MM`` to a flat count of months since year 0."""
+    """Map ``YYYY-MM`` to a flat count of months since year 0.
+
+    Memoized: series alignment looks up the same few hundred stamps tens of
+    thousands of times per run.  A bad stamp is not cached and raises on
+    every call.
+    """
     m = _MONTH_RE.match(month)
     if m is None:
         raise ValueError(f"not a month stamp: {month!r}")

@@ -345,12 +345,6 @@ def require_varying(target: np.ndarray) -> None:
         raise DegenerateSampleError("target is constant; quantile fit undefined")
 
 
-def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Per member, the largest t with v + t * dv >= 0 (inf if dv never falls)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(dv < 0.0, -v / dv, np.inf).min(axis=1)
-
-
 def _normal_matrix(weighted_t: np.ndarray, X: np.ndarray, usable: np.ndarray) -> np.ndarray:
     """X' W X per member, ridged, with each unused column pinned to 0 by a unit diagonal."""
     M = weighted_t @ X
@@ -358,6 +352,35 @@ def _normal_matrix(weighted_t: np.ndarray, X: np.ndarray, usable: np.ndarray) ->
     diag = M[:, k, k]
     M[:, k, k] = np.where(usable, diag + _RIDGE * diag.sum(axis=1, keepdims=True), 1.0)
     return M
+
+
+def _step_lengths(
+    x: np.ndarray,
+    s: np.ndarray,
+    z: np.ndarray,
+    w: np.ndarray,
+    dx: np.ndarray,
+    dz: np.ndarray,
+    dw: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Primal and dual step lengths per member, as (B, 1) columns.
+
+    Each is ``_STEP`` times the largest step that keeps its variables
+    nonnegative, capped at 1.  An entry v with a falling dv allows v / |dv|,
+    which equals -v / dv exactly; every other entry divides inf and allows
+    any step, so no finite number is ever divided by zero.  The primal pair
+    x, s = 1 - x moves by dx and -dx, so one pass covers both: x bounds a
+    falling dx and s a rising one.
+    """
+    primal = np.where(dx > 0.0, s, np.where(dx < 0.0, x, np.inf)) / np.abs(dx)
+    dual = np.minimum(
+        (np.where(dz < 0.0, z, np.inf) / np.abs(dz)).min(axis=1),
+        (np.where(dw < 0.0, w, np.inf) / np.abs(dw)).min(axis=1),
+    )
+    return (
+        np.minimum(_STEP * primal.min(axis=1), 1.0)[:, None],
+        np.minimum(_STEP * dual, 1.0)[:, None],
+    )
 
 
 def _newton_step(
@@ -368,13 +391,15 @@ def _newton_step(
     z: np.ndarray,
     w: np.ndarray,
     dual: np.ndarray,
+    mu: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """One Mehrotra predictor-corrector step for every member of a batch.
 
     The bounded dual LP is min c'x subject to X'x = (1 - tau) X'1 and
     0 <= x <= 1, with slack s = 1 - x; its dual has X dual + z - w = c with
     z, w >= 0.  Both feasibilities are kept, so the step only drives the
-    complementarity products x*z and s*w towards 0.
+    complementarity products x*z and s*w towards 0; ``mu`` is their current
+    sum per member, the duality gap.
     """
     Xt = np.swapaxes(X, 1, 2)
     q = 1.0 / (z / x + w / s)
@@ -387,44 +412,42 @@ def _newton_step(
         dy = np.linalg.solve(M, Xt @ (q * (r - v))[:, :, None])[:, :, 0]
         return dy, q * ((X @ dy[:, :, None])[:, :, 0] + v - r)
 
-    def step_lengths(dx, dz, dw):
-        fp = np.minimum(_step_to_boundary(x, dx), _step_to_boundary(s, -dx))
-        fd = np.minimum(_step_to_boundary(z, dz), _step_to_boundary(w, dw))
-        return np.minimum(_STEP * fp, 1.0)[:, None], np.minimum(_STEP * fd, 1.0)[:, None]
-
     dy, dx = direction(np.zeros_like(x))
+    ds = -dx
     dz = -z * (dx / x + 1.0)
-    dw = -w * (-dx / s + 1.0)
-    fp, fd = step_lengths(dx, dz, dw)
-    short = (np.minimum(fp, fd) < 1.0)[:, 0]
-    if short.any():
-        # Corrector: aim at the centring target Mehrotra's heuristic picks
-        # from how far the affine step got, less the affine second-order term.
-        mu = np.sum(x * z, axis=1) + np.sum(s * w, axis=1)
-        reach = np.sum((x + fp * dx) * (z + fd * dz), axis=1) + np.sum(
-            (s - fp * dx) * (w + fd * dw), axis=1
-        )
-        ratio = reach / mu
-        mu = (mu * ratio * ratio * ratio / (2 * x.shape[1]))[:, None]
-        dxdz = dx * dz
-        dsdw = -dx * dw
-        xinv = 1.0 / x
-        sinv = 1.0 / s
-        cy, cx = direction(mu * (xinv - sinv) - xinv * dxdz + sinv * dsdw)
-        cz = xinv * (mu - dxdz - z * cx) - z
-        cw = sinv * (mu - dsdw + w * cx) - w
-        cp, cd = step_lengths(cx, cz, cw)
-        keep = short[:, None]
-        dy = np.where(keep, cy, dy)
-        dx, dz, dw = np.where(keep, cx, dx), np.where(keep, cz, dz), np.where(keep, cw, dw)
-        fp, fd = np.where(keep, cp, fp), np.where(keep, cd, fd)
-    return x + fp * dx, s - fp * dx, z + fd * dz, w + fd * dw, dual + fd * dy
+    dw = -w * (ds / s + 1.0)
+    fp, fd = _step_lengths(x, s, z, w, dx, dz, dw)
+    # Corrector, taken on every step: the affine step can never be taken
+    # whole, since in each row z + dz = -z dx/x and w + dw = w dx/s cannot
+    # both be positive.  It aims at the centring target Mehrotra's heuristic
+    # picks from how far the affine step got, less the affine second-order
+    # term.
+    step = fp * dx
+    reach = np.sum((x + step) * (z + fd * dz), axis=1) + np.sum(
+        (s - step) * (w + fd * dw), axis=1
+    )
+    ratio = reach / mu
+    target = (mu * ratio * ratio * ratio / (2 * x.shape[1]))[:, None]
+    dxdz = dx * dz
+    dsdw = ds * dw
+    xinv = 1.0 / x
+    sinv = 1.0 / s
+    dy, dx = direction(target * (xinv - sinv) - xinv * dxdz + sinv * dsdw)
+    dz = xinv * (target - dxdz - z * dx) - z
+    dw = sinv * (target - dsdw + w * dx) - w
+    fp, fd = _step_lengths(x, s, z, w, dx, dz, dw)
+    step = fp * dx
+    return x + step, s - step, z + fd * dz, w + fd * dw, dual + fd * dy
 
 
 def _frisch_newton(
     designs: np.ndarray, targets: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coefficients, gaps, converged) for one chunk of problems at one level."""
+    """(coefficients, gaps, converged) for one chunk of problems at one level.
+
+    The iterates of the members still running are kept compacted: a member
+    that stops is dropped from every state array once, when it stops.
+    """
     batch, n, p = designs.shape
     real = designs[:, :, 0] != 0.0
     lo = np.where(real[:, :, None], designs, np.inf).min(axis=1)
@@ -459,19 +482,26 @@ def _frisch_newton(
     gap[exact] = 0.0
     converged[exact] = True
     live = np.flatnonzero(~exact)
+    X, usable, targets, x, s, z, w, dual = (
+        a[live] for a in (X, usable, targets, x, s, z, w, dual)
+    )
     for it in range(_MAX_ITER + 1):
-        resid = targets[live] + (X[live] @ dual[live][:, :, None])[:, :, 0]
+        resid = targets + (X @ dual[:, :, None])[:, :, 0]
         loss = np.sum(resid * (tau - (resid < 0.0)), axis=1)
-        gap[live] = np.sum(x[live] * z[live], axis=1) + np.sum(s[live] * w[live], axis=1)
-        done = gap[live] <= GAP_TOL * (1.0 + loss)
+        mu = np.sum(x * z, axis=1) + np.sum(s * w, axis=1)
+        gap[live] = mu
+        done = mu <= GAP_TOL * (1.0 + loss)
         converged[live[done]] = True
-        coef[live[done]] = np.where(usable[live[done]], -dual[live[done]], 0.0)
-        live = live[~done & np.isfinite(gap[live])]
-        if it == _MAX_ITER or live.size == 0:
+        coef[live[done]] = np.where(usable[done], -dual[done], 0.0)
+        running = ~done & np.isfinite(mu)
+        if it == _MAX_ITER or not running.any():
             break
-        x[live], s[live], z[live], w[live], dual[live] = _newton_step(
-            X[live], usable[live], x[live], s[live], z[live], w[live], dual[live]
-        )
+        if not running.all():
+            live = live[running]
+            X, usable, targets, x, s, z, w, dual, mu = (
+                a[running] for a in (X, usable, targets, x, s, z, w, dual, mu)
+            )
+        x, s, z, w, dual = _newton_step(X, usable, x, s, z, w, dual, mu)
     return coef, gap, converged
 
 
@@ -510,18 +540,24 @@ def solve_check_loss(
 
     ``designs`` is (B, n, p) with the intercept in column 0, ``targets`` is
     (B, n) and ``taus`` holds the T levels.  A row whose intercept entry is 0
-    is padding: it must be 0 throughout, target included, and leaves the
-    optimum alone, so problems of unequal length share one batch.  Columns
-    constant over a design's rows get coefficient 0, and a design with no
-    other usable column takes the exact order-statistic intercept.
+    is padding: it must be 0 throughout, target included, so problems of
+    unequal length share one batch.  Padding leaves the optimal check loss
+    alone but not the coefficients: padding rows take part in the
+    interior-point iteration, so where the optimum is not unique the fit
+    stops at a different point of the optimal face for each padded width.
+    On the clayton_coupled fixture, CV fold 22 at tau = 0.0104 (276 rows
+    padded to 588) differs from its unpadded fit by 8.8e-3 relative in the
+    coefficients and 5e-13 in the loss.  Columns constant over a design's
+    rows get coefficient 0, and a design with no other usable column takes
+    the exact order-statistic intercept.
 
     The fits are solved together, one level at a time in chunks of about
     ``CHUNK_ROWS`` design rows, by the Frisch-Newton method of
     ``fit_quantile``; each stops on its own duality gap and is then frozen,
-    so a fit's coefficients do not depend on the batch or the chunk it is
-    solved in.  A fit that does not reach its gap within the iteration cap is
-    re-solved by HiGHS and flagged in the certificates, which list the fits
-    level by level in design order.
+    so at a given padded width a fit's coefficients do not depend on the
+    batch or the chunk it is solved in.  A fit that does not reach its gap
+    within the iteration cap is re-solved by HiGHS and flagged in the
+    certificates, which list the fits level by level in design order.
     """
     designs = np.asarray(designs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -710,9 +746,13 @@ def expanding_window_cv(
 
     The folds' designs are built once, zero-padded to the longest training
     window, and every (tau, fold) pair is one member of a single
-    ``solve_check_loss`` batch.  The folds do not depend on tau, and neither
-    does any way they can fail (too few folds, a constant training or test
-    target), so a failure raises once for all levels.
+    ``solve_check_loss`` batch.  Each fold reaches the optimal check loss of
+    its unpadded fit, but where that optimum is not unique its coefficients
+    depend on the padded width (see ``solve_check_loss``), so a fold's
+    coefficients can differ from a fit of the fold alone.  The folds do not
+    depend on tau, and neither does any way they can fail (too few folds, a
+    constant training or test target), so a failure raises once for all
+    levels.
     """
     if initial_window < 10:
         raise DataError(f"initial window must be >= 10, got {initial_window}")

@@ -22,7 +22,7 @@ from crisishedge.attribution import (
     stability_kendall,
 )
 from crisishedge.config import load_episode
-from crisishedge.errors import DataError, DegenerateSampleError
+from crisishedge.errors import DataError, DegenerateSampleError, NumericalError
 from crisishedge.pipeline import run_pipeline
 from crisishedge.qreg import (
     DesignMatrix,
@@ -321,6 +321,75 @@ class TestImportanceSummary:
             ImportanceSummary(
                 ranking=("a",), shares={"a": 100.0}, stability_kendall_tau=1.5
             )
+
+
+class TestBatchedRankings:
+    """The stability bootstrap's batched ranking against the per-replicate
+    oracle, ``_shapley_matrix`` followed by ``importance_summary``."""
+
+    COLUMNS = ("delta", "alpha", "echo", "bravo", "charlie", "foxtrot", "golf", "hotel", "india")
+    PAIR = ("charlie", "foxtrot")
+    COEF = (0.1, 0.7, 2.0, 2.0, 0.7, 1.1, 0.4, 0.6, -0.3, 0.2, 0.5)
+
+    def replicate(self, seed, n=30, shift=0.0):
+        """(n x 10) replicate values: nine linear columns, then the product term."""
+        linear = np.random.default_rng(seed).normal(size=(n, 9))
+        linear[:, 2] = linear[:, 1]  # echo repeats alpha: a tie at the top
+        linear[:, 3] = linear[:, 0]  # bravo repeats delta: a tie further down
+        linear[:, 0] += shift
+        return np.column_stack([linear, linear[:, 4] * linear[:, 5]])
+
+    def oracle(self, coef, values):
+        model = linear_model(
+            dict(zip(self.COLUMNS, coef[1:10])),
+            {self.PAIR: coef[10]},
+            intercept=coef[0],
+            columns=self.COLUMNS,
+        )
+        linear = values[:, :9]
+        _, phi = attribution._shapley_matrix(model, linear, np.mean(linear, axis=0))
+        try:
+            return importance_summary(self.COLUMNS, phi)
+        except DegenerateSampleError as exc:
+            return exc
+
+    def batched(self, coefs, values):
+        # As bootstrap_stability ranks one chunk of fitted replicates.
+        linear = values[:, :, :9]
+        _, phi = attribution._shapley_batch(coefs, linear, np.mean(linear, axis=1), [(4, 5)])
+        return attribution._rankings(self.COLUMNS, phi)
+
+    def test_chunk_matches_the_oracle_replicate_by_replicate(self):
+        rng = np.random.default_rng(90)
+        coefs = [self.COEF, (0.3,) + (0.0,) * 10]  # the second attributes nothing
+        coefs += [tuple(rng.normal(size=11)) for _ in range(6)]
+        coefs = np.array(coefs)
+        values = np.stack([self.replicate(7)] + [self.replicate(s) for s in range(91, 98)])
+        expected = [self.oracle(c, v) for c, v in zip(coefs, values)]
+
+        tied = expected[0]
+        # echo ties alpha before the drift push and bravo ties delta, so the
+        # push and the name tie-break both decide this replicate's ranking.
+        assert tied.shares["bravo"] == tied.shares["delta"]
+        assert tied.shares["echo"] > tied.shares["alpha"]
+        assert tied.ranking[:2] == ("echo", "alpha")
+        assert isinstance(expected[1], DegenerateSampleError)
+
+        got = self.batched(coefs, values)
+        assert isinstance(got[1], DegenerateSampleError)
+        assert str(got[1]) == str(expected[1])
+        assert got[:1] + got[2:] == [e.ranking for e in expected[:1] + expected[2:]]
+
+    def test_broken_efficiency_identity_raises(self):
+        # A column near 1e12 whose level the intercept cancels: the
+        # efficiency identity cannot hold to 1e-9 in floating point.
+        coef = np.array([self.COEF, self.COEF])
+        coef[1, 0] = -1e12 * coef[1, 1]
+        values = np.stack([self.replicate(7), self.replicate(1, shift=1e12)])
+        with pytest.raises(NumericalError, match="efficiency violated"):
+            self.oracle(coef[1], values[1])
+        with pytest.raises(NumericalError, match="efficiency violated"):
+            self.batched(coef, values)
 
 
 class TestStabilityKendall:

@@ -56,6 +56,19 @@ def test_month_index_is_consecutive():
     assert month_index("2021-01") - month_index("2020-12") == 1
 
 
+def test_month_index_is_memoized():
+    before = month_index.cache_info().hits
+    assert month_index("1987-04") == month_index("1987-04") == 1987 * 12 + 3
+    assert month_index.cache_info().hits > before
+
+
+@pytest.mark.parametrize("bad", ["2021-3", "2021-03-15", ""])
+def test_month_index_rejects_a_bad_stamp_every_time(bad):
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not a month stamp"):
+            month_index(bad)
+
+
 def test_month_range_inclusive():
     assert month_range("2020-11", "2021-02") == [
         "2020-11", "2020-12", "2021-01", "2021-02",

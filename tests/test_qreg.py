@@ -460,8 +460,21 @@ class TestSolveCheckLoss:
                 assert fits.gap[i] <= self.GAP_TOL * (1.0 + fits.loss[i])
 
     def test_fit_alone_equals_fit_in_batch(self, monkeypatch):
+        # Members stop at different iterations, so the running batch is
+        # compacted mid-solve; each step's mu must be the gap the stopping
+        # test computed on the same state.
         designs, targets, _ = padded_problems(61)
+        batch_sizes = []
+        newton_step = qreg._newton_step
+
+        def spy(X, usable, x, s, z, w, dual, mu):
+            assert np.array_equal(mu, np.sum(x * z, axis=1) + np.sum(s * w, axis=1))
+            batch_sizes.append(len(X))
+            return newton_step(X, usable, x, s, z, w, dual, mu)
+
+        monkeypatch.setattr(qreg, "_newton_step", spy)
         batched, batched_fits = solve_check_loss(designs, targets, LEVELS)
+        assert len(set(batch_sizes)) >= 4
         monkeypatch.setattr(qreg, "CHUNK_ROWS", 3 * designs.shape[1])
         chunked, chunked_fits = solve_check_loss(designs, targets, LEVELS)
         assert np.array_equal(chunked, batched) and chunked_fits == batched_fits
@@ -471,6 +484,28 @@ class TestSolveCheckLoss:
                 assert np.array_equal(alone[0, 0], batched[t, b])
                 i = t * len(designs) + b
                 assert fits == batched_fits[i:i + 1]
+
+    def test_affine_step_is_never_taken_whole(self, monkeypatch):
+        # Why every step takes Mehrotra's corrector: the predictor's dual step
+        # length, the first one of each step, is below 1 for every member.
+        designs, targets, _ = padded_problems(61)
+        dual_lengths = []
+        newton_step, step_lengths = qreg._newton_step, qreg._step_lengths
+
+        def step_spy(*args):
+            dual_lengths.append(None)
+            return newton_step(*args)
+
+        def lengths_spy(*args):
+            fp, fd = step_lengths(*args)
+            if dual_lengths[-1] is None:
+                dual_lengths[-1] = fd
+            return fp, fd
+
+        monkeypatch.setattr(qreg, "_newton_step", step_spy)
+        monkeypatch.setattr(qreg, "_step_lengths", lengths_spy)
+        solve_check_loss(designs, targets, LEVELS)
+        assert dual_lengths and all(np.all(fd < 1.0) for fd in dual_lengths)
 
     def test_padding_leaves_the_optimum(self):
         designs, targets, lengths = padded_problems(62)
