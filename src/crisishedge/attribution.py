@@ -34,6 +34,7 @@ logger = logging.getLogger(__name__)
 
 _ENUMERATION_LIMIT = 12
 _INTERACTION_ENUMERATION_LIMIT = 10
+_ZERO_ATTRIBUTIONS = "all attributions are zero; shares undefined"
 
 
 @dataclass(frozen=True)
@@ -305,44 +306,42 @@ def importance_summary(
     *,
     stability: float | None = None,
 ) -> ImportanceSummary:
-    """Percentage shares of mean |phi| per column; ``phi`` is (M columns x n rows)."""
+    """Percentage shares of mean |phi| per column; ``phi`` is (M columns x n rows).
+
+    A stack of one for ``_shares``.
+    """
     if phi.ndim != 2 or phi.shape[0] != len(columns):
         raise DataError("attribution matrix rows do not match the column set")
     if phi.shape[1] == 0:
         raise DataError("no attribution results to summarize")
-    means = {col: float(np.mean(np.abs(row))) for col, row in zip(columns, phi)}
-    total = sum(means.values())
-    if total == 0.0:
-        raise DegenerateSampleError("all attributions are zero; shares undefined")
-    shares = {col: 100.0 * means[col] / total for col in columns}
-    drift = 100.0 - sum(shares.values())
-    if drift != 0.0:
-        # push float summation residue into the largest share
-        top = max(shares, key=lambda c: (shares[c], c))
-        shares[top] += drift
-    ranking = tuple(sorted(columns, key=lambda c: (-shares[c], c)))
+    shares, order, zero = _shares(columns, np.ascontiguousarray(phi)[None])
+    if zero[0]:
+        raise DegenerateSampleError(_ZERO_ATTRIBUTIONS)
     return ImportanceSummary(
-        ranking=ranking, shares=shares, stability_kendall_tau=stability
+        ranking=tuple(columns[k] for k in order[0]),
+        shares=dict(zip(columns, shares[0].tolist())),
+        stability_kendall_tau=stability,
     )
 
 
 def _sum_left_to_right(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis term by term in index order, as Python's ``sum`` does."""
+    """Sum over the last axis term by term in index order."""
     total = np.zeros(a.shape[:-1])
     for j in range(a.shape[-1]):
         total += a[..., j]
     return total
 
 
-def _rankings(
+def _shares(
     columns: Sequence[str], phi: np.ndarray
-) -> list[tuple[str, ...] | DegenerateSampleError]:
-    """``importance_summary(columns, phi[b]).ranking`` for each (M x n) block of a stack.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shares, ranking order (both B x M) and all-zero flags (B,) of B (M x n) blocks.
 
-    Shares, drift and the drift push into the largest (share, name) follow
-    ``importance_summary`` operation for operation, with column totals summed
-    in the same order, so each ranking is the one it gives; a block whose
-    attributions are all zero becomes the DegenerateSampleError it raises.
+    Each block's share of column j is 100 * mean|phi_j| / sum_k mean|phi_k|,
+    with the column totals summed left to right; the float residue of the
+    shares' sum is pushed into the largest share, ties broken by the larger
+    name, and columns rank by share descending, ties by name.  A block whose
+    attributions are all zero is flagged: its shares are undefined.
     """
     means = np.mean(np.abs(phi), axis=2)
     total = _sum_left_to_right(means)
@@ -355,8 +354,16 @@ def _rankings(
     top = np.argmax(np.where(tied_top, name_rank, -1), axis=1)
     shares[np.arange(len(shares)), top] += drift
     order = np.lexsort((np.broadcast_to(name_rank, shares.shape), -shares), axis=1)
+    return shares, order, zero
+
+
+def _rankings(
+    columns: Sequence[str], phi: np.ndarray
+) -> list[tuple[str, ...] | DegenerateSampleError]:
+    """Each (M x n) block's ``importance_summary`` ranking, or the error it raises."""
+    _, order, zero = _shares(columns, phi)
     return [
-        DegenerateSampleError("all attributions are zero; shares undefined")
+        DegenerateSampleError(_ZERO_ATTRIBUTIONS)
         if degenerate
         else tuple(columns[k] for k in row)
         for row, degenerate in zip(order.tolist(), zero.tolist())

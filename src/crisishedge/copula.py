@@ -72,6 +72,7 @@ _FRANK_EDGE = 1e-6  # Frank's half-intervals stop this far from theta = 0
 XATOL = 1e-10  # absolute theta tolerance of the bounded search
 MAXITER = 500  # log-likelihood evaluations per lane before a search gives up
 CHUNK_POINTS = 16_384  # replicate observations ranked and fitted together; bounds memory
+CI_LEVEL = 0.95  # coverage of the bootstrap percentile interval
 _SEARCH_MESSAGES = {1: "Maximum number of function calls reached.",
                     2: "NaN result encountered."}
 
@@ -632,13 +633,10 @@ def fit_copula(
 
 
 def fit_families(
-    sample: PseudoSample,
-    *,
-    families: Sequence[CopulaFamily | str] = FAMILIES,
-    tau: float | None = None,
+    sample: PseudoSample, *, tau: float | None = None
 ) -> tuple[CopulaFit, ...]:
     """Fit every candidate family on the same sample."""
-    return tuple(fit_copula(sample, f, tau=tau) for f in families)
+    return tuple(fit_copula(sample, f, tau=tau) for f in FAMILIES)
 
 
 def select_family(
@@ -659,17 +657,14 @@ def select_family(
 
 
 def empirical_tail_dependence(sample: PseudoSample, tau: float) -> float:
-    """Conditional joint-tail frequency count{u<=tau, v<=tau} / count{u<=tau}."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    in_u = sample.u <= tau
-    denom = int(np.count_nonzero(in_u))
-    if denom == 0:
-        raise DegenerateSampleError(
-            f"no observations with u <= {tau}; conditioning set empty"
-        )
-    joint = int(np.count_nonzero(in_u & (sample.v <= tau)))
-    return joint / denom
+    """Conditional joint-tail frequency count{u<=tau, v<=tau} / count{u<=tau}.
+
+    A batch of one for ``empirical_lambda_statistic``.
+    """
+    values = empirical_lambda_statistic(tau)(PseudoBatch.of(sample))
+    if values.skipped[0] is not None:
+        raise DegenerateSampleError(values.skipped[0])
+    return float(values.values[0])
 
 
 @dataclass(frozen=True)
@@ -720,11 +715,10 @@ def block_bootstrap_ci(
     statistic: BatchStatistic,
     *,
     replications: int = 1000,
-    level: float = 0.95,
     block_length: int | None = None,
     seed: int,
 ) -> BootstrapCI:
-    """Percentile CI of a tail statistic under a paired moving-block bootstrap.
+    """95% percentile CI of a tail statistic under a paired moving-block bootstrap.
 
     Blocks are drawn over the paired (u, v) sequence so temporal dependence
     within each margin and the cross-dependence survive together; ranks are
@@ -738,8 +732,6 @@ def block_bootstrap_ci(
     """
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
 
     rows = block_resamples(
         sample.n, replications=replications, block_length=block_length, seed=seed
@@ -769,7 +761,7 @@ def block_bootstrap_ci(
             f"bootstrap unstable: {skipped + failed}/{replications} replicates "
             "degenerate or not converged"
         )
-    alpha = 1.0 - level
+    alpha = 1.0 - CI_LEVEL
     lo, hi = np.quantile(values[kept], [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapCI(
         (float(lo), float(hi)), skipped, replications,

@@ -121,11 +121,7 @@ class MacroSeries:
 
     def window(self, start: str | None = None, end: str | None = None) -> "MacroSeries":
         """Restrict to stamps within ``[start, end]`` (inclusive, either side optional)."""
-        kept = tuple(
-            (s, v)
-            for s, v in self.observations
-            if (start is None or s >= start) and (end is None or s <= end)
-        )
+        kept = tuple((s, v) for s, v in self.observations if mo.within(s, start, end))
         return replace(self, observations=kept)
 
 
@@ -264,11 +260,7 @@ def to_monthly(
             )
         collapsed = _interp_monthly(collapsed, series.name)
 
-    kept = tuple(
-        (m, v)
-        for m, v in collapsed
-        if (start is None or m >= start) and (end is None or m <= end)
-    )
+    kept = tuple((m, v) for m, v in collapsed if mo.within(m, start, end))
     return replace(series, observations=kept)
 
 

@@ -69,11 +69,7 @@ class LossSeries:
         return len(self.months)
 
     def window(self, start: str | None = None, end: str | None = None) -> "LossSeries":
-        keep = [
-            i
-            for i, m in enumerate(self.months)
-            if (start is None or m >= start) and (end is None or m <= end)
-        ]
+        keep = [i for i, m in enumerate(self.months) if mo.within(m, start, end)]
         return LossSeries(
             months=tuple(self.months[i] for i in keep),
             loss=self.loss[keep],

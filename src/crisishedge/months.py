@@ -60,6 +60,11 @@ def month_index(month: str) -> int:
     return int(m.group(1)) * 12 + int(m.group(2)) - 1
 
 
+def within(stamp: str, start: str | None, end: str | None) -> bool:
+    """Whether ``stamp`` lies in ``[start, end]``; a None bound is open."""
+    return (start is None or stamp >= start) and (end is None or stamp <= end)
+
+
 def index_to_month(index: int) -> str:
     year, rem = divmod(index, 12)
     return f"{year:04d}-{rem + 1:02d}"

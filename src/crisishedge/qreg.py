@@ -289,11 +289,7 @@ def engineer_features(
         raise DataError(f"schema references absent series: {', '.join(missing)}")
 
     start, end = window
-    months = [
-        m
-        for m in target_series.stamps
-        if (start is None or m >= start) and (end is None or m <= end)
-    ]
+    months = [m for m in target_series.stamps if mo.within(m, start, end)]
     if not months:
         raise DataError("no target months inside the requested window")
 
@@ -665,14 +661,14 @@ def predict(model: QuantileModel, X: DesignMatrix) -> np.ndarray:
     return model.intercept + X.values @ coef
 
 
-def pseudo_r2(model: QuantileModel, X: DesignMatrix, tau: float | None = None) -> float:
+def pseudo_r2(model: QuantileModel, X: DesignMatrix) -> float:
     """One minus the model's check loss over the intercept-only check loss.
 
     The baseline intercept is the evaluation window's own tau-quantile, so an
     in-sample value lands in [0, 1] while out-of-sample evaluation can go
     negative when the model underperforms the local constant.
     """
-    tau = model.tau if tau is None else tau
+    tau = model.tau
     baseline = empirical_quantile(X.target, tau)
     base_loss = float(np.sum(check_loss(X.target - baseline, tau)))
     if base_loss == 0.0:
@@ -713,19 +709,6 @@ def restandardized_values(
         X.raw_linear[rows], is_dummy, X.raw_linear[stats_rows]
     )
     return _assemble_values(standardized, X.linear_column_names, X.interaction_pairs)
-
-
-def _restandardized_subset(X: DesignMatrix, stats_rows: np.ndarray, rows: np.ndarray) -> DesignMatrix:
-    """Rebuild a row subset with scalings derived from ``stats_rows`` only."""
-    return DesignMatrix(
-        months=tuple(X.months[i] for i in rows),
-        columns=X.columns,
-        values=restandardized_values(X, stats_rows, rows),
-        target=X.target[rows],
-        interaction_pairs=X.interaction_pairs,
-        dummy_columns=X.dummy_columns,
-        raw_linear=X.raw_linear[rows],
-    )
 
 
 def expanding_window_cv(
@@ -783,91 +766,61 @@ def expanding_window_cv(
             "yield fewer than 2 folds"
         )
 
-    folds: list[tuple[DesignMatrix, DesignMatrix]] = []
     for cut in cuts:
-        train_rows = np.arange(cut)
-        test_rows = np.arange(cut, min(cut + step, n))
-        train = _restandardized_subset(X, train_rows, train_rows)
-        test = _restandardized_subset(X, train_rows, test_rows)
-        if mo.month_index(train.months[-1]) >= mo.month_index(test.months[0]):
+        if mo.month_index(X.months[cut - 1]) >= mo.month_index(X.months[cut]):
             raise RuntimeError(
                 "lookahead guard tripped: test rows precede training rows"
             )
-        folds.append((train, test))
 
-    widest = max(len(train) for train, _ in folds)
-    designs = np.zeros((len(folds), widest, 1 + len(X.columns)))
-    targets = np.zeros((len(folds), widest))
-    for k, (train, _) in enumerate(folds):
-        require_varying(train.target)
-        designs[k, : len(train)] = _with_intercept(train.values)
-        targets[k, : len(train)] = train.target
+    designs = np.zeros((len(cuts), cuts[-1], 1 + len(X.columns)))
+    targets = np.zeros((len(cuts), cuts[-1]))
+    tests: list[tuple[np.ndarray, np.ndarray]] = []
+    for k, cut in enumerate(cuts):
+        train_rows = np.arange(cut)
+        test_rows = np.arange(cut, min(cut + step, n))
+        require_varying(X.target[train_rows])
+        designs[k, :cut] = _with_intercept(restandardized_values(X, train_rows, train_rows))
+        targets[k, :cut] = X.target[train_rows]
+        tests.append((test_rows, restandardized_values(X, train_rows, test_rows)))
     coefs, certificates = solve_check_loss(designs, targets, taus)
-
-    def fold_result(
-        tau: float, k: int, coef: np.ndarray, loss: float
-    ) -> tuple[FoldResult, QuantileModel, np.ndarray, float, float]:
-        train, test = folds[k]
-        model = _quantile_model(train, tau, coef, loss)
-        err = test.target - predict(model, test)
-        fold_model_loss = float(np.sum(check_loss(err, tau)))
-        base = empirical_quantile(test.target, tau)
-        fold_base_loss = float(np.sum(check_loss(test.target - base, tau)))
-        fold_r2 = (
-            1.0 - fold_model_loss / fold_base_loss if fold_base_loss > 0.0 else float("nan")
-        )
-        fold = FoldResult(
-            fold=k + 1,
-            train_rows=len(train),
-            test_months=(test.months[0], test.months[-1]),
-            n_test=len(test),
-            mae=float(np.mean(np.abs(err))),
-            pseudo_r2=fold_r2,
-        )
-        return fold, model, np.abs(err), fold_model_loss, fold_base_loss
 
     reports = {}
     for t, tau in enumerate(taus):
-        level = certificates[t * len(folds): (t + 1) * len(folds)]
-        results = [
-            fold_result(tau, k, coefs[t, k], level.loss[k]) for k in range(len(folds))
-        ]
-        reports[tau] = _pooled_report(X, results, level)
+        folds: list[FoldResult] = []
+        abs_errors: list[np.ndarray] = []
+        model_losses = 0.0
+        baseline_losses = 0.0
+        for k, (test_rows, values) in enumerate(tests):
+            coef = coefs[t, k]
+            target = X.target[test_rows]
+            # The float operations of ``predict`` on a model of these coefficients.
+            err = target - (float(coef[0]) + values @ coef[1:])
+            fold_model_loss = float(np.sum(check_loss(err, tau)))
+            base = empirical_quantile(target, tau)
+            fold_base_loss = float(np.sum(check_loss(target - base, tau)))
+            folds.append(FoldResult(
+                fold=k + 1,
+                train_rows=cuts[k],
+                test_months=(X.months[test_rows[0]], X.months[test_rows[-1]]),
+                n_test=len(test_rows),
+                mae=float(np.mean(np.abs(err))),
+                pseudo_r2=(
+                    1.0 - fold_model_loss / fold_base_loss
+                    if fold_base_loss > 0.0 else float("nan")
+                ),
+            ))
+            abs_errors.append(np.abs(err))
+            model_losses += fold_model_loss
+            baseline_losses += fold_base_loss
+        if baseline_losses == 0.0:
+            raise DegenerateSampleError("all test targets constant; pooled fit undefined")
+        reports[tau] = CVReport(
+            folds=tuple(folds),
+            pooled_mae=float(np.mean(np.concatenate(abs_errors))),
+            pooled_pseudo_r2=1.0 - model_losses / baseline_losses,
+            coefficient_paths=dict(
+                zip((INTERCEPT_LABEL, *X.columns), map(tuple, coefs[t].T.tolist()))
+            ),
+            certificates=certificates[t * len(cuts): (t + 1) * len(cuts)],
+        )
     return reports
-
-
-def _pooled_report(
-    X: DesignMatrix,
-    fold_results: Sequence[tuple[FoldResult, QuantileModel, np.ndarray, float, float]],
-    certificates: FitCertificates,
-) -> CVReport:
-    """One level's report from its folds' results, summed in fold order."""
-    folds: list[FoldResult] = []
-    paths: dict[str, list[float]] = {INTERCEPT_LABEL: []}
-    for col in X.columns:
-        paths[col] = []
-    abs_errors: list[np.ndarray] = []
-    model_losses = 0.0
-    baseline_losses = 0.0
-    for fold, model, abs_err, fold_model_loss, fold_base_loss in fold_results:
-        folds.append(fold)
-        abs_errors.append(abs_err)
-        model_losses += fold_model_loss
-        baseline_losses += fold_base_loss
-        paths[INTERCEPT_LABEL].append(model.intercept)
-        for col in X.columns[: X.n_linear]:
-            paths[col].append(model.betas[col])
-        for pair, name in zip(X.interaction_pairs, X.columns[X.n_linear:]):
-            paths[name].append(model.gammas[pair])
-
-    pooled_mae = float(np.mean(np.concatenate(abs_errors)))
-    if baseline_losses == 0.0:
-        raise DegenerateSampleError("all test targets constant; pooled fit undefined")
-    pooled_r2 = 1.0 - model_losses / baseline_losses
-    return CVReport(
-        folds=tuple(folds),
-        pooled_mae=pooled_mae,
-        pooled_pseudo_r2=pooled_r2,
-        coefficient_paths={k: tuple(v) for k, v in paths.items()},
-        certificates=certificates,
-    )

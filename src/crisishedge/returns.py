@@ -49,11 +49,7 @@ class ReturnSeries:
         return len(self.months)
 
     def window(self, start: str | None = None, end: str | None = None) -> "ReturnSeries":
-        keep = [
-            i
-            for i, m in enumerate(self.months)
-            if (start is None or m >= start) and (end is None or m <= end)
-        ]
+        keep = [i for i, m in enumerate(self.months) if mo.within(m, start, end)]
         return ReturnSeries(
             months=tuple(self.months[i] for i in keep),
             nominal=self.nominal[keep],

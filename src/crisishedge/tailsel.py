@@ -54,20 +54,16 @@ class TailQuantileTriplet:
             raise ValueError("per-country taus must be non-empty")
 
 
-def min_feasible_tail_quantile(
-    returns: Sequence[float] | np.ndarray, min_count: int = MIN_TAIL_COUNT
-) -> float:
-    """Smallest tau whose empirical tail holds at least ``min_count`` points.
+def min_feasible_tail_quantile(returns: Sequence[float] | np.ndarray) -> float:
+    """Smallest tau whose empirical tail holds at least ``MIN_TAIL_COUNT`` points.
 
     With the order-statistic quantile convention that is exactly
-    ``min_count / T``.
+    ``MIN_TAIL_COUNT / T``.
     """
     n = len(returns)
-    if min_count < 1:
-        raise ValueError("min_count must be positive")
-    if n < min_count:
-        raise DataError(f"sample of {n} cannot hold a {min_count}-point tail")
-    return min_count / n
+    if n < MIN_TAIL_COUNT:
+        raise DataError(f"sample of {n} cannot hold a {MIN_TAIL_COUNT}-point tail")
+    return MIN_TAIL_COUNT / n
 
 
 def tail_count(tau: float, n: int) -> int:
@@ -111,22 +107,21 @@ def tail_variance_check(
 def build_triplet(
     per_country_returns: Mapping[str, Sequence[float] | np.ndarray],
     *,
-    min_count: int = MIN_TAIL_COUNT,
     tau_override: float | None = None,
 ) -> TailQuantileTriplet:
     """Select the unified quantile triplet over post-collapse return samples.
 
     ``tau_override`` replaces the data-driven unified level (the sensitivity
-    hook) but must still leave every country with at least ``min_count`` tail
-    observations.  Variance-check failures and degeneracies are recorded as
-    warnings on the triplet.
+    hook) but must still leave every country with at least ``MIN_TAIL_COUNT``
+    tail observations.  Variance-check failures and degeneracies are recorded
+    as warnings on the triplet.
     """
     if not per_country_returns:
         raise DataError("no countries supplied")
     per_taus: dict[str, float] = {}
     for country, returns in per_country_returns.items():
         try:
-            per_taus[country] = min_feasible_tail_quantile(returns, min_count)
+            per_taus[country] = min_feasible_tail_quantile(returns)
         except DataError as exc:
             raise DataError(f"{country}: {exc}") from exc
 
@@ -140,10 +135,10 @@ def build_triplet(
         tau_low = float(tau_override)
         for country, returns in per_country_returns.items():
             n = len(returns)
-            if tail_count(tau_low, n) < min_count:
+            if tail_count(tau_low, n) < MIN_TAIL_COUNT:
                 raise DataError(
                     f"{country}: tau={tau_low} leaves fewer than "
-                    f"{min_count} tail observations (T={n})"
+                    f"{MIN_TAIL_COUNT} tail observations (T={n})"
                 )
 
     if not tau_low < 0.5:

@@ -7,7 +7,6 @@ import logging
 import numpy as np
 import pytest
 
-from crisishedge import dataio, qreg
 from crisishedge import months as mo
 from crisishedge import attribution
 from crisishedge.attribution import (
@@ -239,17 +238,7 @@ def clayton_window(fixture_root):
     """The clayton_coupled design and its fitted lower-tail model."""
     episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
     run = run_pipeline(episode, fast=True, write_outputs=False)
-    manifest = dataio.load_manifest(episode.series_manifest)
-    panel = dict(dataio.load_panel(manifest))
-    panel[qreg.TARGET_COLUMN] = dataio.MacroSeries(
-        name=qreg.TARGET_COLUMN,
-        observations=tuple(zip(run.return_series.months, run.return_series.nominal)),
-        unit="fraction/month",
-    )
-    design = qreg.engineer_features(
-        panel, episode.feature_schema, window=(episode.window_start, episode.window_end)
-    )
-    return run.models[run.triplet.tau_low], design
+    return run.models[run.triplet.tau_low], run.design
 
 
 class TestClaytonCoupledWindow:
@@ -323,9 +312,35 @@ class TestImportanceSummary:
             )
 
 
+def summary_oracle(columns, phi):
+    """(ranking, shares) of mean |phi| per column, one column at a time in Python.
+
+    The reference for ``importance_summary`` and the stability bootstrap's
+    batched ranking.  Totals are summed left to right in explicit loops, as
+    the shares are defined (``sum`` compensates from Python 3.12 on).
+    """
+    means = {col: float(np.mean(np.abs(row))) for col, row in zip(columns, phi)}
+    total = 0.0
+    for value in means.values():
+        total += value
+    if total == 0.0:
+        raise DegenerateSampleError("all attributions are zero; shares undefined")
+    shares = {col: 100.0 * means[col] / total for col in columns}
+    summed = 0.0
+    for value in shares.values():
+        summed += value
+    drift = 100.0 - summed
+    if drift != 0.0:
+        # push float summation residue into the largest share
+        top = max(shares, key=lambda c: (shares[c], c))
+        shares[top] += drift
+    ranking = tuple(sorted(columns, key=lambda c: (-shares[c], c)))
+    return ranking, shares
+
+
 class TestBatchedRankings:
-    """The stability bootstrap's batched ranking against the per-replicate
-    oracle, ``_shapley_matrix`` followed by ``importance_summary``."""
+    """Importance shares and rankings, one at a time and batched, against
+    ``summary_oracle`` on ``_shapley_matrix``'s values."""
 
     COLUMNS = ("delta", "alpha", "echo", "bravo", "charlie", "foxtrot", "golf", "hotel", "india")
     PAIR = ("charlie", "foxtrot")
@@ -339,7 +354,7 @@ class TestBatchedRankings:
         linear[:, 0] += shift
         return np.column_stack([linear, linear[:, 4] * linear[:, 5]])
 
-    def oracle(self, coef, values):
+    def phi(self, coef, values):
         model = linear_model(
             dict(zip(self.COLUMNS, coef[1:10])),
             {self.PAIR: coef[10]},
@@ -347,38 +362,72 @@ class TestBatchedRankings:
             columns=self.COLUMNS,
         )
         linear = values[:, :9]
-        _, phi = attribution._shapley_matrix(model, linear, np.mean(linear, axis=0))
+        return attribution._shapley_matrix(model, linear, np.mean(linear, axis=0))[1]
+
+    def oracle(self, coef, values):
         try:
-            return importance_summary(self.COLUMNS, phi)
+            return summary_oracle(self.COLUMNS, self.phi(coef, values))
         except DegenerateSampleError as exc:
             return exc
 
-    def batched(self, coefs, values):
-        # As bootstrap_stability ranks one chunk of fitted replicates.
+    def batched_phi(self, coefs, values):
+        # As bootstrap_stability attributes one chunk of fitted replicates.
         linear = values[:, :, :9]
         _, phi = attribution._shapley_batch(coefs, linear, np.mean(linear, axis=1), [(4, 5)])
-        return attribution._rankings(self.COLUMNS, phi)
+        return phi
 
-    def test_chunk_matches_the_oracle_replicate_by_replicate(self):
+    def chunk(self):
         rng = np.random.default_rng(90)
         coefs = [self.COEF, (0.3,) + (0.0,) * 10]  # the second attributes nothing
-        coefs += [tuple(rng.normal(size=11)) for _ in range(6)]
-        coefs = np.array(coefs)
-        values = np.stack([self.replicate(7)] + [self.replicate(s) for s in range(91, 98)])
+        coefs += [tuple(rng.normal(size=11)) for _ in range(13)]
+        values = np.stack([self.replicate(7)] + [self.replicate(s) for s in range(91, 105)])
+        return np.array(coefs), values
+
+    def test_chunk_matches_the_oracle_replicate_by_replicate(self):
+        coefs, values = self.chunk()
         expected = [self.oracle(c, v) for c, v in zip(coefs, values)]
 
-        tied = expected[0]
+        ranking, shares = expected[0]
         # echo ties alpha before the drift push and bravo ties delta, so the
         # push and the name tie-break both decide this replicate's ranking.
-        assert tied.shares["bravo"] == tied.shares["delta"]
-        assert tied.shares["echo"] > tied.shares["alpha"]
-        assert tied.ranking[:2] == ("echo", "alpha")
+        assert shares["bravo"] == shares["delta"]
+        assert shares["echo"] > shares["alpha"]
+        assert ranking[:2] == ("echo", "alpha")
         assert isinstance(expected[1], DegenerateSampleError)
 
-        got = self.batched(coefs, values)
+        phi = self.batched_phi(coefs, values)
+        got = attribution._rankings(self.COLUMNS, phi)
         assert isinstance(got[1], DegenerateSampleError)
         assert str(got[1]) == str(expected[1])
-        assert got[:1] + got[2:] == [e.ranking for e in expected[:1] + expected[2:]]
+        assert got[:1] + got[2:] == [e[0] for e in expected[:1] + expected[2:]]
+        shares, _, zero = attribution._shares(self.COLUMNS, phi)
+        assert zero.tolist() == [b == 1 for b in range(len(coefs))]
+        for b in np.flatnonzero(~zero):
+            assert dict(zip(self.COLUMNS, shares[b].tolist())) == expected[b][1]
+
+    def test_importance_summary_matches_the_oracle(self):
+        coefs, values = self.chunk()
+        for b, (coef, block) in enumerate(zip(coefs, values)):
+            if b == 1:
+                continue
+            phi = self.phi(coef, block)
+            ranking, shares = summary_oracle(self.COLUMNS, phi)
+            # The same values laid out column-major: the shares must not
+            # depend on the memory order of the attribution matrix.
+            for layout in (phi, np.asfortranarray(phi)):
+                summary = importance_summary(self.COLUMNS, layout)
+                assert summary.ranking == ranking
+                assert summary.shares == shares
+        assert not np.asfortranarray(phi).flags.c_contiguous
+
+    def test_drift_push_and_name_tie_break_decide_the_ranking(self):
+        # Six equal shares sum to 100 + 1.4e-14: the push takes the residue
+        # from the largest name, and the other five tie and rank by name.
+        columns = ("b", "f", "a", "d", "c", "e")
+        summary = importance_summary(columns, np.ones((6, 1)))
+        assert summary.shares == summary_oracle(columns, np.ones((6, 1)))[1]
+        assert summary.shares["f"] < summary.shares["a"] == summary.shares["e"]
+        assert summary.ranking == ("a", "b", "c", "d", "e", "f")
 
     def test_broken_efficiency_identity_raises(self):
         # A column near 1e12 whose level the intercept cancels: the
@@ -389,7 +438,7 @@ class TestBatchedRankings:
         with pytest.raises(NumericalError, match="efficiency violated"):
             self.oracle(coef[1], values[1])
         with pytest.raises(NumericalError, match="efficiency violated"):
-            self.batched(coef, values)
+            self.batched_phi(coef, values)
 
 
 class TestStabilityKendall:

@@ -269,7 +269,10 @@ class TestEmpiricalTailDependence:
 
     def test_empty_conditioning_set_raises(self):
         s = PseudoSample(u=np.array([0.5, 0.6]), v=np.array([0.5, 0.6]))
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(
+            DegenerateSampleError,
+            match=r"^no observations with u <= 0\.01; conditioning set empty$",
+        ):
             empirical_tail_dependence(s, 0.01)
 
 
@@ -383,8 +386,11 @@ class TestStatistics:
 
     def test_empirical_statistic_closure(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 400, seed=117)
+        in_u = [v for u, v in zip(s.u, s.v) if u <= 0.1]
+        expected = sum(v <= 0.1 for v in in_u) / len(in_u)
         stat = empirical_lambda_statistic(0.1)
-        assert stat(PseudoBatch.of(s)).values[0] == empirical_tail_dependence(s, 0.1)
+        assert stat(PseudoBatch.of(s)).values[0] == expected
+        assert empirical_tail_dependence(s, 0.1) == expected
 
     def test_empirical_statistic_skips_empty_conditioning_set(self):
         batch = PseudoBatch(u=np.array([[0.05, 0.5], [0.5, 0.6]]),

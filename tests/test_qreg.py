@@ -30,8 +30,9 @@ from crisishedge.qreg import (
     pseudo_r2,
     solve_check_loss,
 )
+from crisishedge.quantiles import empirical_quantile
 
-from conftest import make_series
+from conftest import make_series, restandardized_subset
 
 
 def dm(values, target, columns=None, start="2015-01", **kwargs) -> DesignMatrix:
@@ -708,7 +709,7 @@ class TestExpandingWindowCV:
         report = cv_at(X, 0.25, initial_window=20, step=10)
         for k, fold in enumerate(report.folds):
             rows = np.arange(fold.train_rows)
-            train = qreg._restandardized_subset(X, rows, rows)
+            train = restandardized_subset(X, rows, rows)
             alone = fit_quantile(train, 0.25).objective_value
             batched = report.certificates.loss[k]
             assert abs(batched - alone) <= 1e-9 * (1.0 + alone)
@@ -737,6 +738,59 @@ class TestExpandingWindowCV:
         assert calls == [(4, (0.1, 0.5, 0.9))]
         assert all(len(r.folds) == 4 for r in reports.values())
         assert all(len(r.certificates) == 4 for r in reports.values())
+
+    def test_scores_equal_per_fold_models(self, monkeypatch):
+        # Every fold's scores and coefficient-path entries, and the pooled
+        # values, against a QuantileModel and predict on each fold's own
+        # train and test designs, with the coefficients the batch returned.
+        rng = np.random.default_rng(56)
+        a, b = rng.normal(size=(2, 64))
+        event = (rng.random(64) < 0.3).astype(float)
+        y = 0.8 * a - 0.5 * b + 0.6 * a * b + 0.4 * event + rng.normal(0, 0.3, 64)
+        X = dm(
+            np.column_stack([a, b, event, a * b]), y, ("a", "b", "event", "a*b"),
+            interaction_pairs=(("a", "b"),), dummy_columns=frozenset({"event"}),
+        )
+        solved = []
+        real_solve = qreg.solve_check_loss
+
+        def recording_solve(designs, targets, taus):
+            out = real_solve(designs, targets, taus)
+            solved.append((designs, out))
+            return out
+
+        monkeypatch.setattr(qreg, "solve_check_loss", recording_solve)
+        taus = (0.2, 0.5)
+        reports = expanding_window_cv(X, taus, initial_window=20, step=9)
+        [(designs, (coefs, certificates))] = solved
+        for t, tau in enumerate(taus):
+            report = reports[tau]
+            errors, model_losses, base_losses = [], 0.0, 0.0
+            for k, fold in enumerate(report.folds):
+                rows = np.arange(fold.train_rows)
+                test_rows = np.arange(fold.train_rows, fold.train_rows + fold.n_test)
+                train = restandardized_subset(X, rows, rows)
+                test = restandardized_subset(X, rows, test_rows)
+                assert np.array_equal(designs[k, : len(rows), 1:], train.values)
+                model = qreg._quantile_model(
+                    train, tau, coefs[t, k], certificates.loss[t * len(report.folds) + k]
+                )
+                err = test.target - predict(model, test)
+                model_loss = float(np.sum(check_loss(err, tau)))
+                base = empirical_quantile(test.target, tau)
+                base = float(np.sum(check_loss(test.target - base, tau)))
+                assert fold.test_months == (test.months[0], test.months[-1])
+                assert fold.mae == float(np.mean(np.abs(err)))
+                assert fold.pseudo_r2 == 1.0 - model_loss / base
+                assert report.coefficient_paths[INTERCEPT_LABEL][k] == model.intercept
+                for col in X.columns[:3]:
+                    assert report.coefficient_paths[col][k] == model.betas[col]
+                assert report.coefficient_paths["a*b"][k] == model.gammas[("a", "b")]
+                errors.append(np.abs(err))
+                model_losses += model_loss
+                base_losses += base
+            assert report.pooled_mae == float(np.mean(np.concatenate(errors)))
+            assert report.pooled_pseudo_r2 == 1.0 - model_losses / base_losses
 
     def test_constant_target_raises_once_for_all_levels(self):
         X = dm(np.random.default_rng(54).normal(size=(40, 2)), np.full(40, 0.3))

@@ -15,12 +15,7 @@ import pytest
 from scipy import optimize, stats
 
 from crisishedge import attribution, copula, load_episode, qreg, run_pipeline
-from crisishedge.attribution import (
-    _shapley_matrix,
-    bootstrap_stability,
-    importance_summary,
-    stability_kendall,
-)
+from crisishedge.attribution import _shapley_matrix, bootstrap_stability, stability_kendall
 from crisishedge.copula import (
     THETA_BOUNDS,
     CopulaFamily,
@@ -31,15 +26,11 @@ from crisishedge.copula import (
     lower_tail_dependence,
 )
 from crisishedge.errors import DataError, NumericalError
-from crisishedge.qreg import (
-    FitCertificates,
-    _restandardized_subset,
-    expanding_window_cv,
-    fit_quantile,
-)
+from crisishedge.qreg import FitCertificates, expanding_window_cv, fit_quantile
 from crisishedge.resample import block_resamples
 
-from test_attribution import make_design
+from conftest import restandardized_subset
+from test_attribution import make_design, summary_oracle
 from test_copula import sample_from
 from test_qreg import noise_matrix
 
@@ -193,11 +184,11 @@ class TestBatchedEqualsOneAtATime:
         rankings = []
         certificates = FitCertificates()
         for rows in np.sort(block_resamples(len(X), replications=24, seed=9), axis=1):
-            replicate = _restandardized_subset(X, rows, rows)
+            replicate = restandardized_subset(X, rows, rows)
             model = fit_quantile(replicate, 0.25)
             linear = replicate.values[:, : replicate.n_linear]
             _, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
-            rankings.append(importance_summary(model.columns, phi).ranking)
+            rankings.append(summary_oracle(model.columns, phi)[0])
             certificates += model.certificate
         assert batched.kendall_tau == stability_kendall(rankings)
         assert batched.skipped == 0
