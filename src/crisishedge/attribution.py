@@ -24,6 +24,7 @@ from .qreg import (
     FitCertificates,
     QuantileModel,
     _with_intercept,
+    require_design,
     require_varying,
     restandardized_values,
     solve_check_loss,
@@ -49,6 +50,20 @@ class AttributionResult:
     @property
     def prediction(self) -> float:
         return self.phi0 + float(sum(self.phi.values()))
+
+
+@dataclass(frozen=True)
+class WindowAttribution:
+    """Shapley values of every row of a design window, as the kernel returns them.
+
+    ``phi`` is (M columns x n months); ``phi0 + phi[:, r].sum()`` reproduces
+    the prediction for ``months[r]``.
+    """
+
+    months: tuple[str, ...]
+    columns: tuple[str, ...]
+    phi0: float
+    phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,27 +119,23 @@ def _pair_positions(
     return out
 
 
-def _pair_indices(model: QuantileModel) -> list[tuple[int, int, float]]:
-    positions = _pair_positions(model.columns, tuple(model.gammas))
-    return [(i, j, float(g)) for (i, j), g in zip(positions, model.gammas.values())]
-
-
-def _beta_vector(model: QuantileModel) -> np.ndarray:
-    return np.array([float(model.betas[c]) for c in model.columns])
+def _pair_indices(model: QuantileModel) -> list[tuple[int, int]]:
+    return _pair_positions(model.columns, model.interaction_pairs)
 
 
 def _coalition_value(
     model: QuantileModel,
     x: np.ndarray,
     mu: np.ndarray,
-    pairs: list[tuple[int, int, float]],
+    pairs: list[tuple[int, int]],
     mask: int,
 ) -> float:
     chosen = np.array(
         [x[j] if mask >> j & 1 else mu[j] for j in range(x.size)]
     )
-    value = model.intercept + float(np.dot(_beta_vector(model), chosen))
-    for i, j, gamma in pairs:
+    m = x.size
+    value = model.intercept + float(np.dot(model.coef[1: 1 + m], chosen))
+    for (i, j), gamma in zip(pairs, model.coef[1 + m:].tolist()):
         value += gamma * chosen[i] * chosen[j]
     return value
 
@@ -170,29 +181,10 @@ def _shapley_matrix(
     model: QuantileModel, linear: np.ndarray, mu: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """phi0 and the (M x n) Shapley values of an (n x M) block: a stack of one."""
-    pairs = _pair_indices(model)
-    coef = np.array([model.intercept, *_beta_vector(model), *(g for _, _, g in pairs)])
     phi0, phi = _shapley_batch(
-        coef[None], linear[None], mu[None], [(i, j) for i, j, _ in pairs]
+        model.coef[None], linear[None], mu[None], _pair_indices(model)
     )
     return float(phi0[0]), phi[0]
-
-
-def _results(
-    model: QuantileModel, linear: np.ndarray, mu: np.ndarray, months: Sequence[str]
-) -> list[AttributionResult]:
-    """One AttributionResult per row of an (n x M) feature block."""
-    phi0, phi = _shapley_matrix(model, linear, mu)
-    pairs = list(zip(model.gammas, _pair_indices(model)))
-    return [
-        AttributionResult(
-            phi=dict(zip(model.columns, row_phi)),
-            phi0=phi0,
-            phi_interactions={pair: g * c[i] * c[j] for pair, (i, j, g) in pairs},
-            instance_month=month,
-        )
-        for row_phi, c, month in zip(phi.T.tolist(), (linear - mu).tolist(), months)
-    ]
 
 
 def shapley_values(
@@ -205,7 +197,17 @@ def shapley_values(
     """Closed-form Shapley attribution under the marginal-mean baseline."""
     x = _gather(model, instance, "instance")
     mu = _gather(model, background_means, "background means")
-    return _results(model, x[None, :], mu, (instance_month,))[0]
+    phi0, phi = _shapley_matrix(model, x[None, :], mu)
+    c = (x - mu).tolist()
+    return AttributionResult(
+        phi=dict(zip(model.columns, phi[:, 0].tolist())),
+        phi0=phi0,
+        phi_interactions={
+            pair: g * c[i] * c[j]
+            for (pair, g), (i, j) in zip(model.gammas.items(), _pair_indices(model))
+        },
+        instance_month=instance_month,
+    )
 
 
 def shapley_brute_force(
@@ -273,7 +275,7 @@ def interaction_values_brute_force(
     )
     fact = [math.factorial(k) for k in range(m + 1)]
     out: dict[tuple[str, str], float] = {}
-    for pair, (i, j, _) in zip(model.gammas, pairs):
+    for pair, (i, j) in zip(model.interaction_pairs, pairs):
         bit_i, bit_j = 1 << i, 1 << j
         total = 0.0
         for mask in range(1 << m):
@@ -292,12 +294,12 @@ def interaction_values_brute_force(
     return out
 
 
-def attribute_window(model: QuantileModel, X: DesignMatrix) -> list[AttributionResult]:
+def attribute_window(model: QuantileModel, X: DesignMatrix) -> WindowAttribution:
     """Attribute every row of a design matrix against its own column means."""
-    if X.linear_column_names != model.columns:
-        raise DataError("design matrix columns do not match the model")
+    require_design(model, X)
     linear = X.values[:, : X.n_linear]
-    return _results(model, linear, np.mean(linear, axis=0), X.months)
+    phi0, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
+    return WindowAttribution(X.months, model.columns, phi0, phi)
 
 
 def importance_summary(

@@ -152,10 +152,9 @@ class CopulaFit:
     """One family's maximum-likelihood fit with tail-dependence summaries.
 
     ``lambda_lower`` is the analytic coefficient implied by theta, or the limit
-    value 1 for a fit at the upper bound (see the module docstring);
-    ``empirical_lambda_at_tau`` is the finite-threshold conditional frequency
-    recorded when a threshold was supplied.  The bootstrap CI is attached by
-    the caller after fitting (``dataclasses.replace``).
+    value 1 for a fit at the upper bound (see the module docstring).  The
+    bootstrap CI is attached by the caller after fitting
+    (``dataclasses.replace``).
     """
 
     family: CopulaFamily
@@ -168,7 +167,6 @@ class CopulaFit:
     converged: bool = True
     boundary: bool = False
     lambda_lower_ci: tuple[float, float] | None = None
-    empirical_lambda_at_tau: float | None = None
     diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -579,8 +577,6 @@ def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
 def fit_copula(
     sample: PseudoSample,
     family: CopulaFamily | str,
-    *,
-    tau: float | None = None,
 ) -> CopulaFit:
     """Maximum-likelihood fit of one family over its admissible parameter range.
 
@@ -589,9 +585,6 @@ def fit_copula(
     upper-bound fit reports its limit lambda_L = 1), and an optimizer failure
     comes back as ``converged=False`` rather than an exception so family
     selection can still see the fit.
-
-    ``tau`` optionally records the finite-threshold empirical tail estimate
-    alongside the analytic one.
     """
     family = CopulaFamily(family)
     fit = fit_batch(PseudoBatch.of(sample), family)
@@ -613,10 +606,6 @@ def fit_copula(
             f"{family.value}: theta={theta:.6g} at parameter-space boundary"
             + ("; lambda_L=1 from the comonotone limit" if at_upper else "")
         )
-
-    empirical = (
-        empirical_tail_dependence(sample, tau) if tau is not None else None
-    )
     return CopulaFit(
         family=family,
         theta=theta,
@@ -627,16 +616,13 @@ def fit_copula(
         n=sample.n,
         converged=bool(fit.converged[0]),
         boundary=boundary,
-        empirical_lambda_at_tau=empirical,
         diagnostics=tuple(diagnostics),
     )
 
 
-def fit_families(
-    sample: PseudoSample, *, tau: float | None = None
-) -> tuple[CopulaFit, ...]:
+def fit_families(sample: PseudoSample) -> tuple[CopulaFit, ...]:
     """Fit every candidate family on the same sample."""
-    return tuple(fit_copula(sample, f, tau=tau) for f in FAMILIES)
+    return tuple(fit_copula(sample, f) for f in FAMILIES)
 
 
 def select_family(

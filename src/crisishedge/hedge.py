@@ -23,7 +23,6 @@ from .copula import CopulaFit
 from .dataio import MacroSeries, pct_change
 from .errors import DataError, DegenerateSampleError
 from .returns import ReturnSeries
-from .tailsel import TailQuantileTriplet
 
 if TYPE_CHECKING:
     from .config import CrisisEpisode
@@ -69,13 +68,17 @@ class LossSeries:
         return len(self.months)
 
     def window(self, start: str | None = None, end: str | None = None) -> "LossSeries":
-        keep = [i for i, m in enumerate(self.months) if mo.within(m, start, end)]
+        return self.at(tuple(m for m in self.months if mo.within(m, start, end)))
+
+    def at(self, months: Sequence[str]) -> "LossSeries":
+        """The rows of exactly ``months``, each of which must be present."""
+        index = {m: i for i, m in enumerate(self.months)}
+        missing = [m for m in months if m not in index]
+        if missing:
+            raise DataError(f"losses lack {len(missing)} requested month(s), first {missing[0]}")
+        keep = [index[m] for m in months]
         return LossSeries(
-            months=tuple(self.months[i] for i in keep),
-            loss=self.loss[keep],
-            residency=self.residency,
-            pi=self.pi[keep],
-            fx_ret=self.fx_ret[keep],
+            tuple(months), self.loss[keep], self.residency, self.pi[keep], self.fx_ret[keep]
         )
 
 
@@ -165,7 +168,7 @@ class HedgeReport:
 
     Percentages are monthly means over the post-collapse window.  The tail
     dependence figure is the analytic coefficient of the selected copula fit;
-    the empirical finite-threshold estimate rides along for reference.
+    the empirical estimate at the lower tail level rides along for reference.
     """
 
     country: str
@@ -176,8 +179,7 @@ class HedgeReport:
     mean_net_real_pct: float
     tail_dependence: float
     tail_dependence_ci: tuple[float, float]
-    quantile_triplet: TailQuantileTriplet
-    tail_dependence_empirical: float | None = None
+    tail_dependence_empirical: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.hedge_effectiveness_pct <= 100.0:
@@ -195,7 +197,7 @@ def build_hedge_report(
     returns: ReturnSeries,
     loss: LossSeries,
     taildep: CopulaFit,
-    triplet: TailQuantileTriplet,
+    tail_dependence_empirical: float,
 ) -> HedgeReport:
     """Flatten one residency's post-collapse outcome into a report row.
 
@@ -221,6 +223,5 @@ def build_hedge_report(
         mean_net_real_pct=100.0 * float(np.mean(net)),
         tail_dependence=taildep.lambda_lower,
         tail_dependence_ci=taildep.lambda_lower_ci,
-        quantile_triplet=triplet,
-        tail_dependence_empirical=taildep.empirical_lambda_at_tau,
+        tail_dependence_empirical=tail_dependence_empirical,
     )

@@ -65,9 +65,10 @@ class RunResult:
     cv: dict[float, qreg.CVReport]
     copula_candidates: dict[Residency, tuple[cop.CopulaFit, ...]]
     copula_fits: dict[Residency, cop.CopulaFit]
+    tail_dependence_empirical: dict[Residency, float]
     reports: list[HedgeReport]
     attributions: attr.ImportanceSummary | None
-    attribution_rows: list[attr.AttributionResult]
+    attribution_window: attr.WindowAttribution | None
     diagnostics: list[str]
     provenance: dict[str, object]
     out_dir: Path | None
@@ -140,23 +141,21 @@ def render_report_csv(
 
 def _write_coefficients(path: Path, result: "RunResult", prov: Mapping[str, object]) -> None:
     lines = [_provenance_line(prov), "tau,column,coefficient"]
+    labels = (qreg.INTERCEPT_LABEL, *result.design.columns)
     for tau in sorted(result.models):
-        model = result.models[tau]
-        lines.append(f"{tau!r},{qreg.INTERCEPT_LABEL},{model.intercept!r}")
-        for col in model.columns:
-            lines.append(f"{tau!r},{col},{model.betas[col]!r}")
-        for (a, b), g in model.gammas.items():
-            lines.append(f"{tau!r},{a}*{b},{g!r}")
+        lines.extend(
+            f"{tau!r},{label},{value!r}"
+            for label, value in zip(labels, result.models[tau].coef.tolist())
+        )
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_attribution(path: Path, rows: Sequence[attr.AttributionResult],
+def _write_attribution(path: Path, window: attr.WindowAttribution,
                        prov: Mapping[str, object]) -> None:
     lines = [_provenance_line(prov), "month,column,phi"]
-    for row in rows:
-        lines.append(f"{row.instance_month},(baseline),{float(row.phi0)!r}")
-        for col, phi in row.phi.items():
-            lines.append(f"{row.instance_month},{col},{float(phi)!r}")
+    for month, row in zip(window.months, window.phi.T.tolist()):
+        lines.append(f"{month},(baseline),{window.phi0!r}")
+        lines.extend(f"{month},{col},{phi!r}" for col, phi in zip(window.columns, row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -196,7 +195,7 @@ def _write_figures(out: Path, result: "RunResult", prov: Mapping[str, object]) -
         _atomic_write(out / "importance_bars.csv", "\n".join(lines) + "\n")
 
 
-def _copula_fit_dict(fit: cop.CopulaFit) -> dict[str, object]:
+def _copula_fit_dict(fit: cop.CopulaFit, empirical: float) -> dict[str, object]:
     return {
         "family": fit.family.value,
         "theta": fit.theta,
@@ -205,7 +204,7 @@ def _copula_fit_dict(fit: cop.CopulaFit) -> dict[str, object]:
         "bic": fit.bic,
         "lambda_lower": fit.lambda_lower,
         "lambda_lower_ci": list(fit.lambda_lower_ci) if fit.lambda_lower_ci else None,
-        "empirical_lambda_at_tau": fit.empirical_lambda_at_tau,
+        "empirical_lambda_at_tau": empirical,
         "n": fit.n,
         "converged": fit.converged,
         "boundary": fit.boundary,
@@ -256,9 +255,13 @@ def _write_full_report(path: Path, result: "RunResult") -> None:
         ],
         "copula": {
             residency.value: {
-                "selected": _copula_fit_dict(result.copula_fits[residency]),
+                "selected": _copula_fit_dict(
+                    result.copula_fits[residency],
+                    result.tail_dependence_empirical[residency],
+                ),
                 "candidates": [
-                    _copula_fit_dict(f) for f in result.copula_candidates[residency]
+                    _copula_fit_dict(f, result.tail_dependence_empirical[residency])
+                    for f in result.copula_candidates[residency]
                 ],
             }
             for residency in sorted(result.copula_fits, key=lambda r: r.value)
@@ -324,8 +327,8 @@ def run_pipeline(
 
     The lower tail level ``tau_low`` reaches only the triplet's variance
     warnings, the quantile regressions at ``tau_low``/``tau_high`` (with
-    their CV and the attribution built on them) and each copula fit's
-    ``empirical_lambda_at_tau``.  Hedge effectiveness, the selected copula
+    their CV and the attribution built on them) and each residency's
+    empirical tail dependence.  Hedge effectiveness, the selected copula
     family, its analytic lambda_L and the bootstrap interval are free of it.
     """
     diagnostics: list[str] = []
@@ -416,31 +419,22 @@ def run_pipeline(
     samples: dict[Residency, cop.PseudoSample] = {}
     candidates: dict[Residency, tuple[cop.CopulaFit, ...]] = {}
     selected: dict[Residency, cop.CopulaFit] = {}
+    empirical: dict[Residency, float] = {}
     reports: list[HedgeReport] = []
     for residency in sorted(episode.residency, key=lambda r: r.value):
         with _stage(f"hedge ({residency.value})"):
-            loss_full = hedge.loss_series(
+            # A return month has the inflation and FX observations its loss
+            # needs, so every post-collapse month has a loss.
+            loss = hedge.loss_series(
                 inflation, panel[manifest.roles["fx"]], residency
-            )
-            common = sorted(set(post.months) & set(loss_full.months))
-            if len(common) < len(post.months):
-                diagnostics.append(
-                    f"hedge ({residency.value}): {len(post.months) - len(common)} "
-                    "post-collapse month(s) lack loss data"
-                )
-            if len(common) < MIN_TAIL_COUNT:
-                raise DataError(
-                    "too few aligned post-collapse months for "
-                    f"{residency.value}: {len(common)}"
-                )
-            post_aligned = post.window(common[0], common[-1])
-            loss = loss_full.window(common[0], common[-1])
+            ).at(post.months)
             losses[residency] = loss
 
         with _stage(f"copula ({residency.value})"):
-            sample = cop.PseudoSample.from_data(post_aligned.nominal, loss.loss)
+            sample = cop.PseudoSample.from_data(post.nominal, loss.loss)
             samples[residency] = sample
-            fits = cop.fit_families(sample, tau=triplet.tau_low)
+            fits = cop.fit_families(sample)
+            empirical[residency] = cop.empirical_tail_dependence(sample, triplet.tau_low)
             candidates[residency] = fits
             for fit in fits:
                 diagnostics.extend(
@@ -475,7 +469,7 @@ def run_pipeline(
             try:
                 reports.append(
                     hedge.build_hedge_report(
-                        episode, post_aligned, loss, chosen, triplet
+                        episode, post, loss, chosen, empirical[residency]
                     )
                 )
             except DegenerateSampleError as exc:
@@ -494,9 +488,10 @@ def run_pipeline(
         cv=cv_reports,
         copula_candidates=candidates,
         copula_fits=selected,
+        tail_dependence_empirical=empirical,
         reports=reports,
         attributions=None,
-        attribution_rows=[],
+        attribution_window=None,
         diagnostics=diagnostics,
         provenance=prov,
         out_dir=None,
@@ -513,7 +508,7 @@ def run_pipeline(
 
     with _stage("attribution"):
         low_model = models[triplet.tau_low]
-        rows = attr.attribute_window(low_model, design)
+        window = attr.attribute_window(low_model, design)
         stability: float | None = None
         fits = sum(
             [models[tau].certificate for tau in tau_levels]
@@ -538,14 +533,13 @@ def run_pipeline(
                     f"attribution stability: skipped {stable.skipped}/"
                     f"{stable.replications} replicates"
                 )
-        phi = np.array([[row.phi[col] for row in rows] for col in low_model.columns])
         try:
             result.attributions = attr.importance_summary(
-                low_model.columns, phi, stability=stability
+                window.columns, window.phi, stability=stability
             )
         except DegenerateSampleError as exc:
             diagnostics.append(f"attribution: {exc}")
-        result.attribution_rows = rows
+        result.attribution_window = window
         result.quantile_fits = fits
         if fits.fallbacks:
             diagnostics.append(
@@ -553,8 +547,7 @@ def run_pipeline(
             )
 
     if write_outputs and destination is not None:
-        if result.attribution_rows:
-            _write_attribution(destination / "attribution.csv", result.attribution_rows, prov)
+        _write_attribution(destination / "attribution.csv", window, prov)
         _write_figures(destination / "figures", result, prov)
         _write_full_report(destination / "report.full", result)
         logger.info("outputs written to %s", destination)
@@ -566,10 +559,10 @@ class SweepRow:
     residency: Residency
     hedge_effectiveness_pct: float
     tail_dependence: float
-    tail_dependence_empirical: float | None
+    tail_dependence_empirical: float
     delta_hedge_effectiveness_pct: float
     delta_tail_dependence: float
-    delta_tail_dependence_empirical: float | None
+    delta_tail_dependence_empirical: float
 
 
 @dataclass(frozen=True)
@@ -669,18 +662,13 @@ def sensitivity_sweep(
                 )
                 continue
             for row in entry.rows:
-                emp = "" if row.tail_dependence_empirical is None else repr(row.tail_dependence_empirical)
-                demp = (
-                    ""
-                    if row.delta_tail_dependence_empirical is None
-                    else repr(row.delta_tail_dependence_empirical)
-                )
                 lines.append(
                     f"{entry.tau!r},{entry.feasible},{entry.reason},"
                     f"{row.residency.value},{row.hedge_effectiveness_pct!r},"
-                    f"{row.tail_dependence!r},{emp},"
+                    f"{row.tail_dependence!r},{row.tail_dependence_empirical!r},"
                     f"{row.delta_hedge_effectiveness_pct!r},"
-                    f"{row.delta_tail_dependence!r},{demp}"
+                    f"{row.delta_tail_dependence!r},"
+                    f"{row.delta_tail_dependence_empirical!r}"
                 )
         _atomic_write(destination / "sweep.csv", "\n".join(lines) + "\n")
     return base, entries

@@ -208,15 +208,18 @@ class FitCertificates:
 
 @dataclass(frozen=True)
 class QuantileModel:
-    """Coefficients of one check-loss fit at a single quantile level."""
+    """Coefficients of one check-loss fit at a single quantile level.
+
+    ``coef`` is the fit's coefficient vector in design order: the intercept,
+    one entry per linear column, then one per interaction pair.
+    ``intercept``, ``betas`` and ``gammas`` are read from it on access.
+    """
 
     tau: float
-    intercept: float
-    betas: Mapping[str, float]
-    gammas: Mapping[tuple[str, str], float]
+    coef: np.ndarray
     objective_value: float
     columns: tuple[str, ...]
-    schema: FeatureSchema | None = None
+    interaction_pairs: tuple[tuple[str, str], ...] = ()
     certificate: FitCertificates | None = None
 
     def __post_init__(self) -> None:
@@ -224,11 +227,27 @@ class QuantileModel:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if self.objective_value < 0.0:
             raise ValueError("objective value cannot be negative")
-        if self.schema is not None:
-            declared = set(self.schema.interaction_pairs)
-            for pair in self.gammas:
-                if pair not in declared:
-                    raise ValueError(f"gamma for undeclared pair {pair!r}")
+        coef = np.array(self.coef, dtype=float)
+        expected = 1 + len(self.columns) + len(self.interaction_pairs)
+        if coef.shape != (expected,):
+            raise ValueError(f"coef must hold {expected} entries, got shape {coef.shape}")
+        for a, b in self.interaction_pairs:
+            if a not in self.columns or b not in self.columns:
+                raise ValueError(f"interaction ({a!r}, {b!r}) names an unknown column")
+        coef.flags.writeable = False
+        object.__setattr__(self, "coef", coef)
+
+    @property
+    def intercept(self) -> float:
+        return float(self.coef[0])
+
+    @property
+    def betas(self) -> dict[str, float]:
+        return dict(zip(self.columns, self.coef[1:].tolist()))
+
+    @property
+    def gammas(self) -> dict[tuple[str, str], float]:
+        return dict(zip(self.interaction_pairs, self.coef[1 + len(self.columns):].tolist()))
 
 
 def _standardize_columns(
@@ -588,18 +607,13 @@ def _quantile_model(
     objective: float,
     certificate: FitCertificates | None = None,
 ) -> QuantileModel:
-    """Wrap (intercept, columns...) coefficients for ``X``'s columns."""
-    n_linear = X.n_linear
+    """Wrap a solver's (intercept, columns...) coefficient row for ``X``."""
     return QuantileModel(
         tau=tau,
-        intercept=float(coef[0]),
-        betas={col: float(coef[1 + j]) for j, col in enumerate(X.columns[:n_linear])},
-        gammas={
-            pair: float(coef[1 + n_linear + i])
-            for i, pair in enumerate(X.interaction_pairs)
-        },
+        coef=coef,
         objective_value=max(objective, 0.0),
-        columns=X.columns[:n_linear],
+        columns=X.linear_column_names,
+        interaction_pairs=X.interaction_pairs,
         certificate=certificate,
     )
 
@@ -646,19 +660,23 @@ def fit_quantile(X: DesignMatrix, tau: float) -> QuantileModel:
     return _quantile_model(X, tau, coef[0, 0], certificate.loss[0], certificate)
 
 
+def require_design(model: QuantileModel, X: DesignMatrix) -> None:
+    """Reject a design whose columns or interaction pairs differ from the model's."""
+    if (X.linear_column_names, X.interaction_pairs) != (
+        model.columns, model.interaction_pairs
+    ):
+        raise DataError("design matrix columns do not match the model")
+
+
+def _evaluate(coef: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The intercept plus ``values @ coef[1:]``, the one prediction rule."""
+    return float(coef[0]) + values @ coef[1:]
+
+
 def predict(model: QuantileModel, X: DesignMatrix) -> np.ndarray:
     """Evaluate a fitted model on a design matrix with matching columns."""
-    coef = np.empty(len(X.columns))
-    n_linear = X.n_linear
-    for j, col in enumerate(X.columns[:n_linear]):
-        if col not in model.betas:
-            raise DataError(f"model has no coefficient for column {col!r}")
-        coef[j] = model.betas[col]
-    for i, pair in enumerate(X.interaction_pairs):
-        if pair not in model.gammas:
-            raise DataError(f"model has no coefficient for interaction {pair!r}")
-        coef[n_linear + i] = model.gammas[pair]
-    return model.intercept + X.values @ coef
+    require_design(model, X)
+    return _evaluate(model.coef, X.values)
 
 
 def pseudo_r2(model: QuantileModel, X: DesignMatrix) -> float:
@@ -791,10 +809,8 @@ def expanding_window_cv(
         model_losses = 0.0
         baseline_losses = 0.0
         for k, (test_rows, values) in enumerate(tests):
-            coef = coefs[t, k]
             target = X.target[test_rows]
-            # The float operations of ``predict`` on a model of these coefficients.
-            err = target - (float(coef[0]) + values @ coef[1:])
+            err = target - _evaluate(coefs[t, k], values)
             fold_model_loss = float(np.sum(check_loss(err, tau)))
             base = empirical_quantile(target, tau)
             fold_base_loss = float(np.sum(check_loss(target - base, tau)))

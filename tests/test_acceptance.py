@@ -105,17 +105,17 @@ def _best_perturbation_gain(model: QuantileModel, X: DesignMatrix) -> float:
 
 def _random_model(rng: np.random.Generator, m: int, n_pairs: int):
     columns = tuple(f"x{j}" for j in range(m))
-    betas = {c: float(rng.normal()) for c in columns}
+    betas = [float(rng.normal()) for _ in columns]
     all_pairs = [(columns[i], columns[j]) for i in range(m) for j in range(i + 1, m)]
     idx = rng.choice(len(all_pairs), size=n_pairs, replace=False)
-    gammas = {all_pairs[i]: float(rng.normal()) for i in idx}
+    pairs = tuple(all_pairs[i] for i in idx)
+    gammas = [float(rng.normal()) for _ in pairs]
     model = QuantileModel(
         tau=0.5,
-        intercept=float(rng.normal()),
-        betas=betas,
-        gammas=gammas,
+        coef=[float(rng.normal()), *betas, *gammas],
         objective_value=1.0,
         columns=columns,
+        interaction_pairs=pairs,
     )
     mu = {c: float(rng.normal()) for c in columns}
     x = {c: float(rng.normal()) for c in columns}
@@ -290,11 +290,11 @@ def test_shapley_closed_form_matches_enumeration(small_perfect_run):
     )
     low_model = result.models[result.triplet.tau_low]
     predictions = qreg.predict(low_model, design)
-    rows = result.attribution_rows
-    aligned = [r.instance_month for r in rows] == list(design.months)
+    window = result.attribution_window
+    aligned = window.months == design.months and window.columns == low_model.columns
     worst_eff = max(
-        abs(row.phi0 + sum(row.phi.values()) - pred)
-        for row, pred in zip(rows, predictions)
+        abs(window.phi0 + sum(row) - pred)
+        for row, pred in zip(window.phi.T.tolist(), predictions)
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -308,7 +308,7 @@ def test_shapley_closed_form_matches_enumeration(small_perfect_run):
         "A06 exact attribution",
         ok,
         f"enumeration gap {worst_phi:.2e}, interaction gap {worst_pair:.2e}, "
-        f"efficiency gap {worst_eff:.2e} over {len(rows)} rows, {elapsed:.1f} s",
+        f"efficiency gap {worst_eff:.2e} over {window.phi.shape[1]} rows, {elapsed:.1f} s",
     )
 
 

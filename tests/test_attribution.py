@@ -34,13 +34,13 @@ from crisishedge.qreg import (
 
 def linear_model(betas, gammas=None, intercept=0.0, columns=None) -> QuantileModel:
     columns = tuple(columns or betas)
+    gammas = dict(gammas or {})
     return QuantileModel(
         tau=0.5,
-        intercept=intercept,
-        betas=dict(betas),
-        gammas=dict(gammas or {}),
+        coef=[intercept, *(betas[c] for c in columns), *gammas.values()],
         objective_value=0.0,
         columns=columns,
+        interaction_pairs=tuple(gammas),
     )
 
 
@@ -200,12 +200,13 @@ class TestAttributeWindow:
 
     def test_predictions_reproduced_for_every_row(self):
         model, X = self.fitted()
-        results = attribute_window(model, X)
-        assert len(results) == len(X)
+        window = attribute_window(model, X)
+        assert window.phi.shape == (len(model.columns), len(X))
         np.testing.assert_allclose(
-            [r.prediction for r in results], predict(model, X), atol=1e-10
+            window.phi0 + window.phi.sum(axis=0), predict(model, X), atol=1e-10
         )
-        assert [r.instance_month for r in results] == list(X.months)
+        assert window.months == X.months
+        assert window.columns == model.columns
 
     def test_column_mismatch_raises(self):
         model, _ = self.fitted()
@@ -227,9 +228,9 @@ class TestAttributeWindow:
             interaction_pairs=(("a", "b"),),
         )
         model = fit_quantile(X, 0.5)
-        results = attribute_window(model, X)
+        window = attribute_window(model, X)
         np.testing.assert_allclose(
-            [r.prediction for r in results], predict(model, X), atol=1e-9
+            window.phi0 + window.phi.sum(axis=0), predict(model, X), atol=1e-9
         )
 
 
@@ -247,19 +248,20 @@ class TestClaytonCoupledWindow:
         assert model.gammas, "the design should exercise the interaction split"
         linear = X.values[:, : X.n_linear]
         mu = dict(zip(model.columns, np.mean(linear, axis=0)))
-        rows = attribute_window(model, X)
-        assert len(rows) == len(X)
+        window = attribute_window(model, X)
+        assert window.phi.shape == (len(model.columns), len(X))
         for i in range(0, len(X), 25):
             instance = dict(zip(model.columns, linear[i]))
             # the one-row call runs the same kernel and must agree exactly
             one = shapley_values(model, mu, instance, instance_month=X.months[i])
-            assert one == rows[i]
+            assert one.phi0 == window.phi0
+            assert list(one.phi.values()) == window.phi[:, i].tolist()
             brute = shapley_brute_force(model, mu, instance)
-            assert rows[i].phi0 == pytest.approx(brute.phi0, abs=1e-10)
-            for col in model.columns:
-                assert rows[i].phi[col] == pytest.approx(brute.phi[col], abs=1e-10)
+            assert window.phi0 == pytest.approx(brute.phi0, abs=1e-10)
+            for j, col in enumerate(model.columns):
+                assert window.phi[j, i] == pytest.approx(brute.phi[col], abs=1e-10)
             for pair, value in brute.phi_interactions.items():
-                assert rows[i].phi_interactions[pair] == pytest.approx(value, abs=1e-10)
+                assert one.phi_interactions[pair] == pytest.approx(value, abs=1e-10)
 
 
 class TestImportanceSummary:
@@ -355,11 +357,9 @@ class TestBatchedRankings:
         return np.column_stack([linear, linear[:, 4] * linear[:, 5]])
 
     def phi(self, coef, values):
-        model = linear_model(
-            dict(zip(self.COLUMNS, coef[1:10])),
-            {self.PAIR: coef[10]},
-            intercept=coef[0],
-            columns=self.COLUMNS,
+        model = QuantileModel(
+            tau=0.5, coef=coef, objective_value=0.0,
+            columns=self.COLUMNS, interaction_pairs=(self.PAIR,),
         )
         linear = values[:, :9]
         return attribution._shapley_matrix(model, linear, np.mean(linear, axis=0))[1]
@@ -539,10 +539,7 @@ class TestBootstrapStability:
         assert fitted.gammas[("a", "b")] == pytest.approx(
             model.gammas[("a", "b")], abs=1e-8
         )
-        phi = np.array(
-            [[r.phi[c] for r in attribute_window(model, X)] for c in model.columns]
-        )
-        summary = importance_summary(model.columns, phi)
+        summary = importance_summary(model.columns, attribute_window(model, X).phi)
         assert summary.ranking == ("b", "a", "c", "d")
         assert summary.shares == {
             "a": 26.213017899710152,

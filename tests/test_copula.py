@@ -204,13 +204,6 @@ class TestFitCopula:
         with pytest.raises(DataError):
             fit_copula(s, "clayton")
 
-    def test_empirical_estimate_rides_along(self):
-        s = sample_from(CopulaFamily.CLAYTON, 2.0, 500, seed=104)
-        fit = fit_copula(s, "clayton", tau=0.1)
-        assert fit.empirical_lambda_at_tau == pytest.approx(
-            empirical_tail_dependence(s, 0.1)
-        )
-
 
 class TestSelection:
     def test_generating_family_wins(self):

@@ -19,7 +19,6 @@ from crisishedge.hedge import (
     net_real_return,
 )
 from crisishedge.returns import ReturnSeries
-from crisishedge.tailsel import TailQuantileTriplet
 
 from conftest import make_series
 
@@ -30,18 +29,7 @@ def months_from(start: str, n: int) -> tuple[str, ...]:
     return tuple(mo.month_range(start, mo.shift_month(start, n - 1)))
 
 
-def triplet_for(country: str = "x") -> TailQuantileTriplet:
-    return TailQuantileTriplet(
-        tau_low=0.08,
-        tau_mid=0.5,
-        tau_high=0.92,
-        per_country_taus={country: 0.08},
-        variance_ratio={country: 3.0},
-        variance_pass={country: True},
-    )
-
-
-def fit_with(lambda_lower: float, ci=None, empirical=None) -> CopulaFit:
+def fit_with(lambda_lower: float, ci=None) -> CopulaFit:
     ll, n = 10.0, 60
     return CopulaFit(
         family=CopulaFamily.CLAYTON,
@@ -52,11 +40,19 @@ def fit_with(lambda_lower: float, ci=None, empirical=None) -> CopulaFit:
         lambda_lower=lambda_lower,
         n=n,
         lambda_lower_ci=ci,
-        empirical_lambda_at_tau=empirical,
     )
 
 
 class TestLossSeries:
+    def test_at_takes_exactly_the_requested_months(self):
+        pi = make_series("cpi_rate", [0.01 * k for k in range(6)])
+        out = loss_series(pi, None, Residency.LOCAL)
+        picked = out.at(("2020-02", "2020-05"))
+        assert picked.months == ("2020-02", "2020-05")
+        np.testing.assert_array_equal(picked.loss, [0.01, 0.04])
+        with pytest.raises(DataError, match="lack 1 requested month"):
+            out.at(("2020-02", "2021-01"))
+
     def test_local_mean_erosion_equals_mean_inflation(self):
         pi = make_series("cpi_rate", [0.0205] * 12)
         out = loss_series(pi, None, Residency.LOCAL)
@@ -249,7 +245,7 @@ class TestHedgeReportType:
                 mean_net_real_pct=0.0,
                 tail_dependence=0.3,
                 tail_dependence_ci=(0.2, 0.4),
-                quantile_triplet=triplet_for(),
+                tail_dependence_empirical=0.25,
             )
 
     def test_ci_must_bracket_point(self):
@@ -263,7 +259,7 @@ class TestHedgeReportType:
                 mean_net_real_pct=0.0,
                 tail_dependence=0.5,
                 tail_dependence_ci=(0.1, 0.3),
-                quantile_triplet=triplet_for(),
+                tail_dependence_empirical=0.25,
             )
 
 
@@ -300,8 +296,8 @@ class TestBuildHedgeReport:
             episode,
             returns,
             loss,
-            fit_with(0.34, ci=(0.21, 0.47), empirical=0.31),
-            triplet_for("turkey"),
+            fit_with(0.34, ci=(0.21, 0.47)),
+            0.31,
         )
         assert report.hedge_effectiveness_pct == 0.0
         assert report.mean_erosion_pct == pytest.approx(4.12, abs=1e-9)
@@ -314,7 +310,7 @@ class TestBuildHedgeReport:
     def test_net_mean_obeys_subtraction_identity(self):
         episode, returns, loss = self.build_inputs(seed=87)
         report = build_hedge_report(
-            episode, returns, loss, fit_with(0.3, ci=(0.2, 0.4)), triplet_for()
+            episode, returns, loss, fit_with(0.3, ci=(0.2, 0.4)), 0.25
         )
         expected = 100.0 * (float(np.mean(returns.nominal)) - float(np.mean(loss.loss)))
         assert report.mean_net_real_pct == pytest.approx(expected, abs=1e-12)
@@ -324,13 +320,13 @@ class TestBuildHedgeReport:
         shifted = loss.window(loss.months[1], None)
         with pytest.raises(DataError, match="mismatch"):
             build_hedge_report(
-                episode, returns, shifted, fit_with(0.3, ci=(0.2, 0.4)), triplet_for()
+                episode, returns, shifted, fit_with(0.3, ci=(0.2, 0.4)), 0.25
             )
 
     def test_missing_ci_rejected(self):
         episode, returns, loss = self.build_inputs()
         with pytest.raises(DataError, match="confidence"):
-            build_hedge_report(episode, returns, loss, fit_with(0.3), triplet_for())
+            build_hedge_report(episode, returns, loss, fit_with(0.3), 0.25)
 
     def test_all_zero_inputs_surface_degenerate_loss(self):
         months = months_from("2021-01", 12)
@@ -345,5 +341,5 @@ class TestBuildHedgeReport:
         episode = SimpleNamespace(country="x", crisis_month="2021-01")
         with pytest.raises(DegenerateSampleError):
             build_hedge_report(
-                episode, returns, loss, fit_with(0.0, ci=(0.0, 0.0)), triplet_for()
+                episode, returns, loss, fit_with(0.0, ci=(0.0, 0.0)), 0.0
             )

@@ -165,6 +165,21 @@ class TestRunResult:
             assert fit.lambda_lower_ci is not None, residency
             assert 0.0 <= fit.lambda_lower <= 1.0
 
+    def test_empirical_tail_dependence_is_taken_at_tau_low(self, run):
+        for report in run.reports:
+            expected = copula.empirical_tail_dependence(
+                run.pseudo_samples[report.residency], run.triplet.tau_low
+            )
+            assert report.tail_dependence_empirical == expected
+            assert run.tail_dependence_empirical[report.residency] == expected
+        doc = json.loads((run.out_dir / "report.full").read_text())
+        for residency, block in doc["copula"].items():
+            listed = {
+                fit["empirical_lambda_at_tau"]
+                for fit in (block["selected"], *block["candidates"])
+            }
+            assert listed == {run.tail_dependence_empirical[Residency(residency)]}
+
     def test_attribution_stability_in_range(self, run):
         summary = run.attributions
         assert summary is not None
@@ -377,6 +392,28 @@ class TestFailureModes:
         episode = load_episode(tmp_path / "episode.yaml")
         with pytest.raises(DataError, match="^dataio: "):
             run_pipeline(episode, write_outputs=False)
+
+    def test_equity_gap_pairs_returns_and_losses_month_by_month(
+        self, fixture_root, tmp_path
+    ):
+        # Without 2016-06 equity there are no returns for 2016-06 and 2016-07,
+        # while inflation and FX still give both months a loss.
+        for path in (fixture_root / "anti_hedge").iterdir():
+            lines = path.read_text().splitlines(keepends=True)
+            if path.name == "equity_tr_index.csv":
+                lines = [line for line in lines if not line.startswith("2016-06,")]
+            (tmp_path / path.name).write_text("".join(lines))
+        episode = dataclasses.replace(
+            load_episode(tmp_path / "episode.yaml"),
+            bootstrap=BootstrapConfig(replications=FAST_REPS, seed=1),
+        )
+        result = run_pipeline(episode, write_outputs=False)
+        post = result.post_window.months
+        assert "2016-06" not in post and "2016-07" not in post
+        assert {r.residency for r in result.reports} == {Residency.LOCAL, Residency.FOREIGN}
+        for residency, loss in result.losses.items():
+            assert loss.months == post
+            assert result.pseudo_samples[residency].n == len(post)
 
     def test_degenerate_inflation_becomes_diagnostics(self, tmp_path):
         generate_fixture(

@@ -399,18 +399,39 @@ class TestFitQuantile:
         with pytest.raises(ValueError):
             fit_quantile(intercept_only(np.arange(10.0)), tau)
 
-    def test_gamma_for_undeclared_pair_rejected(self):
-        schema = FeatureSchema(base_features=("a", "b"), interaction_pairs=(("a", "b"),))
-        with pytest.raises(ValueError):
+    def test_coef_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="coef must hold 4 entries"):
             QuantileModel(
                 tau=0.5,
-                intercept=0.0,
-                betas={"a": 1.0, "b": 0.0},
-                gammas={("a", "c"): 1.0},
+                coef=[0.0, 1.0, 0.0],
                 objective_value=0.0,
                 columns=("a", "b"),
-                schema=schema,
+                interaction_pairs=(("a", "b"),),
             )
+
+    def test_pair_naming_an_unknown_column_rejected(self):
+        with pytest.raises(ValueError, match="unknown column"):
+            QuantileModel(
+                tau=0.5,
+                coef=[0.0, 1.0, 0.0, 1.0],
+                objective_value=0.0,
+                columns=("a", "b"),
+                interaction_pairs=(("a", "c"),),
+            )
+
+    def test_coefficient_views_read_the_vector(self):
+        model = QuantileModel(
+            tau=0.5,
+            coef=[0.5, 1.0, -2.0, 3.0],
+            objective_value=0.0,
+            columns=("a", "b"),
+            interaction_pairs=(("a", "b"),),
+        )
+        assert model.intercept == 0.5
+        assert model.betas == {"a": 1.0, "b": -2.0}
+        assert model.gammas == {("a", "b"): 3.0}
+        with pytest.raises(ValueError):
+            model.coef[0] = 1.0
 
 
 def highs_loss(design: np.ndarray, y: np.ndarray, tau: float) -> float:
@@ -572,6 +593,28 @@ class TestPredict:
         other = dm(x, x, columns=("z",))
         with pytest.raises(DataError):
             predict(model, other)
+
+    def test_reordered_columns_rejected(self):
+        rng = np.random.default_rng(29)
+        values = rng.normal(size=(30, 2))
+        target = values @ np.array([1.0, -2.0]) + rng.normal(0, 0.1, 30)
+        model = fit_quantile(dm(values, target, columns=("a", "b")), 0.5)
+        with pytest.raises(DataError, match="do not match"):
+            predict(model, dm(values[:, ::-1], target, columns=("b", "a")))
+
+    def test_interaction_pairs_must_match(self):
+        rng = np.random.default_rng(30)
+        values = rng.normal(size=(30, 2))
+        target = values.sum(axis=1) + rng.normal(0, 0.1, 30)
+        model = fit_quantile(dm(values, target, columns=("a", "b")), 0.5)
+        with_pair = dm(
+            np.column_stack([values, values[:, 0] * values[:, 1]]),
+            target,
+            columns=("a", "b", "a*b"),
+            interaction_pairs=(("a", "b"),),
+        )
+        with pytest.raises(DataError, match="do not match"):
+            predict(model, with_pair)
 
 
 class TestPseudoR2:
