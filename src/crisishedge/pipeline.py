@@ -5,17 +5,22 @@ quantile regressions, fit copulas and bootstrap tail-dependence intervals,
 assemble hedge reports, and only then compute attribution.  Hedge outputs are
 flushed to disk before attribution starts, so a late-stage failure can never
 corrupt the already-written report files; every file is written atomically.
+The attribution stability bootstrap is the one stage that runs elsewhere: a
+forked child starts it once the design exists, and the attribution stage
+joins it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
+import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -81,6 +86,106 @@ def _stage(name: str):
         yield
     except CrisisHedgeError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
+
+
+class _Records(logging.Handler):
+    """Keeps a forked child's log records, flattened so that they pickle."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.format(record)  # sets record.message and, with exc_info, record.exc_text
+        record.msg, record.args, record.exc_info = record.message, None, None
+        self.records.append(record)
+
+
+def _serve(call: functools.partial, fd: int) -> NoReturn:
+    """Child side of :class:`_ForkedCall`: run ``call``, pickle the outcome to ``fd``.
+
+    The package's log records are kept rather than handed to the handlers
+    inherited from the parent, which re-emits them.  The child leaves through
+    ``os._exit`` whatever happens, so it never unwinds into the caller's stack
+    or runs exit handlers; status 0 means the whole outcome was written.
+    """
+    status = 1
+    try:
+        records = _Records()
+        package = logging.getLogger(__package__)
+        package.handlers, package.propagate = [records], False
+        try:
+            outcome = (True, call())
+        except BaseException as exc:
+            outcome = (False, exc)
+        with os.fdopen(fd, "wb") as pipe:
+            pickle.dump((outcome, records.records), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _ForkedCall:
+    """``fn(*args, **kwargs)`` in a forked child while the caller works on.
+
+    Entering forks, where ``os.fork`` exists and the affinity mask holds at
+    least two CPUs; elsewhere nothing is forked and :meth:`join` makes the
+    call itself.  ``join`` reads the child's outcome, reaps it, re-emits its
+    package log records in order, and returns the value or raises the
+    exception the call raised.  Leaving the ``with`` block before the join
+    kills and reaps the child.
+    """
+
+    def __init__(self, fn, /, *args, **kwargs) -> None:
+        self._call = functools.partial(fn, *args, **kwargs)
+        self._pid: int | None = None
+        self._fd = -1
+
+    def __enter__(self) -> _ForkedCall:
+        if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2):
+            return self
+        read, write = os.pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            os.close(read)
+            _serve(self._call, write)
+        os.close(write)
+        self._fd = read
+        return self
+
+    def join(self):
+        if self._pid is None:
+            return self._call()
+        with os.fdopen(self._fd, "rb") as pipe:
+            self._fd = -1  # the file object closes it
+            data = pipe.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or not data:
+            how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            raise ChildProcessError(
+                f"forked {self._call.func.__name__} ended without a result "
+                f"(wait status {status}, {how})"
+            )
+        (ok, value), records = pickle.loads(data)
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if not ok:
+            raise value
+        return value
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pid is not None:
+            import signal  # only this path needs it
+
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
 
 
 def resolve_out_dir(episode: CrisisEpisode, out_dir: str | Path | None) -> Path:
@@ -394,157 +499,164 @@ def run_pipeline(
             diagnostics.append(
                 f"qreg: dropped {design.dropped_rows} row(s) with feature gaps"
             )
-        models: dict[float, qreg.QuantileModel] = {}
-        r2: dict[float, float] = {}
-        cv_reports: dict[float, qreg.CVReport] = {}
-        for tau in tau_levels:
-            model = qreg.fit_quantile(design, tau)
-            models[tau] = model
-            r2[tau] = qreg.pseudo_r2(model, design)
-        if episode.cv is not None:
-            try:
-                cv_reports = qreg.expanding_window_cv(
-                    design,
-                    tau_levels,
-                    episode.cv.initial_window,
-                    episode.cv.step,
-                    force_test_month=episode.cv.force_test_month,
-                )
-            except (DataError, DegenerateSampleError) as exc:
-                diagnostics.extend(f"cv (tau={tau:.4g}): {exc}" for tau in tau_levels)
 
     seeds = np.random.SeedSequence(episode.bootstrap.seed).generate_state(4)
-    residency_seed = {Residency.LOCAL: int(seeds[0]), Residency.FOREIGN: int(seeds[1])}
-    losses: dict[Residency, LossSeries] = {}
-    samples: dict[Residency, cop.PseudoSample] = {}
-    candidates: dict[Residency, tuple[cop.CopulaFit, ...]] = {}
-    selected: dict[Residency, cop.CopulaFit] = {}
-    empirical: dict[Residency, float] = {}
-    reports: list[HedgeReport] = []
-    for residency in sorted(episode.residency, key=lambda r: r.value):
-        with _stage(f"hedge ({residency.value})"):
-            # A return month has the inflation and FX observations its loss
-            # needs, so every post-collapse month has a loss.
-            loss = hedge.loss_series(
-                inflation, panel[manifest.roles["fx"]], residency
-            ).at(post.months)
-            losses[residency] = loss
-
-        with _stage(f"copula ({residency.value})"):
-            sample = cop.PseudoSample.from_data(post.nominal, loss.loss)
-            samples[residency] = sample
-            fits = cop.fit_families(sample)
-            empirical[residency] = cop.empirical_tail_dependence(sample, triplet.tau_low)
-            candidates[residency] = fits
-            for fit in fits:
-                diagnostics.extend(
-                    f"copula ({residency.value}): {d}" for d in fit.diagnostics
-                )
-            chosen = cop.select_family(fits, episode.criterion)
-            boot = cop.block_bootstrap_ci(
-                sample,
-                cop.family_lambda_statistic(chosen.family),
-                replications=replications,
-                block_length=episode.bootstrap.block_length,
-                seed=residency_seed[residency],
-            )
-            if boot.skipped:
-                diagnostics.append(
-                    f"copula ({residency.value}): bootstrap skipped "
-                    f"{boot.skipped}/{boot.replications} replicates"
-                )
-            if boot.nonconverged:
-                diagnostics.append(
-                    f"copula ({residency.value}): bootstrap {boot.nonconverged}/"
-                    f"{boot.replications} replicate fits did not converge"
-                )
-            diagnostics.append(
-                f"copula ({residency.value}): bootstrap {boot.boundary}/"
-                f"{boot.replications} replicate fits at a parameter bound"
-            )
-            chosen = cop.attach_ci(chosen, boot.interval)
-            selected[residency] = chosen
-
-        with _stage(f"hedge ({residency.value})"):
-            try:
-                reports.append(
-                    hedge.build_hedge_report(
-                        episode, post, loss, chosen, empirical[residency]
+    # The stability bootstrap needs only the design, tau_low and its seed, so
+    # it runs in a forked child beside the fits, CV and copula legs and is
+    # joined where attribution needs it (inline with fewer than two CPUs).
+    with _ForkedCall(
+        attr.bootstrap_stability,
+        design,
+        triplet.tau_low,
+        replications=max(2, replications),
+        block_length=episode.bootstrap.block_length,
+        seed=int(seeds[2]),
+    ) as stability_job:
+        with _stage("qreg"):
+            models: dict[float, qreg.QuantileModel] = {}
+            r2: dict[float, float] = {}
+            cv_reports: dict[float, qreg.CVReport] = {}
+            for tau in tau_levels:
+                model = qreg.fit_quantile(design, tau)
+                models[tau] = model
+                r2[tau] = qreg.pseudo_r2(model, design)
+            if episode.cv is not None:
+                try:
+                    cv_reports = qreg.expanding_window_cv(
+                        design,
+                        tau_levels,
+                        episode.cv.initial_window,
+                        episode.cv.step,
+                        force_test_month=episode.cv.force_test_month,
                     )
+                except (DataError, DegenerateSampleError) as exc:
+                    diagnostics.extend(f"cv (tau={tau:.4g}): {exc}" for tau in tau_levels)
+
+        residency_seed = {Residency.LOCAL: int(seeds[0]), Residency.FOREIGN: int(seeds[1])}
+        losses: dict[Residency, LossSeries] = {}
+        samples: dict[Residency, cop.PseudoSample] = {}
+        candidates: dict[Residency, tuple[cop.CopulaFit, ...]] = {}
+        selected: dict[Residency, cop.CopulaFit] = {}
+        empirical: dict[Residency, float] = {}
+        reports: list[HedgeReport] = []
+        for residency in sorted(episode.residency, key=lambda r: r.value):
+            with _stage(f"hedge ({residency.value})"):
+                # A return month has the inflation and FX observations its loss
+                # needs, so every post-collapse month has a loss.
+                loss = hedge.loss_series(
+                    inflation, panel[manifest.roles["fx"]], residency
+                ).at(post.months)
+                losses[residency] = loss
+
+            with _stage(f"copula ({residency.value})"):
+                sample = cop.PseudoSample.from_data(post.nominal, loss.loss)
+                samples[residency] = sample
+                fits = cop.fit_families(sample)
+                empirical[residency] = cop.empirical_tail_dependence(sample, triplet.tau_low)
+                candidates[residency] = fits
+                for fit in fits:
+                    diagnostics.extend(
+                        f"copula ({residency.value}): {d}" for d in fit.diagnostics
+                    )
+                chosen = cop.select_family(fits, episode.criterion)
+                boot = cop.block_bootstrap_ci(
+                    sample,
+                    cop.family_lambda_statistic(chosen.family),
+                    replications=replications,
+                    block_length=episode.bootstrap.block_length,
+                    seed=residency_seed[residency],
+                )
+                if boot.skipped:
+                    diagnostics.append(
+                        f"copula ({residency.value}): bootstrap skipped "
+                        f"{boot.skipped}/{boot.replications} replicates"
+                    )
+                if boot.nonconverged:
+                    diagnostics.append(
+                        f"copula ({residency.value}): bootstrap {boot.nonconverged}/"
+                        f"{boot.replications} replicate fits did not converge"
+                    )
+                diagnostics.append(
+                    f"copula ({residency.value}): bootstrap {boot.boundary}/"
+                    f"{boot.replications} replicate fits at a parameter bound"
+                )
+                chosen = cop.attach_ci(chosen, boot.interval)
+                selected[residency] = chosen
+
+            with _stage(f"hedge ({residency.value})"):
+                try:
+                    reports.append(
+                        hedge.build_hedge_report(
+                            episode, post, loss, chosen, empirical[residency]
+                        )
+                    )
+                except DegenerateSampleError as exc:
+                    diagnostics.append(f"hedge ({residency.value}): {exc}")
+
+        result = RunResult(
+            episode=episode,
+            triplet=triplet,
+            return_series=window_series,
+            post_window=post,
+            losses=losses,
+            pseudo_samples=samples,
+            design=design,
+            models=models,
+            pseudo_r2_in_sample=r2,
+            cv=cv_reports,
+            copula_candidates=candidates,
+            copula_fits=selected,
+            tail_dependence_empirical=empirical,
+            reports=reports,
+            attributions=None,
+            attribution_window=None,
+            diagnostics=diagnostics,
+            provenance=prov,
+            out_dir=None,
+        )
+
+        destination: Path | None = None
+        if write_outputs:
+            destination = resolve_out_dir(episode, out_dir)
+            result.out_dir = destination
+            _atomic_write(
+                destination / "report.csv", render_report_csv(episode, reports, prov)
+            )
+            _write_coefficients(destination / "coefficients.csv", result, prov)
+
+        with _stage("attribution"):
+            low_model = models[triplet.tau_low]
+            window = attr.attribute_window(low_model, design)
+            stability: float | None = None
+            fits = sum(
+                [models[tau].certificate for tau in tau_levels]
+                + [report.certificates for report in cv_reports.values()],
+                qreg.FitCertificates(),
+            )
+            try:
+                stable = stability_job.join()
+            except DegenerateSampleError as exc:
+                diagnostics.append(f"attribution stability: {exc}")
+            else:
+                stability = stable.kendall_tau
+                fits += stable.certificates
+                if stable.skipped:
+                    diagnostics.append(
+                        f"attribution stability: skipped {stable.skipped}/"
+                        f"{stable.replications} replicates"
+                    )
+            try:
+                result.attributions = attr.importance_summary(
+                    window.columns, window.phi, stability=stability
                 )
             except DegenerateSampleError as exc:
-                diagnostics.append(f"hedge ({residency.value}): {exc}")
-
-    result = RunResult(
-        episode=episode,
-        triplet=triplet,
-        return_series=window_series,
-        post_window=post,
-        losses=losses,
-        pseudo_samples=samples,
-        design=design,
-        models=models,
-        pseudo_r2_in_sample=r2,
-        cv=cv_reports,
-        copula_candidates=candidates,
-        copula_fits=selected,
-        tail_dependence_empirical=empirical,
-        reports=reports,
-        attributions=None,
-        attribution_window=None,
-        diagnostics=diagnostics,
-        provenance=prov,
-        out_dir=None,
-    )
-
-    destination: Path | None = None
-    if write_outputs:
-        destination = resolve_out_dir(episode, out_dir)
-        result.out_dir = destination
-        _atomic_write(
-            destination / "report.csv", render_report_csv(episode, reports, prov)
-        )
-        _write_coefficients(destination / "coefficients.csv", result, prov)
-
-    with _stage("attribution"):
-        low_model = models[triplet.tau_low]
-        window = attr.attribute_window(low_model, design)
-        stability: float | None = None
-        fits = sum(
-            [models[tau].certificate for tau in tau_levels]
-            + [report.certificates for report in cv_reports.values()],
-            qreg.FitCertificates(),
-        )
-        try:
-            stable = attr.bootstrap_stability(
-                design,
-                triplet.tau_low,
-                replications=max(2, replications),
-                block_length=episode.bootstrap.block_length,
-                seed=int(seeds[2]),
-            )
-        except DegenerateSampleError as exc:
-            diagnostics.append(f"attribution stability: {exc}")
-        else:
-            stability = stable.kendall_tau
-            fits += stable.certificates
-            if stable.skipped:
+                diagnostics.append(f"attribution: {exc}")
+            result.attribution_window = window
+            result.quantile_fits = fits
+            if fits.fallbacks:
                 diagnostics.append(
-                    f"attribution stability: skipped {stable.skipped}/"
-                    f"{stable.replications} replicates"
+                    f"qreg: {fits.fallbacks}/{len(fits)} quantile fits fell back to HiGHS"
                 )
-        try:
-            result.attributions = attr.importance_summary(
-                window.columns, window.phi, stability=stability
-            )
-        except DegenerateSampleError as exc:
-            diagnostics.append(f"attribution: {exc}")
-        result.attribution_window = window
-        result.quantile_fits = fits
-        if fits.fallbacks:
-            diagnostics.append(
-                f"qreg: {fits.fallbacks}/{len(fits)} quantile fits fell back to HiGHS"
-            )
 
     if write_outputs and destination is not None:
         _write_attribution(destination / "attribution.csv", window, prov)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,8 @@ def golden_root():
     assert GOLDEN_ROOT.is_dir(), "golden files are missing"
     return GOLDEN_ROOT
 
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """A one-CPU affinity mask: the pipeline runs every stage in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

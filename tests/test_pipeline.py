@@ -3,9 +3,11 @@
 import csv
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,13 @@ import crisishedge
 from crisishedge import attribution, copula, pipeline, qreg
 from crisishedge.cli import main
 from crisishedge.config import BootstrapConfig, load_episode
-from crisishedge.errors import ConfigError, DataError, DegenerateSampleError
+from crisishedge.errors import (
+    ConfigError,
+    DataError,
+    DegenerateSampleError,
+    FitError,
+    NumericalError,
+)
 from crisishedge.fixtures import FixtureKind, generate_fixture
 from crisishedge.hedge import Residency
 from crisishedge.pipeline import (
@@ -354,6 +362,167 @@ class TestColdPath:
         heavy = [m for m in seen["modules"]
                  if any(m == h or m.startswith(h + ".") for h in self.HEAVY)]
         assert heavy == []
+
+
+# Where the pipeline forks its attribution stability stage.
+FORKS = (
+    hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    and len(os.sched_getaffinity(0)) >= 2
+)
+needs_fork = pytest.mark.skipif(not FORKS, reason="the stability stage runs inline here")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["forked", "one_cpu"])
+def cpus(request):
+    """Each test runs once with the stability stage forked and once inline."""
+    if request.param == "one_cpu":
+        request.getfixturevalue("one_cpu")
+    elif not FORKS:
+        pytest.skip("the stability stage runs inline here")
+    return request.param
+
+
+def written_files(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module", params=["perfect_hedge", "clayton_coupled"])
+def forked_fast_run(request, fixture_root, tmp_path_factory):
+    """A ``--fast`` run of a shipped fixture, its output directory and the
+    pid of the process that ran the stability bootstrap."""
+    episode = load_episode(fixture_root / request.param / "episode.yaml")
+    out = tmp_path_factory.mktemp(f"forked_{request.param}")
+    pid_file = out.parent / f"{out.name}.pid"
+    real = attribution.bootstrap_stability
+
+    def recording(*args, **kwargs):
+        pid_file.write_text(str(os.getpid()))
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attribution, "bootstrap_stability", recording)
+        run_pipeline(episode, fast=True, out_dir=out)
+    return episode, out, int(pid_file.read_text())
+
+
+class TestForkedStability:
+    """The stability bootstrap forked beside the other stages equals it inline."""
+
+    @needs_fork
+    def test_forked_run_equals_one_cpu_run_byte_for_byte(
+        self, forked_fast_run, one_cpu, tmp_path, monkeypatch
+    ):
+        episode, forked_out, forked_pid = forked_fast_run
+        assert forked_pid != os.getpid()
+        real = attribution.bootstrap_stability
+        pids = []
+
+        def recording(*args, **kwargs):
+            pids.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(attribution, "bootstrap_stability", recording)
+        run_pipeline(episode, fast=True, out_dir=tmp_path)
+        assert pids == [os.getpid()]
+        forked, inline = written_files(forked_out), written_files(tmp_path)
+        assert len(forked) == 7
+        assert forked == inline
+        assert_no_child_left()
+
+    def test_degenerate_stability_becomes_the_same_diagnostic(
+        self, episode, cpus, tmp_path, monkeypatch
+    ):
+        def degenerate(*args, **kwargs):
+            raise DegenerateSampleError("forced")
+
+        monkeypatch.setattr(attribution, "bootstrap_stability", degenerate)
+        result = run_pipeline(episode, out_dir=tmp_path)
+        assert "attribution stability: forced" in result.diagnostics
+        assert result.attributions.stability_kendall_tau is None
+        assert_no_child_left()
+
+    def test_numerical_error_reraised_with_its_type_and_stage(
+        self, episode, cpus, tmp_path, monkeypatch
+    ):
+        def failing(*args, **kwargs):
+            raise NumericalError("forced")
+
+        monkeypatch.setattr(attribution, "bootstrap_stability", failing)
+        with pytest.raises(NumericalError) as info:
+            run_pipeline(episode, out_dir=tmp_path)
+        assert type(info.value) is NumericalError
+        assert str(info.value) == "attribution: forced"
+        assert_no_child_left()
+
+    @needs_fork
+    def test_child_dying_without_a_result_raises_promptly(
+        self, episode, tmp_path, monkeypatch
+    ):
+        def dying(*args, **kwargs):
+            os._exit(3)
+
+        monkeypatch.setattr(attribution, "bootstrap_stability", dying)
+        start = time.monotonic()
+        with pytest.raises(ChildProcessError, match="exit status 3"):
+            run_pipeline(episode, out_dir=tmp_path)
+        assert time.monotonic() - start < 30.0
+        assert_no_child_left()
+
+    def test_parent_failure_after_the_fork_kills_and_reaps_the_child(
+        self, episode, cpus, tmp_path, monkeypatch
+    ):
+        def slow(*args, **kwargs):
+            time.sleep(60.0)
+
+        def failing_ci(*args, **kwargs):
+            raise FitError("forced")
+
+        monkeypatch.setattr(attribution, "bootstrap_stability", slow)
+        monkeypatch.setattr(copula, "block_bootstrap_ci", failing_ci)
+        start = time.monotonic()
+        with pytest.raises(FitError, match=r"^copula \(foreign\): forced$"):
+            run_pipeline(episode, out_dir=tmp_path)
+        assert time.monotonic() - start < 30.0
+        assert_no_child_left()
+
+    def test_stability_logs_reach_the_parent_once_in_order(
+        self, episode, cpus, tmp_path, monkeypatch, caplog
+    ):
+        real = attribution.bootstrap_stability
+        log = logging.getLogger("crisishedge.attribution")
+
+        def logging_stability(*args, **kwargs):
+            log.warning("first %s", "warning")
+            log.warning("second warning")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(attribution, "bootstrap_stability", logging_stability)
+        # A handler writing to a file would show a record emitted by the
+        # child through the handlers it inherited, as well as by the parent.
+        stream = logging.FileHandler(tmp_path / "log.txt", encoding="utf-8")
+        logging.getLogger().addHandler(stream)
+        try:
+            with caplog.at_level(logging.WARNING, logger="crisishedge"):
+                run_pipeline(episode, out_dir=tmp_path / "out")
+        finally:
+            logging.getLogger().removeHandler(stream)
+            stream.close()
+        tail_warning = "perfect_hedge: tail variance ratio 0.240 below 2.0 at tau=0.125"
+        seen = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        assert seen == [
+            ("crisishedge.tailsel", logging.WARNING, tail_warning),
+            ("crisishedge.attribution", logging.WARNING, "first warning"),
+            ("crisishedge.attribution", logging.WARNING, "second warning"),
+        ]
+        assert (tmp_path / "log.txt").read_text() == (
+            f"{tail_warning}\nfirst warning\nsecond warning\n"
+        )
+        assert_no_child_left()
 
 
 class TestResolveOutDir:
