@@ -443,7 +443,8 @@ def bootstrap_stability(
     Replicates are handled a chunk of about ``CHUNK_ROWS`` design rows at a
     time, each step array-at-a-time: one batched fit, one (B x M x n) stack
     of Shapley values, one batched ranking that equals ``importance_summary``
-    on each replicate's own values.  Per-replicate derived seeds and a
+    on each replicate's own values.  Row sets drawn in one
+    ``resample.block_resamples`` call, filled replicate by replicate, and a
     batch-independent solver keep every replicate's ranking independent of
     the others.  Columns that degenerate inside a replicate simply attract
     zero attributions, so rankings stay comparable; a replicate with a

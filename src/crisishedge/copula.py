@@ -709,10 +709,10 @@ def block_bootstrap_ci(
     Blocks are drawn over the paired (u, v) sequence so temporal dependence
     within each margin and the cross-dependence survive together; ranks are
     recomputed inside every replicate, keeping the statistic rank-based.
-    Each replicate draws its rows from its own seed derived from ``seed``
-    (``resample.block_resamples``), and the statistic sees about
-    ``CHUNK_POINTS`` observations of replicates at a time, so a replicate's
-    value depends on neither ``replications`` nor the chunking.  Degenerate
+    Replicate ``r`` takes row ``r`` of one ``resample.block_resamples``
+    draw from ``seed``, and the statistic sees about ``CHUNK_POINTS``
+    observations of replicates at a time, so a replicate's value depends on
+    neither ``replications`` nor the chunking.  Degenerate
     and non-converged replicates are left out and counted; more than 5% of
     them together raises ``NumericalError``.
     """

@@ -500,7 +500,7 @@ def run_pipeline(
                 f"qreg: dropped {design.dropped_rows} row(s) with feature gaps"
             )
 
-    seeds = np.random.SeedSequence(episode.bootstrap.seed).generate_state(4)
+    seeds = np.random.SeedSequence(episode.bootstrap.seed).generate_state(3)
     # The stability bootstrap needs only the design, tau_low and its seed, so
     # it runs in a forked child beside the fits, CV and copula legs and is
     # joined where attribution needs it (inline with fewer than two CPUs).
@@ -508,7 +508,7 @@ def run_pipeline(
         attr.bootstrap_stability,
         design,
         triplet.tau_low,
-        replications=max(2, replications),
+        replications=replications,
         block_length=episode.bootstrap.block_length,
         seed=int(seeds[2]),
     ) as stability_job:
@@ -658,7 +658,7 @@ def run_pipeline(
                     f"qreg: {fits.fallbacks}/{len(fits)} quantile fits fell back to HiGHS"
                 )
 
-    if write_outputs and destination is not None:
+    if destination is not None:
         _write_attribution(destination / "attribution.csv", window, prov)
         _write_figures(destination / "figures", result, prov)
         _write_full_report(destination / "report.full", result)

@@ -26,7 +26,7 @@ from crisishedge.copula import (
     simulate_copula,
 )
 from crisishedge.errors import DataError, FitError, NumericalError, DegenerateSampleError
-from crisishedge.resample import default_block_length, moving_block_indices
+from crisishedge.resample import block_resamples, default_block_length
 
 
 def sample_from(family, theta, n, seed):
@@ -277,23 +277,30 @@ class TestBlocks:
         assert default_block_length(1) == 1
 
     def test_indices_cover_exactly_n(self):
-        rng = np.random.default_rng(108)
-        idx = moving_block_indices(103, 7, rng)
-        assert idx.shape == (103,)
+        idx = block_resamples(103, replications=50, block_length=7, seed=108)
+        assert idx.shape == (50, 103)
+        assert idx.dtype == np.intp
         assert idx.min() >= 0
         assert idx.max() < 103
 
     def test_blocks_are_contiguous_runs(self):
-        rng = np.random.default_rng(109)
-        idx = moving_block_indices(100, 10, rng)
-        for start in range(0, 100, 10):
-            block = idx[start : start + 10]
-            assert_allclose(np.diff(block), 1)
+        # ceil(103 / 7) = 15 runs of 7 consecutive indices, the last cut to 5.
+        idx = block_resamples(103, replications=50, block_length=7, seed=109)
+        for row in idx:
+            starts = row[::7]
+            assert len(starts) == 15
+            runs = (starts[:, None] + np.arange(7)).ravel()
+            assert np.array_equal(row, runs[:103])
+
+    def test_block_starts_cover_both_ends_of_range(self):
+        # 14 admissible starts, 600 draws: an off-by-one at either end fails.
+        idx = block_resamples(20, replications=200, block_length=7, seed=110)
+        starts = idx[:, ::7]
+        assert (starts.min(), starts.max()) == (0, 20 - 7)
 
     def test_invalid_block_length(self):
-        rng = np.random.default_rng(110)
         with pytest.raises(DataError):
-            moving_block_indices(10, 11, rng)
+            block_resamples(10, replications=5, block_length=11, seed=110)
 
 
 class TestBootstrapCI:
@@ -326,7 +333,7 @@ class TestBootstrapCI:
                 tuple("synthetic failure" if f else None for f in failing),
             )
 
-        with pytest.raises(NumericalError, match="64/100 replicates degenerate"):
+        with pytest.raises(NumericalError, match="50/100 replicates degenerate"):
             block_bootstrap_ci(s, flaky, replications=100, seed=12)
 
     def test_skipped_replicates_are_reported(self):

@@ -212,7 +212,7 @@ class TestRunResult:
 
         monkeypatch.setattr(attribution, "require_varying", flaky_check)
         result = run_pipeline(episode, out_dir=tmp_path)
-        expected = f"attribution stability: skipped 18/{FAST_REPS} replicates"
+        expected = f"attribution stability: skipped 21/{FAST_REPS} replicates"
         assert expected in result.diagnostics
         doc = json.loads((tmp_path / "report.full").read_text())
         assert expected in doc["diagnostics"]
@@ -238,9 +238,10 @@ class TestRunResult:
 
         monkeypatch.setattr(copula, "family_lambda_statistic", flaky_statistic)
         result = run_pipeline(episode, out_dir=tmp_path)
+        # 5% of the replicates at most, so the run still completes.
         expected = [
-            f"copula ({leg}): bootstrap skipped 3/{FAST_REPS} replicates"
-            for leg in ("foreign", "local")
+            f"copula ({leg}): bootstrap skipped {count}/{FAST_REPS} replicates"
+            for leg, count in (("foreign", 5), ("local", 4))
         ]
         assert [d for d in result.diagnostics if "skipped" in d] == expected
         doc = json.loads((tmp_path / "report.full").read_text())
@@ -275,8 +276,8 @@ class TestRunResult:
         monkeypatch.setattr(copula, "family_lambda_statistic", stalling_statistic)
         result = run_pipeline(episode, out_dir=tmp_path)
         expected = [
-            f"copula ({leg}): bootstrap 3/{FAST_REPS} replicate fits did not converge"
-            for leg in ("foreign", "local")
+            f"copula ({leg}): bootstrap {count}/{FAST_REPS} replicate fits did not converge"
+            for leg, count in (("foreign", 5), ("local", 4))
         ]
         assert [d for d in result.diagnostics if "converge" in d] == expected
         doc = json.loads((tmp_path / "report.full").read_text())

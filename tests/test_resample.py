@@ -140,9 +140,9 @@ class TestBlockBootstrap:
             block_resamples(5, replications=3, block_length=0, seed=1)
 
     def test_replicate_rows_independent_of_replications(self):
-        few = block_resamples(60, replications=5, seed=3)
-        many = block_resamples(60, replications=50, seed=3)
-        assert np.array_equal(many[:5], few)
+        rows = {r: block_resamples(60, replications=r, seed=3) for r in (100, 200, 1000)}
+        assert np.array_equal(rows[1000][:100], rows[100])
+        assert np.array_equal(rows[1000][:200], rows[200])
 
 
 class TestSerialEqualsBatched:
@@ -243,11 +243,11 @@ class TestBatchedEqualsOneAtATime:
         ci, lanes = batched(monkeypatch, "clayton")
         converged = np.array([fit[2] for fit in reference])
         assert np.array_equal(lanes["converged"], converged)
-        assert (ci.nonconverged, ci.skipped) == (3, 0)
+        assert (ci.nonconverged, ci.skipped) == (5, 0)
         kept = [fit[1] for fit in reference if fit[2]]
         assert ci.interval == tuple(np.quantile(kept, [0.025, 0.975]))
 
-        # 16 of 100 fail at 20 evaluations: over the 5% bound.
+        # 11 of 100 fail at 20 evaluations: over the 5% bound.
         monkeypatch.setattr(copula, "MAXITER", 20)
-        with pytest.raises(NumericalError, match="16/100 replicates degenerate or not converged"):
+        with pytest.raises(NumericalError, match="11/100 replicates degenerate or not converged"):
             batched(monkeypatch, "clayton")
