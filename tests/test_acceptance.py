@@ -482,6 +482,41 @@ def _golden_csv_mismatch(produced: str, golden: str) -> str | None:
     return None
 
 
+def _golden_json_mismatch(produced, golden, path: str = "") -> str | None:
+    """First difference between two parsed JSON documents, or None when they agree.
+
+    Keys, strings, booleans, nulls and list lengths must be identical; numbers
+    may differ within GOLDEN_REL_TOL relative (GOLDEN_ABS_TOL absolute).
+    """
+    if isinstance(golden, dict):
+        if not isinstance(produced, dict) or list(produced) != list(golden):
+            got = list(produced) if isinstance(produced, dict) else produced
+            return f"{path or '/'}: keys {got!r} != {list(golden)!r}"
+        for key, value in golden.items():
+            problem = _golden_json_mismatch(produced[key], value, f"{path}/{key}")
+            if problem is not None:
+                return problem
+        return None
+    if isinstance(golden, list):
+        if not isinstance(produced, list) or len(produced) != len(golden):
+            return f"{path}: {produced!r} != {golden!r}"
+        for i, (got, want) in enumerate(zip(produced, golden)):
+            problem = _golden_json_mismatch(got, want, f"{path}/{i}")
+            if problem is not None:
+                return problem
+        return None
+    numbers = all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in (produced, golden)
+    )
+    if numbers and math.isclose(
+        produced, golden, rel_tol=GOLDEN_REL_TOL, abs_tol=GOLDEN_ABS_TOL
+    ):
+        return None
+    if not numbers and type(produced) is type(golden) and produced == golden:
+        return None
+    return f"{path}: {produced!r} vs golden {golden!r}"
+
+
 def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
     stability_golden = json.loads(
         (golden_root / "stability_kendall_tau.json").read_text(encoding="utf-8")
@@ -518,6 +553,12 @@ def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
             if problem is not None:
                 mismatches.append(f"{kind}: {name} {problem}")
         full = json.loads((out / "report.full").read_text(encoding="utf-8"))
+        problem = _golden_json_mismatch(
+            full,
+            json.loads((golden_root / f"{kind}_report_full.json").read_text(encoding="utf-8")),
+        )
+        if problem is not None:
+            mismatches.append(f"{kind}: report.full {problem}")
         stability = full["attribution"]["stability_kendall_tau"]
         if stability != stability_golden[kind]:
             mismatches.append(
@@ -529,7 +570,7 @@ def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
         ok,
         (
             "all four fixture reports byte-identical; coefficients, attribution, "
-            "real returns within 1e-9 rel and stability exact"
+            "real returns and report.full within 1e-9 rel and stability exact"
         )
         if ok
         else "; ".join(mismatches),
