@@ -23,7 +23,11 @@ bounded Brent minimizer (``_minimize_scalar_bounded``: same operation order,
 xatol 1e-10, at most 500 evaluations, a success flag per lane) run over a
 row-wise log-density, so all bootstrap replicates of a family are fitted in
 one search and each lane's theta is the one a scalar search would find on
-that replicate alone.  ``fit_copula`` is a batch of one.
+that replicate alone.  ``fit_copula`` is a batch of one.  Every family is
+searched over its one ``THETA_BOUNDS`` interval, Frank's spanning both signs
+of theta.  The log-densities are written so that no terms cancel anywhere on
+those intervals (Frank's denominator as two terms of the sign of theta, see
+``_log_density``), so the search sees the true likelihood up to both bounds.
 
 Replicate policy.  The bootstrap ranks its replicates in chunks of about
 ``CHUNK_POINTS`` observations and hands each chunk to a batch statistic.  A
@@ -66,8 +70,6 @@ THETA_BOUNDS: dict[CopulaFamily, tuple[float, float]] = {
 }
 
 _BOUNDARY_REL = 1e-4
-_FRANK_AMBIGUOUS_TAU = 0.05
-_FRANK_EDGE = 1e-6  # Frank's half-intervals stop this far from theta = 0
 
 XATOL = 1e-10  # absolute theta tolerance of the bounded search
 MAXITER = 500  # log-likelihood evaluations per lane before a search gives up
@@ -77,25 +79,21 @@ _SEARCH_MESSAGES = {1: "Maximum number of function calls reached.",
                     2: "NaN result encountered."}
 
 
-def _rank(x: np.ndarray, *, dense: bool = False) -> np.ndarray:
-    """Ranks from 1 along the last axis, as ``scipy.stats.rankdata`` gives them.
+def _rank(x: np.ndarray) -> np.ndarray:
+    """Average ranks from 1 along the last axis, as ``scipy.stats.rankdata`` gives them.
 
-    Average ranks (ties share the mean of their positions) are float64 and
-    exact, being integers or half-integers; dense ranks (ties share one rank,
-    the next value gets the next integer) are int64.  Input must be NaN-free.
+    Ties share the mean of their positions; the float64 ranks are exact,
+    being integers or half-integers.  Input must be NaN-free.
     """
     order = np.argsort(x, axis=-1, kind="stable")
     ordered = np.take_along_axis(x, order, axis=-1)
     starts = np.ones(x.shape, dtype=bool)
     starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    if dense:
-        ranked = np.cumsum(starts, axis=-1, dtype=np.int64)
-    else:
-        # A tie group starting at 0-based position f with c members has mean
-        # rank f + (c + 1) / 2; f is taken modulo the lane length.
-        first = np.flatnonzero(starts)
-        counts = np.diff(first, append=starts.size)
-        ranked = np.repeat(first % x.shape[-1] + (counts + 1) / 2, counts).reshape(x.shape)
+    # A tie group starting at 0-based position f with c members has mean
+    # rank f + (c + 1) / 2; f is taken modulo the lane length.
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=starts.size)
+    ranked = np.repeat(first % x.shape[-1] + (counts + 1) / 2, counts).reshape(x.shape)
     ranks = np.empty_like(ranked)
     np.put_along_axis(ranks, order, ranked, axis=-1)
     return ranks
@@ -207,16 +205,14 @@ def _check_unit_interval(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
 def log_density(
     family: CopulaFamily | str, theta: float, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Pointwise log copula density, numerically stable over the whole bounds.
+    """Pointwise log copula density, accurate to rounding over the whole bounds.
 
-    Clayton works in log space so u^(-theta) never overflows even at
-    theta = 50 with n in the hundreds of thousands.
+    No power u^(-theta) is formed, so nothing overflows even at theta = 50
+    with n in the hundreds of thousands.
     """
     family = CopulaFamily(family)
     _validate_theta(family, theta)
     u, v = _check_unit_interval(u, v)
-    if family is CopulaFamily.FRANK and abs(theta) < 1e-10:
-        return np.zeros_like(u)
     return _log_density(family, theta, *_margins(family, u, v))
 
 
@@ -224,12 +220,13 @@ def _margins(family: CopulaFamily, u: np.ndarray, v: np.ndarray) -> tuple[np.nda
     """The theta-free transforms of (u, v) that ``_log_density`` starts from."""
     if family is CopulaFamily.CLAYTON:
         lu, lv = np.log(u), np.log(v)
-        return lu, lv, lu + lv
+        return lu + lv, np.maximum(lu, lv), np.minimum(lu, lv)
     if family is CopulaFamily.GUMBEL:
         x, y = -np.log(u), -np.log(v)
-        lx, ly = np.log(x), np.log(y)
-        return x, y, lx, ly, lx + ly
-    return u, v, u + v
+        ratio = np.minimum(x, y) / np.maximum(x, y)
+        return (x + y, np.log(x + y), np.log(x) + np.log(y), np.log(ratio),
+                ratio / (1.0 + ratio), np.log1p(ratio))
+    return u, v, 1.0 - v
 
 
 def _log_density(
@@ -242,35 +239,49 @@ def _log_density(
     theta, so every lane equals its own scalar evaluation bit for bit.
     """
     if family is CopulaFamily.CLAYTON:
-        lu, lv, luv = margins
-        a = -theta * lu
-        b = -theta * lv
-        m = np.maximum(a, b)
-        # log(u^-th + v^-th - 1) without forming the powers directly
-        log_s = m + np.log(np.exp(a - m) + np.exp(b - m) - np.exp(-m))
-        return np.log1p(theta) - (1.0 + theta) * luv - (2.0 + 1.0 / theta) * log_s
+        # log c = log(1 + th) + th log(uv) - (2 + 1/th) log(1 - P), where
+        # P = (1 - u^th)(1 - v^th) and u^th >= v^th names the larger power.
+        # Up to th = 1, log1p(-P) is exact to rounding: 1 - P >= u^th, which
+        # is at least 1/(n + 1).  Beyond, 1 - P = u^th (1 + (v/u)^th (1 - u^th))
+        # adds two positive terms, and ``shift`` is log u^th.  Either way no
+        # terms cancel, as theta -> 0 included.
+        luv, high, low = margins
+        above = theta > 1.0
+        shift = np.where(above, theta, 0.0) * high
+        log_1mp = shift + np.log1p(
+            -np.expm1(theta * high) * (np.expm1(theta * low - shift) + above)
+        )
+        return np.log1p(theta) + theta * luv - (2.0 + 1.0 / theta) * log_1mp
 
     if family is CopulaFamily.GUMBEL:
-        x, y, lx, ly, lxy = margins
-        log_s = np.logaddexp(theta * lx, theta * ly)
-        big_a = np.exp(log_s / theta)
-        return (
-            -big_a
-            + x
-            + y
-            + (theta - 1.0) * lxy
-            + (1.0 / theta - 2.0) * log_s
-            + np.log(big_a + theta - 1.0)
-        )
+        # With x = -log u, y = -log v, A = (x^th + y^th)^(1/th) and d = th - 1:
+        # log c = (x + y - A) + d log(xy) - 2d log A + log1p(d / A).
+        # log A - log(x + y), computed from r = min/max(x, y) in two
+        # same-signed O(d) terms, keeps every term O(d) near independence.
+        xy, log_xy, lxy, log_r, r_share, log1p_r = margins
+        d = theta - 1.0
+        log_a_rel = (np.log1p(r_share * np.expm1(d * log_r)) - d * log1p_r) / theta
+        growth = np.expm1(log_a_rel)
+        big_a = xy + xy * growth
+        return -xy * growth + d * lxy - 2.0 * d * (log_xy + log_a_rel) + np.log1p(d / big_a)
 
-    # Frank; expm1 keeps both signs of theta stable.  math.expm1, one lane at
-    # a time, because numpy's expm1 rounds differently in the last place.
-    u, v, uv = margins
-    g1 = np.array([math.expm1(-t) for t in np.ravel(theta)]).reshape(np.shape(theta))
-    gu = np.expm1(-theta * u)
-    gv = np.expm1(-theta * v)
-    denom = -(g1 + gu * gv)
-    return np.log(-theta * g1) - theta * uv - 2.0 * np.log(np.abs(denom))
+    # Frank: the density's denominator
+    # e^{-th u} (1 - e^{-th v}) + e^{-th v} (1 - e^{-th (1 - v)})
+    # is a sum of two terms of the sign of theta, so nothing cancels.  It is
+    # taken over theta, which keeps its log of order theta as theta -> 0;
+    # theta = 0 is the independence limit.  The per-lane scale uses math,
+    # one lane at a time, because numpy's expm1 rounds differently in the
+    # last place.
+    u, v, w = margins
+    scale = np.array(
+        [math.log(-math.expm1(-t) / t) if t else 0.0 for t in np.ravel(theta).tolist()]
+    ).reshape(np.shape(theta))
+    a, b = -theta * u, -theta * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = scale + a + b - 2.0 * np.log(
+            (np.exp(a) * np.expm1(b) + np.exp(b) * np.expm1(-theta * w)) / -theta
+        )
+    return np.where(theta == 0, 0.0, log_c)
 
 
 def lower_tail_dependence(family: CopulaFamily | str, theta: float) -> float:
@@ -420,72 +431,13 @@ class PseudoBatch:
         )
 
 
-def _kendall_tau(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Kendall's tau-b of every lane, as ``scipy.stats.kendalltau`` computes it.
-
-    Knight's method on all lanes at once: sort each lane by (u, v), count tied
-    pairs, and count discordant pairs as the inversions of v in that order.
-    The counts are exact integers and tau follows scipy's formula from them;
-    NaN where a margin is constant.
-    """
-    n = u.shape[1]
-    x = _rank(u, dense=True)
-    y = _rank(v, dense=True)
-    order = np.lexsort((y, x), axis=-1)
-    x = np.take_along_axis(x, order, axis=1)
-    y = np.take_along_axis(y, order, axis=1)
-    total = n * (n - 1) // 2
-    u_ties = _tied_pairs(x)
-    v_ties = _tied_pairs(np.sort(y, axis=1))
-    concordance = total - u_ties - v_ties + _tied_pairs(x * (n + 1) + y) - 2 * _inversions(y)
-    constant = (u_ties == total) | (v_ties == total)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = concordance / np.sqrt(total - u_ties) / np.sqrt(total - v_ties)
-    return np.where(constant, np.nan, np.clip(tau, -1.0, 1.0))
-
-
-def _tied_pairs(s: np.ndarray) -> np.ndarray:
-    """Pairs of equal entries in each row of the row-sorted integer array ``s``."""
-    index = np.arange(s.shape[1])
-    first = np.where(np.diff(s, axis=1, prepend=s[:, :1] - 1) != 0, index, 0)
-    return np.sum(index - np.maximum.accumulate(first, axis=1), axis=1)
-
-
-def _inversions(y: np.ndarray) -> np.ndarray:
-    """Pairs i < j with ``y[i] > y[j]`` in each row, by one merge sort over all rows.
-
-    Rows are padded to a power of two with a value above every entry, which
-    adds no inversion.  At each level the left half of a run pair is sorted,
-    so one ``searchsorted`` over all pairs (kept apart by an offset) counts
-    the left entries above each right entry.
-    """
-    lanes, n = y.shape
-    size = 1 << (n - 1).bit_length()
-    top = int(y.max()) + 1
-    runs = np.full((lanes, size), top, dtype=np.int64)
-    runs[:, :n] = y
-    count = np.zeros(lanes, dtype=np.int64)
-    width = 1
-    while width < size:
-        pairs = runs.reshape(-1, 2, width)
-        offset = np.arange(pairs.shape[0])[:, None] * (top + 1)
-        below = np.searchsorted(
-            (pairs[:, 0] + offset).ravel(), (pairs[:, 1] + offset).ravel(), side="right"
-        )
-        above = np.repeat(np.arange(1, pairs.shape[0] + 1) * width, width) - below
-        count += above.reshape(lanes, -1).sum(axis=1)
-        runs = np.sort(pairs.reshape(-1, 2 * width), axis=1)
-        width *= 2
-    return count
-
-
 @dataclass(frozen=True)
 class BatchFit:
     """One family's maximum-likelihood fit on every lane of a ``PseudoBatch``.
 
     Arrays are indexed by lane.  ``converged`` is false where a search ran out
     of evaluations or the likelihood was not finite at the optimum;
-    ``search_failures`` keeps each lane's optimizer messages in interval order.
+    ``search_failures`` holds each lane's optimizer message, or None.
     """
 
     theta: np.ndarray
@@ -494,7 +446,7 @@ class BatchFit:
     converged: np.ndarray
     boundary: np.ndarray
     at_upper: np.ndarray
-    search_failures: tuple[tuple[str, ...], ...]
+    search_failures: tuple[str | None, ...]
 
 
 def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
@@ -502,60 +454,29 @@ def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
 
     The profile is one-dimensional, so a bounded Brent search to ``XATOL`` is
     both simpler and more robust than a Newton iteration from a moment start.
-    Frank admits negative dependence; each lane's Kendall tau picks the
-    half-interval it searches (both halves when it is near zero, keeping the
-    better one, the positive half on a tie).  Inputs are checked once for the
-    batch and every lane's final theta is validated.
+    Every lane searches the family's whole ``THETA_BOUNDS`` interval; for
+    Frank that one interval spans negative and positive dependence, on a
+    log-density whose denominator does not cancel for either sign.  Inputs
+    are checked once for the batch and every lane's final theta is validated.
     """
     family = CopulaFamily(family)
     if batch.n < 20:
         raise DataError(f"need at least 20 paired observations, got {batch.n}")
     u, v = _check_unit_interval(batch.u, batch.v)
     count = len(batch)
-
     lo, hi = THETA_BOUNDS[family]
-    if family is CopulaFamily.FRANK:
-        tau_hat = _kendall_tau(u, v)
-        ambiguous = ~np.isfinite(tau_hat) | (np.abs(tau_hat) < _FRANK_AMBIGUOUS_TAU)
-        positive = np.flatnonzero(ambiguous | (tau_hat > 0))
-        negative = np.flatnonzero(ambiguous | (tau_hat < 0))
-        intervals = [((_FRANK_EDGE, hi), positive), ((lo, -_FRANK_EDGE), negative)]
-    else:
-        intervals = [((lo, hi), np.arange(count))]
-    for (a, b), _ in intervals:
-        _validate_theta(family, a)
-        _validate_theta(family, b)
-
-    # One search over every (lane, interval) pair.
-    owner = np.concatenate([lanes for _, lanes in intervals])
-    lower = np.concatenate([np.full(lanes.size, a) for (a, _), lanes in intervals])
-    upper = np.concatenate([np.full(lanes.size, b) for (_, b), lanes in intervals])
+    _validate_theta(family, lo)
+    _validate_theta(family, hi)
 
     def nll(theta: np.ndarray, *margins: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             total = -np.sum(_log_density(family, theta[:, None], *margins), axis=1)
         return np.where(np.isfinite(total), total, 1e300)
 
-    margins = tuple(m[owner] for m in _margins(family, u, v))
-    x, f, status = _minimize_bounded(
-        nll, lower, upper, margins, xatol=XATOL, maxiter=MAXITER
+    theta, fun, status = _minimize_bounded(
+        nll, np.full(count, lo), np.full(count, hi), _margins(family, u, v),
+        xatol=XATOL, maxiter=MAXITER,
     )
-
-    # Each lane keeps its first interval's optimum unless a later one is lower.
-    theta = np.empty(count)
-    fun = np.full(count, np.inf)
-    seen = np.zeros(count, dtype=bool)
-    offset = 0
-    for _, lanes in intervals:
-        xs, fs = x[offset: offset + lanes.size], f[offset: offset + lanes.size]
-        take = ~seen[lanes] | (fs < fun[lanes])
-        theta[lanes[take]], fun[lanes[take]] = xs[take], fs[take]
-        seen[lanes] = True
-        offset += lanes.size
-    failures: list[tuple[str, ...]] = [()] * count
-    for k in np.flatnonzero(status):
-        failures[owner[k]] += (_SEARCH_MESSAGES[int(status[k])],)
-
     ll = -fun
     edge_tol = _BOUNDARY_REL * (hi - lo)
     at_upper = theta >= hi - edge_tol
@@ -565,12 +486,10 @@ def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
         theta=theta,
         log_likelihood=ll,
         lambda_lower=np.where(at_upper, 1.0, analytic),
-        converged=(
-            np.isfinite(ll) & (ll > -1e299) & np.array([not msgs for msgs in failures])
-        ),
+        converged=np.isfinite(ll) & (ll > -1e299) & (status == 0),
         boundary=at_upper | (theta <= lo + edge_tol),
         at_upper=at_upper,
-        search_failures=tuple(failures),
+        search_failures=tuple(_SEARCH_MESSAGES.get(int(k)) for k in status),
     )
 
 
@@ -590,10 +509,8 @@ def fit_copula(
     fit = fit_batch(PseudoBatch.of(sample), family)
     theta = float(fit.theta[0])
     ll = float(fit.log_likelihood[0])
-    diagnostics = [
-        f"{family.value}: optimizer reported {message!r}"
-        for message in fit.search_failures[0]
-    ]
+    message = fit.search_failures[0]
+    diagnostics = [] if message is None else [f"{family.value}: optimizer reported {message!r}"]
     if not math.isfinite(ll) or ll <= -1e299:
         diagnostics.append(f"{family.value}: likelihood not finite at optimum")
         ll = float("-inf") if not math.isfinite(ll) else ll

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from crisishedge.copula import (
     PseudoSample,
     ReplicateValues,
     THETA_BOUNDS,
+    _log_density,
+    _margins,
     _rank,
     attach_ci,
     block_bootstrap_ci,
@@ -69,13 +72,12 @@ class TestRank:
         yield "tied lanes", ties
         yield "n = 2 lanes", np.array([[1.0, 0.0], [2.0, 2.0], [-1.0, 3.0]])
 
-    @pytest.mark.parametrize("method", ["average", "dense"])
-    def test_matches_scipy_bit_for_bit(self, method):
+    def test_matches_scipy_bit_for_bit(self):
         from scipy import stats
 
         for label, x in self.lanes():
-            got = _rank(x, dense=method == "dense")
-            want = stats.rankdata(x, method=method, axis=-1)
+            got = _rank(x)
+            want = stats.rankdata(x, method="average", axis=-1)
             assert got.dtype == want.dtype, label
             assert got.shape == want.shape, label
             assert got.tobytes() == want.tobytes(), label
@@ -143,6 +145,84 @@ class TestLogDensity:
         assert total == pytest.approx(1.0, abs=0.02)
 
 
+def reference_log_likelihood(family, theta, u, v):
+    """Summed log-density from the textbook formulas, in 50-digit ``decimal``.
+
+    Every float input converts to Decimal exactly, and 50 digits leave more
+    than 25 after the worst cancellation on the grids below (Frank's
+    denominator at |theta| = 50), so the sum is exact for a float comparison.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t, one, total = Decimal(theta), Decimal(1), Decimal(0)
+        for a, b in zip(map(Decimal, u.tolist()), map(Decimal, v.tolist())):
+            if family is CopulaFamily.CLAYTON:
+                s = (-t * a.ln()).exp() + (-t * b.ln()).exp() - one
+                total += (one + t).ln() - (one + t) * (a * b).ln() - (2 + one / t) * s.ln()
+            elif family is CopulaFamily.GUMBEL:
+                x, y = -a.ln(), -b.ln()
+                s = (t * x.ln()).exp() + (t * y.ln()).exp()
+                big_a = (s.ln() / t).exp()
+                total += (-big_a + x + y + (t - one) * (x * y).ln()
+                          + (one / t - 2) * s.ln() + (big_a + t - one).ln())
+            else:
+                g = lambda z: one - (-z).exp()
+                denom = g(t) - g(t * a) * g(t * b)
+                total += (t * g(t) * (-t * (a + b)).exp() / (denom * denom)).ln()
+        return total
+
+
+class TestLogDensityPrecision:
+    """Summed log-likelihoods against the 50-digit oracle, one bound for all.
+
+    Ranks of n = 120 comonotone, countermonotone and independent pairs; each
+    family's grid holds both of its ``THETA_BOUNDS``.  Near independence
+    (Clayton at 1e-6, Gumbel at 1 + 1e-6) the log-likelihood is of the order
+    of theta's distance from it, so a relative bound there needs a density
+    written without cancelling terms.  Frank's is written in terms of size 1
+    whose rounding is not small against a log-likelihood of order theta, so
+    its grid stops at |theta| = 0.1 (at |theta| = 0.01 the error is 2e-13 to
+    5e-13 relative).
+    """
+
+    REL = 1e-12
+    GRIDS = {
+        CopulaFamily.CLAYTON: (1e-3, 0.1, 1.0, 10.0, 37.4),
+        CopulaFamily.GUMBEL: (1.001, 1.1, 2.0, 10.0, 37.4),
+        CopulaFamily.FRANK: (-37.4, -10.0, -1.0, -0.1, 0.1, 1.0, 10.0, 37.4),
+    }
+
+    @staticmethod
+    def samples():
+        ranks = np.arange(1.0, 121.0) / 121.0
+        perm = np.random.default_rng(3).permutation(120)
+        return {
+            "comonotone": (ranks, ranks),
+            "countermonotone": (ranks, ranks[::-1].copy()),
+            "independent": (ranks, ranks[perm]),
+        }
+
+    @pytest.mark.parametrize(
+        "family,theta",
+        [(f, th) for f, grid in GRIDS.items() for th in sorted({*THETA_BOUNDS[f], *grid})],
+    )
+    def test_matches_decimal_oracle(self, family, theta):
+        for label, (u, v) in self.samples().items():
+            got = float(np.sum(log_density(family, theta, u, v)))
+            want = reference_log_likelihood(family, theta, u, v)
+            assert math.isfinite(got), label
+            assert abs(Decimal(got) - want) <= Decimal(self.REL) * abs(want), (
+                f"{label}: {got!r} vs {float(want)!r}"
+            )
+
+    def test_frank_independence_limit(self):
+        u, v = self.samples()["independent"]
+        assert np.array_equal(_log_density(CopulaFamily.FRANK, 0.0, *_margins(
+            CopulaFamily.FRANK, u, v)), np.zeros_like(u))
+        for theta in (-1e-12, 1e-12):
+            assert_allclose(log_density(CopulaFamily.FRANK, theta, u, v), 0.0, atol=1e-12)
+
+
 class TestFitCopula:
     def test_clayton_recovery(self):
         s = sample_from(CopulaFamily.CLAYTON, 3.0, 2000, seed=100)
@@ -161,11 +241,7 @@ class TestFitCopula:
         assert any("boundary" in d for d in fit.diagnostics)
 
     @pytest.mark.parametrize("family", list(CopulaFamily))
-    def test_upper_bound_fit_reports_comonotone_limit(self, family, monkeypatch):
-        if family is CopulaFamily.FRANK:
-            # On comonotone ranks Frank's likelihood peaks near theta = 37,
-            # inside its range; a narrower range puts the fit on its edge.
-            monkeypatch.setitem(THETA_BOUNDS, family, (-30.0, 30.0))
+    def test_upper_bound_fit_reports_comonotone_limit(self, family):
         upper = THETA_BOUNDS[family][1]
         x = np.random.default_rng(107).normal(size=120)
         s = PseudoSample.from_data(x, 2.0 * x + 1.0)  # Kendall tau = 1

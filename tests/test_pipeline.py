@@ -340,7 +340,7 @@ class TestColdPath:
 
     def test_fast_run_loads_no_scipy_subpackage(self, fixture_root):
         # Other tests import scipy into this process, so the run gets a fresh one.
-        # anti_hedge's Frank fit picks its half-interval from dense ranks.
+        # anti_hedge selects Frank and bootstraps its fit.
         config = fixture_root / "anti_hedge" / "episode.yaml"
         script = (
             "import json, sys\n"
