@@ -179,10 +179,10 @@ class TestLogDensityPrecision:
     family's grid holds both of its ``THETA_BOUNDS``.  Near independence
     (Clayton at 1e-6, Gumbel at 1 + 1e-6) the log-likelihood is of the order
     of theta's distance from it, so a relative bound there needs a density
-    written without cancelling terms.  Frank's is written in terms of size 1
-    whose rounding is not small against a log-likelihood of order theta, so
-    its grid stops at |theta| = 0.1 (at |theta| = 0.01 the error is 2e-13 to
-    5e-13 relative).
+    written without cancelling terms.  Frank's adds logs of numbers near 1,
+    each rounded at about 1e-16, which is not small against a
+    log-likelihood of order theta, so its grid stops at |theta| = 0.1 (at
+    theta = -0.01 the error reaches 1.1e-12 relative).
     """
 
     REL = 1e-12
