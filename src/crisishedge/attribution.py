@@ -2,8 +2,9 @@
 
 The value function replaces off-coalition features by their training-window
 means (marginal baseline, features independent); for this model class the
-Shapley values and the pairwise interaction indices have closed forms, which
-are certified against full subset enumeration in the tests.  Importance is
+Shapley values have a closed form, computed by one kernel over a stack of
+feature blocks.  The subset-enumeration certificates of that kernel, and of
+the pairwise interaction indices, live in ``tests/oracles.py``.  Importance is
 the window mean of absolute attributions, and ranking stability under a
 moving-block bootstrap is summarized by mean pairwise Kendall tau.
 """
@@ -33,23 +34,7 @@ from .resample import block_resamples
 
 logger = logging.getLogger(__name__)
 
-_ENUMERATION_LIMIT = 12
-_INTERACTION_ENUMERATION_LIMIT = 10
 _ZERO_ATTRIBUTIONS = "all attributions are zero; shares undefined"
-
-
-@dataclass(frozen=True)
-class AttributionResult:
-    """Per-instance attribution: phi0 + sum(phi) reproduces the prediction."""
-
-    phi: Mapping[str, float]
-    phi0: float
-    phi_interactions: Mapping[tuple[str, str], float]
-    instance_month: str = ""
-
-    @property
-    def prediction(self) -> float:
-        return self.phi0 + float(sum(self.phi.values()))
 
 
 @dataclass(frozen=True)
@@ -98,15 +83,6 @@ class StabilityResult:
     certificates: FitCertificates = FitCertificates()
 
 
-def _gather(model: QuantileModel, mapping: Mapping[str, float], what: str) -> np.ndarray:
-    out = np.empty(len(model.columns))
-    for j, col in enumerate(model.columns):
-        if col not in mapping:
-            raise DataError(f"{what} is missing column {col!r}")
-        out[j] = float(mapping[col])
-    return out
-
-
 def _pair_positions(
     columns: Sequence[str], pairs: Sequence[tuple[str, str]]
 ) -> list[tuple[int, int]]:
@@ -117,27 +93,6 @@ def _pair_positions(
             raise DataError(f"interaction ({a!r}, {b!r}) references unknown columns")
         out.append((positions[a], positions[b]))
     return out
-
-
-def _pair_indices(model: QuantileModel) -> list[tuple[int, int]]:
-    return _pair_positions(model.columns, model.interaction_pairs)
-
-
-def _coalition_value(
-    model: QuantileModel,
-    x: np.ndarray,
-    mu: np.ndarray,
-    pairs: list[tuple[int, int]],
-    mask: int,
-) -> float:
-    chosen = np.array(
-        [x[j] if mask >> j & 1 else mu[j] for j in range(x.size)]
-    )
-    m = x.size
-    value = model.intercept + float(np.dot(model.coef[1: 1 + m], chosen))
-    for (i, j), gamma in zip(pairs, model.coef[1 + m:].tolist()):
-        value += gamma * chosen[i] * chosen[j]
-    return value
 
 
 def _shapley_batch(
@@ -177,129 +132,14 @@ def _shapley_batch(
     return phi0, phi
 
 
-def _shapley_matrix(
-    model: QuantileModel, linear: np.ndarray, mu: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """phi0 and the (M x n) Shapley values of an (n x M) block: a stack of one."""
-    phi0, phi = _shapley_batch(
-        model.coef[None], linear[None], mu[None], _pair_indices(model)
-    )
-    return float(phi0[0]), phi[0]
-
-
-def shapley_values(
-    model: QuantileModel,
-    background_means: Mapping[str, float],
-    instance: Mapping[str, float],
-    *,
-    instance_month: str = "",
-) -> AttributionResult:
-    """Closed-form Shapley attribution under the marginal-mean baseline."""
-    x = _gather(model, instance, "instance")
-    mu = _gather(model, background_means, "background means")
-    phi0, phi = _shapley_matrix(model, x[None, :], mu)
-    c = (x - mu).tolist()
-    return AttributionResult(
-        phi=dict(zip(model.columns, phi[:, 0].tolist())),
-        phi0=phi0,
-        phi_interactions={
-            pair: g * c[i] * c[j]
-            for (pair, g), (i, j) in zip(model.gammas.items(), _pair_indices(model))
-        },
-        instance_month=instance_month,
-    )
-
-
-def shapley_brute_force(
-    model: QuantileModel,
-    background_means: Mapping[str, float],
-    instance: Mapping[str, float],
-    *,
-    instance_month: str = "",
-) -> AttributionResult:
-    """Shapley values by 2^M subset enumeration; certification oracle only."""
-    m = len(model.columns)
-    if m > _ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration limited to {_ENUMERATION_LIMIT} features")
-    x = _gather(model, instance, "instance")
-    mu = _gather(model, background_means, "background means")
-    pairs = _pair_indices(model)
-
-    values = np.array(
-        [_coalition_value(model, x, mu, pairs, mask) for mask in range(1 << m)]
-    )
-    fact = [math.factorial(k) for k in range(m + 1)]
-    phi = {}
-    for j, col in enumerate(model.columns):
-        total = 0.0
-        for mask in range(1 << m):
-            if mask >> j & 1:
-                continue
-            s = bin(mask).count("1")
-            weight = fact[s] * fact[m - s - 1] / fact[m]
-            total += weight * (values[mask | (1 << j)] - values[mask])
-        phi[col] = total
-
-    interactions = interaction_values_brute_force(model, background_means, instance)
-    return AttributionResult(
-        phi=phi, phi0=float(values[0]), phi_interactions=interactions,
-        instance_month=instance_month,
-    )
-
-
-def interaction_values(
-    model: QuantileModel,
-    background_means: Mapping[str, float],
-    instance: Mapping[str, float],
-) -> dict[tuple[str, str], float]:
-    """Closed-form pairwise Shapley interaction indices for declared pairs."""
-    return dict(shapley_values(model, background_means, instance).phi_interactions)
-
-
-def interaction_values_brute_force(
-    model: QuantileModel,
-    background_means: Mapping[str, float],
-    instance: Mapping[str, float],
-) -> dict[tuple[str, str], float]:
-    """Pairwise interaction indices by subset enumeration (oracle)."""
-    m = len(model.columns)
-    if m > _INTERACTION_ENUMERATION_LIMIT:
-        raise ValueError(
-            f"interaction enumeration limited to {_INTERACTION_ENUMERATION_LIMIT} features"
-        )
-    x = _gather(model, instance, "instance")
-    mu = _gather(model, background_means, "background means")
-    pairs = _pair_indices(model)
-    values = np.array(
-        [_coalition_value(model, x, mu, pairs, mask) for mask in range(1 << m)]
-    )
-    fact = [math.factorial(k) for k in range(m + 1)]
-    out: dict[tuple[str, str], float] = {}
-    for pair, (i, j) in zip(model.interaction_pairs, pairs):
-        bit_i, bit_j = 1 << i, 1 << j
-        total = 0.0
-        for mask in range(1 << m):
-            if mask & bit_i or mask & bit_j:
-                continue
-            s = bin(mask).count("1")
-            weight = fact[s] * fact[m - s - 2] / fact[m - 1]
-            delta = (
-                values[mask | bit_i | bit_j]
-                - values[mask | bit_i]
-                - values[mask | bit_j]
-                + values[mask]
-            )
-            total += weight * delta
-        out[pair] = total
-    return out
-
-
 def attribute_window(model: QuantileModel, X: DesignMatrix) -> WindowAttribution:
     """Attribute every row of a design matrix against its own column means."""
     require_design(model, X)
     linear = X.values[:, : X.n_linear]
-    phi0, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
-    return WindowAttribution(X.months, model.columns, phi0, phi)
+    mu = np.mean(linear, axis=0)
+    pairs = _pair_positions(model.columns, model.interaction_pairs)
+    phi0, phi = _shapley_batch(model.coef[None], linear[None], mu[None], pairs)
+    return WindowAttribution(X.months, model.columns, float(phi0[0]), phi[0])
 
 
 def importance_summary(

@@ -202,20 +202,6 @@ def _check_unit_interval(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
     return u, v
 
 
-def log_density(
-    family: CopulaFamily | str, theta: float, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Pointwise log copula density, accurate to rounding over the whole bounds.
-
-    No power u^(-theta) is formed, so nothing overflows even at theta = 50
-    with n in the hundreds of thousands.
-    """
-    family = CopulaFamily(family)
-    _validate_theta(family, theta)
-    u, v = _check_unit_interval(u, v)
-    return _log_density(family, theta, *_margins(family, u, v))
-
-
 def _margins(family: CopulaFamily, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     """The theta-free transforms of (u, v) that ``_log_density`` starts from."""
     if family is CopulaFamily.CLAYTON:
@@ -232,11 +218,14 @@ def _margins(family: CopulaFamily, u: np.ndarray, v: np.ndarray) -> tuple[np.nda
 def _log_density(
     family: CopulaFamily, theta: float | np.ndarray, *margins: np.ndarray
 ) -> np.ndarray:
-    """``log_density`` from ``_margins``, without checks; ``theta`` broadcasts.
+    """Pointwise log copula density from ``_margins``, without checks.
 
-    With (L, n) margins and an (L, 1) theta column this is the log-density of
-    L lanes at once, each element computed in the same order as with a scalar
-    theta, so every lane equals its own scalar evaluation bit for bit.
+    Accurate to rounding over all of ``THETA_BOUNDS``: no power u^(-theta) is
+    formed, so nothing overflows even at theta = 50 with n in the hundreds of
+    thousands.  ``theta`` broadcasts: with (L, n) margins and an (L, 1) theta
+    column this is the log-density of L lanes at once, each element computed
+    in the same order as with a scalar theta, so every lane equals its own
+    scalar evaluation bit for bit.
     """
     if family is CopulaFamily.CLAYTON:
         # log c = log(1 + th) + th log(uv) - (2 + 1/th) log(1 - P), where

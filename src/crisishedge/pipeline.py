@@ -266,7 +266,7 @@ def _write_attribution(path: Path, window: attr.WindowAttribution,
 
 def _write_figures(out: Path, result: "RunResult", prov: Mapping[str, object]) -> None:
     rs = result.return_series
-    lines = [_provenance_line(result.provenance), "month,measure,value"]
+    lines = [_provenance_line(prov), "month,measure,value"]
     for i, month in enumerate(rs.months):
         lines.append(f"{month},nominal,{float(rs.nominal[i])!r}")
         lines.append(f"{month},real_domestic,{float(rs.real_domestic[i])!r}")

@@ -1,0 +1,246 @@
+"""Certificate-only references that the tests hold the shipped code to.
+
+Nothing here is on a run's path.  Each oracle is one of three kinds:
+
+* a slow, obviously correct reference: Shapley values and interaction
+  indices by 2^M subset enumeration, importance shares one column at a time;
+* a one-at-a-time input for a batched path: a row subset of a design as a
+  design of its own;
+* a checked per-call entry point to a private kernel.  These call the
+  shipped kernel itself and carry no formula of their own, so what they
+  certify is the kernel a run uses: ``shapley_values`` and ``window_phi``
+  run ``attribution._shapley_batch``, and ``log_density`` runs
+  ``copula._log_density``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
+
+from crisishedge.attribution import _pair_positions, _shapley_batch
+from crisishedge.copula import (
+    CopulaFamily,
+    _check_unit_interval,
+    _log_density,
+    _margins,
+    _validate_theta,
+)
+from crisishedge.errors import DataError, DegenerateSampleError
+from crisishedge.qreg import DesignMatrix, QuantileModel, restandardized_values
+
+_ENUMERATION_LIMIT = 12
+_INTERACTION_ENUMERATION_LIMIT = 10
+
+
+@dataclass(frozen=True)
+class AttributionResult:
+    """Per-instance attribution: phi0 + sum(phi) reproduces the prediction."""
+
+    phi: Mapping[str, float]
+    phi0: float
+    phi_interactions: Mapping[tuple[str, str], float]
+    instance_month: str = ""
+
+    @property
+    def prediction(self) -> float:
+        return self.phi0 + float(sum(self.phi.values()))
+
+
+def _gather(model: QuantileModel, mapping: Mapping[str, float], what: str) -> np.ndarray:
+    out = np.empty(len(model.columns))
+    for j, col in enumerate(model.columns):
+        if col not in mapping:
+            raise DataError(f"{what} is missing column {col!r}")
+        out[j] = float(mapping[col])
+    return out
+
+
+def _pairs(model: QuantileModel) -> list[tuple[int, int]]:
+    return _pair_positions(model.columns, model.interaction_pairs)
+
+
+def _coalition_value(
+    model: QuantileModel,
+    x: np.ndarray,
+    mu: np.ndarray,
+    pairs: list[tuple[int, int]],
+    mask: int,
+) -> float:
+    chosen = np.array(
+        [x[j] if mask >> j & 1 else mu[j] for j in range(x.size)]
+    )
+    m = x.size
+    value = model.intercept + float(np.dot(model.coef[1: 1 + m], chosen))
+    for (i, j), gamma in zip(pairs, model.coef[1 + m:].tolist()):
+        value += gamma * chosen[i] * chosen[j]
+    return value
+
+
+def window_phi(model: QuantileModel, linear: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The kernel's (M x n) Shapley values of one (n x M) block: a stack of one."""
+    return _shapley_batch(model.coef[None], linear[None], mu[None], _pairs(model))[1][0]
+
+
+def shapley_values(
+    model: QuantileModel,
+    background_means: Mapping[str, float],
+    instance: Mapping[str, float],
+    *,
+    instance_month: str = "",
+) -> AttributionResult:
+    """Closed-form Shapley attribution of one instance: the kernel on one row."""
+    x = _gather(model, instance, "instance")
+    mu = _gather(model, background_means, "background means")
+    pairs = _pairs(model)
+    phi0, phi = _shapley_batch(model.coef[None], x[None, None, :], mu[None], pairs)
+    c = (x - mu).tolist()
+    return AttributionResult(
+        phi=dict(zip(model.columns, phi[0, :, 0].tolist())),
+        phi0=float(phi0[0]),
+        phi_interactions={
+            pair: g * c[i] * c[j] for (pair, g), (i, j) in zip(model.gammas.items(), pairs)
+        },
+        instance_month=instance_month,
+    )
+
+
+def shapley_brute_force(
+    model: QuantileModel,
+    background_means: Mapping[str, float],
+    instance: Mapping[str, float],
+    *,
+    instance_month: str = "",
+) -> AttributionResult:
+    """Shapley values by 2^M subset enumeration."""
+    m = len(model.columns)
+    if m > _ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration limited to {_ENUMERATION_LIMIT} features")
+    x = _gather(model, instance, "instance")
+    mu = _gather(model, background_means, "background means")
+    pairs = _pairs(model)
+
+    values = np.array(
+        [_coalition_value(model, x, mu, pairs, mask) for mask in range(1 << m)]
+    )
+    fact = [math.factorial(k) for k in range(m + 1)]
+    phi = {}
+    for j, col in enumerate(model.columns):
+        total = 0.0
+        for mask in range(1 << m):
+            if mask >> j & 1:
+                continue
+            s = bin(mask).count("1")
+            weight = fact[s] * fact[m - s - 1] / fact[m]
+            total += weight * (values[mask | (1 << j)] - values[mask])
+        phi[col] = total
+
+    interactions = interaction_values_brute_force(model, background_means, instance)
+    return AttributionResult(
+        phi=phi, phi0=float(values[0]), phi_interactions=interactions,
+        instance_month=instance_month,
+    )
+
+
+def interaction_values(
+    model: QuantileModel,
+    background_means: Mapping[str, float],
+    instance: Mapping[str, float],
+) -> dict[tuple[str, str], float]:
+    """Closed-form pairwise Shapley interaction indices for declared pairs."""
+    return dict(shapley_values(model, background_means, instance).phi_interactions)
+
+
+def interaction_values_brute_force(
+    model: QuantileModel,
+    background_means: Mapping[str, float],
+    instance: Mapping[str, float],
+) -> dict[tuple[str, str], float]:
+    """Pairwise interaction indices by subset enumeration."""
+    m = len(model.columns)
+    if m > _INTERACTION_ENUMERATION_LIMIT:
+        raise ValueError(
+            f"interaction enumeration limited to {_INTERACTION_ENUMERATION_LIMIT} features"
+        )
+    x = _gather(model, instance, "instance")
+    mu = _gather(model, background_means, "background means")
+    pairs = _pairs(model)
+    values = np.array(
+        [_coalition_value(model, x, mu, pairs, mask) for mask in range(1 << m)]
+    )
+    fact = [math.factorial(k) for k in range(m + 1)]
+    out: dict[tuple[str, str], float] = {}
+    for pair, (i, j) in zip(model.interaction_pairs, pairs):
+        bit_i, bit_j = 1 << i, 1 << j
+        total = 0.0
+        for mask in range(1 << m):
+            if mask & bit_i or mask & bit_j:
+                continue
+            s = bin(mask).count("1")
+            weight = fact[s] * fact[m - s - 2] / fact[m - 1]
+            delta = (
+                values[mask | bit_i | bit_j]
+                - values[mask | bit_i]
+                - values[mask | bit_j]
+                + values[mask]
+            )
+            total += weight * delta
+        out[pair] = total
+    return out
+
+
+def summary_oracle(columns, phi):
+    """(ranking, shares) of mean |phi| per column, one column at a time in Python.
+
+    The reference for ``importance_summary`` and the stability bootstrap's
+    batched ranking.  Totals are summed left to right in explicit loops, as
+    the shares are defined (``sum`` compensates from Python 3.12 on).
+    """
+    means = {col: float(np.mean(np.abs(row))) for col, row in zip(columns, phi)}
+    total = 0.0
+    for value in means.values():
+        total += value
+    if total == 0.0:
+        raise DegenerateSampleError("all attributions are zero; shares undefined")
+    shares = {col: 100.0 * means[col] / total for col in columns}
+    summed = 0.0
+    for value in shares.values():
+        summed += value
+    drift = 100.0 - summed
+    if drift != 0.0:
+        # push float summation residue into the largest share
+        top = max(shares, key=lambda c: (shares[c], c))
+        shares[top] += drift
+    ranking = tuple(sorted(columns, key=lambda c: (-shares[c], c)))
+    return ranking, shares
+
+
+def restandardized_subset(X, stats_rows, rows):
+    """Rows of ``X`` as a design of their own, scaled with the moments of ``stats_rows``."""
+    return DesignMatrix(
+        months=tuple(X.months[i] for i in rows),
+        columns=X.columns,
+        values=restandardized_values(X, stats_rows, rows),
+        target=X.target[rows],
+        interaction_pairs=X.interaction_pairs,
+        dummy_columns=X.dummy_columns,
+        raw_linear=X.raw_linear[rows],
+    )
+
+
+def log_density(
+    family: CopulaFamily | str, theta: float, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Pointwise log copula density with its arguments checked.
+
+    ``copula._log_density`` after the checks a caller outside the fitting
+    code needs: a valid theta for the family and (u, v) strictly inside the
+    unit square.
+    """
+    family = CopulaFamily(family)
+    _validate_theta(family, theta)
+    u, v = _check_unit_interval(u, v)
+    return _log_density(family, theta, *_margins(family, u, v))

@@ -17,12 +17,6 @@ import numpy as np
 import pytest
 
 from crisishedge import dataio, months as mo, qreg
-from crisishedge.attribution import (
-    interaction_values,
-    interaction_values_brute_force,
-    shapley_brute_force,
-    shapley_values,
-)
 from crisishedge.config import BootstrapConfig, load_episode
 from crisishedge.copula import (
     CopulaFamily,
@@ -39,6 +33,13 @@ from crisishedge.hedge import hedge_effectiveness
 from crisishedge.pipeline import run_pipeline, sensitivity_sweep
 from crisishedge.qreg import DesignMatrix, QuantileModel, check_loss, fit_quantile
 from crisishedge.tailsel import build_triplet
+
+from oracles import (
+    interaction_values,
+    interaction_values_brute_force,
+    shapley_brute_force,
+    shapley_values,
+)
 
 TAUS = (0.08, 0.5, 0.92)
 TAU_EXACT = {0.08: Fraction(2, 25), 0.5: Fraction(1, 2), 0.92: Fraction(23, 25)}

@@ -14,10 +14,6 @@ from crisishedge.attribution import (
     attribute_window,
     bootstrap_stability,
     importance_summary,
-    interaction_values,
-    interaction_values_brute_force,
-    shapley_brute_force,
-    shapley_values,
     stability_kendall,
 )
 from crisishedge.config import load_episode
@@ -29,6 +25,15 @@ from crisishedge.qreg import (
     fit_quantile,
     predict,
     require_varying,
+)
+
+from oracles import (
+    interaction_values,
+    interaction_values_brute_force,
+    shapley_brute_force,
+    shapley_values,
+    summary_oracle,
+    window_phi,
 )
 
 
@@ -314,35 +319,9 @@ class TestImportanceSummary:
             )
 
 
-def summary_oracle(columns, phi):
-    """(ranking, shares) of mean |phi| per column, one column at a time in Python.
-
-    The reference for ``importance_summary`` and the stability bootstrap's
-    batched ranking.  Totals are summed left to right in explicit loops, as
-    the shares are defined (``sum`` compensates from Python 3.12 on).
-    """
-    means = {col: float(np.mean(np.abs(row))) for col, row in zip(columns, phi)}
-    total = 0.0
-    for value in means.values():
-        total += value
-    if total == 0.0:
-        raise DegenerateSampleError("all attributions are zero; shares undefined")
-    shares = {col: 100.0 * means[col] / total for col in columns}
-    summed = 0.0
-    for value in shares.values():
-        summed += value
-    drift = 100.0 - summed
-    if drift != 0.0:
-        # push float summation residue into the largest share
-        top = max(shares, key=lambda c: (shares[c], c))
-        shares[top] += drift
-    ranking = tuple(sorted(columns, key=lambda c: (-shares[c], c)))
-    return ranking, shares
-
-
 class TestBatchedRankings:
     """Importance shares and rankings, one at a time and batched, against
-    ``summary_oracle`` on ``_shapley_matrix``'s values."""
+    ``summary_oracle`` on the kernel's values."""
 
     COLUMNS = ("delta", "alpha", "echo", "bravo", "charlie", "foxtrot", "golf", "hotel", "india")
     PAIR = ("charlie", "foxtrot")
@@ -362,7 +341,7 @@ class TestBatchedRankings:
             columns=self.COLUMNS, interaction_pairs=(self.PAIR,),
         )
         linear = values[:, :9]
-        return attribution._shapley_matrix(model, linear, np.mean(linear, axis=0))[1]
+        return window_phi(model, linear, np.mean(linear, axis=0))
 
     def oracle(self, coef, values):
         try:

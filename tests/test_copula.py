@@ -22,7 +22,6 @@ from crisishedge.copula import (
     family_lambda_statistic,
     fit_copula,
     fit_families,
-    log_density,
     lower_tail_dependence,
     pseudo_observations,
     select_family,
@@ -30,6 +29,8 @@ from crisishedge.copula import (
 )
 from crisishedge.errors import DataError, FitError, NumericalError, DegenerateSampleError
 from crisishedge.resample import block_resamples, default_block_length
+
+from oracles import log_density
 
 
 def sample_from(family, theta, n, seed):

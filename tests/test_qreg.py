@@ -32,7 +32,8 @@ from crisishedge.qreg import (
 )
 from crisishedge.quantiles import empirical_quantile
 
-from conftest import make_series, restandardized_subset
+from conftest import make_series
+from oracles import restandardized_subset
 
 
 def dm(values, target, columns=None, start="2015-01", **kwargs) -> DesignMatrix:

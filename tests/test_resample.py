@@ -15,22 +15,21 @@ import pytest
 from scipy import optimize
 
 from crisishedge import attribution, copula, load_episode, qreg, run_pipeline
-from crisishedge.attribution import _shapley_matrix, bootstrap_stability, stability_kendall
+from crisishedge.attribution import bootstrap_stability, stability_kendall
 from crisishedge.copula import (
     THETA_BOUNDS,
     CopulaFamily,
     PseudoSample,
     block_bootstrap_ci,
     family_lambda_statistic,
-    log_density,
     lower_tail_dependence,
 )
 from crisishedge.errors import DataError, NumericalError
 from crisishedge.qreg import FitCertificates, expanding_window_cv, fit_quantile
 from crisishedge.resample import block_resamples
 
-from conftest import restandardized_subset
-from test_attribution import make_design, summary_oracle
+from oracles import log_density, restandardized_subset, summary_oracle, window_phi
+from test_attribution import make_design
 from test_copula import sample_from
 from test_qreg import noise_matrix
 
@@ -171,7 +170,7 @@ class TestBatchedEqualsOneAtATime:
             replicate = restandardized_subset(X, rows, rows)
             model = fit_quantile(replicate, 0.25)
             linear = replicate.values[:, : replicate.n_linear]
-            _, phi = _shapley_matrix(model, linear, np.mean(linear, axis=0))
+            phi = window_phi(model, linear, np.mean(linear, axis=0))
             rankings.append(summary_oracle(model.columns, phi)[0])
             certificates += model.certificate
         assert batched.kendall_tau == stability_kendall(rankings)
