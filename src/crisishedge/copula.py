@@ -30,11 +30,11 @@ those intervals (Frank's denominator as two terms of the sign of theta, see
 ``_log_density``), so the search sees the true likelihood up to both bounds.
 
 Replicate policy.  The bootstrap ranks its replicates in chunks of about
-``CHUNK_POINTS`` observations and hands each chunk to a batch statistic.  A
-degenerate replicate is skipped; a replicate whose search did not converge is
-left out of the percentile interval; both are counted, and together they may
-not exceed 5% of the replications.  A replicate fitted at a parameter bound
-stays in at its limit value (the boundary rule above) and is counted.
+``CHUNK_POINTS`` observations and refits the selected family on each chunk
+with ``fit_batch``.  A replicate whose search did not converge is left out of
+the percentile interval and counted; such replicates may not exceed 5% of the
+replications.  A replicate fitted at a parameter bound stays in at its limit
+value (the boundary rule above) and is counted.
 """
 
 from __future__ import annotations
@@ -426,7 +426,8 @@ class BatchFit:
 
     Arrays are indexed by lane.  ``converged`` is false where a search ran out
     of evaluations or the likelihood was not finite at the optimum;
-    ``search_failures`` holds each lane's optimizer message, or None.
+    ``status`` is the search's own outcome: 0 converged, or a key of
+    ``_SEARCH_MESSAGES``.
     """
 
     theta: np.ndarray
@@ -435,7 +436,7 @@ class BatchFit:
     converged: np.ndarray
     boundary: np.ndarray
     at_upper: np.ndarray
-    search_failures: tuple[str | None, ...]
+    status: np.ndarray
 
 
 def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
@@ -478,7 +479,7 @@ def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
         converged=np.isfinite(ll) & (ll > -1e299) & (status == 0),
         boundary=at_upper | (theta <= lo + edge_tol),
         at_upper=at_upper,
-        search_failures=tuple(_SEARCH_MESSAGES.get(int(k)) for k in status),
+        status=status,
     )
 
 
@@ -498,7 +499,7 @@ def fit_copula(
     fit = fit_batch(PseudoBatch.of(sample), family)
     theta = float(fit.theta[0])
     ll = float(fit.log_likelihood[0])
-    message = fit.search_failures[0]
+    message = _SEARCH_MESSAGES.get(int(fit.status[0]))
     diagnostics = [] if message is None else [f"{family.value}: optimizer reported {message!r}"]
     if not math.isfinite(ll) or ll <= -1e299:
         diagnostics.append(f"{family.value}: likelihood not finite at optimum")
@@ -549,54 +550,26 @@ def select_family(
 
 
 def empirical_tail_dependence(sample: PseudoSample, tau: float) -> float:
-    """Conditional joint-tail frequency count{u<=tau, v<=tau} / count{u<=tau}.
-
-    A batch of one for ``empirical_lambda_statistic``.
-    """
-    values = empirical_lambda_statistic(tau)(PseudoBatch.of(sample))
-    if values.skipped[0] is not None:
-        raise DegenerateSampleError(values.skipped[0])
-    return float(values.values[0])
-
-
-@dataclass(frozen=True)
-class ReplicateValues:
-    """A batch statistic: one value per lane, and which lanes cannot be used.
-
-    ``skipped[i]`` says why lane ``i`` is degenerate, or is None.  A lane that
-    is not ``converged`` is left out of the interval; a ``boundary`` lane
-    stays in.  Both default to "every lane".
-    """
-
-    values: np.ndarray
-    skipped: tuple[str | None, ...]
-    converged: np.ndarray | None = None
-    boundary: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        count = len(self.values)
-        if self.converged is None:
-            object.__setattr__(self, "converged", np.ones(count, dtype=bool))
-        if self.boundary is None:
-            object.__setattr__(self, "boundary", np.zeros(count, dtype=bool))
-        if not len(self.skipped) == len(self.converged) == len(self.boundary) == count:
-            raise ValueError("replicate values, skips and flags must have one entry per lane")
-
-
-BatchStatistic = Callable[[PseudoBatch], ReplicateValues]
+    """Conditional joint-tail frequency count{u<=tau, v<=tau} / count{u<=tau}."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    in_u = sample.u <= tau
+    denom = np.count_nonzero(in_u)
+    if not denom:
+        raise DegenerateSampleError(f"no observations with u <= {tau}; conditioning set empty")
+    return float(np.count_nonzero(in_u & (sample.v <= tau)) / denom)
 
 
 @dataclass(frozen=True)
 class BootstrapCI:
-    """Percentile interval of a bootstrap statistic and what it left out or flagged.
+    """Percentile interval of a family's lambda_L and what it left out or flagged.
 
-    ``skipped`` counts degenerate replicates and ``nonconverged`` replicates
-    whose fit did not converge; neither enters the interval.  ``boundary``
-    counts the replicates in the interval whose fit sits at a parameter bound.
+    ``nonconverged`` counts the replicates whose fit did not converge, which
+    the interval leaves out; ``boundary`` counts the replicates in the
+    interval whose fit sits at a parameter bound.
     """
 
     interval: tuple[float, float]
-    skipped: int
     replications: int
     boundary: int
     nonconverged: int
@@ -604,23 +577,24 @@ class BootstrapCI:
 
 def block_bootstrap_ci(
     sample: PseudoSample,
-    statistic: BatchStatistic,
+    family: CopulaFamily | str,
     *,
     replications: int = 1000,
     block_length: int | None = None,
     seed: int,
 ) -> BootstrapCI:
-    """95% percentile CI of a tail statistic under a paired moving-block bootstrap.
+    """95% percentile CI of a family's lambda_L under a paired moving-block bootstrap.
 
     Blocks are drawn over the paired (u, v) sequence so temporal dependence
     within each margin and the cross-dependence survive together; ranks are
     recomputed inside every replicate, keeping the statistic rank-based.
     Replicate ``r`` takes row ``r`` of one ``resample.block_resamples``
-    draw from ``seed``, and the statistic sees about ``CHUNK_POINTS``
-    observations of replicates at a time, so a replicate's value depends on
-    neither ``replications`` nor the chunking.  Degenerate
-    and non-converged replicates are left out and counted; more than 5% of
-    them together raises ``NumericalError``.
+    draw from ``seed``, and ``fit_batch`` refits the family on about
+    ``CHUNK_POINTS`` observations of replicates at a time, so a replicate's
+    value depends on neither ``replications`` nor the chunking.  The refit
+    applies the boundary rule, so a replicate at the upper bound counts as 1,
+    like the point estimate.  Non-converged replicates are left out and
+    counted; more than 5% of them raises ``NumericalError``.
     """
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
@@ -629,69 +603,28 @@ def block_bootstrap_ci(
         sample.n, replications=replications, block_length=block_length, seed=seed
     )
     per = max(1, CHUNK_POINTS // sample.n)
-    parts = [
-        statistic(PseudoBatch.from_rows(sample, rows[start: start + per]))
+    fits = [
+        fit_batch(PseudoBatch.from_rows(sample, rows[start: start + per]), family)
         for start in range(0, replications, per)
     ]
-    values = np.concatenate([p.values for p in parts])
-    degenerate = np.array([s is not None for p in parts for s in p.skipped], dtype=bool)
-    converged = np.concatenate([p.converged for p in parts])
-    boundary = np.concatenate([p.boundary for p in parts])
-    nonconverged = ~degenerate & ~converged
-    kept = ~degenerate & converged
+    values = np.concatenate([f.lambda_lower for f in fits])
+    converged = np.concatenate([f.converged for f in fits])
+    boundary = np.concatenate([f.boundary for f in fits])
 
-    skipped = int(np.count_nonzero(degenerate))
-    failed = int(np.count_nonzero(nonconverged))
-    if skipped:
-        logger.warning("bootstrap: %d/%d degenerate replicates skipped",
-                       skipped, replications)
+    failed = int(np.count_nonzero(~converged))
     if failed:
         logger.warning("bootstrap: %d/%d replicate fits did not converge",
                        failed, replications)
-    if skipped + failed > 0.05 * replications:
+    if failed > 0.05 * replications:
         raise NumericalError(
-            f"bootstrap unstable: {skipped + failed}/{replications} replicates "
-            "degenerate or not converged"
+            f"bootstrap unstable: {failed}/{replications} replicate fits did not converge"
         )
     alpha = 1.0 - CI_LEVEL
-    lo, hi = np.quantile(values[kept], [alpha / 2.0, 1.0 - alpha / 2.0])
+    lo, hi = np.quantile(values[converged], [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapCI(
-        (float(lo), float(hi)), skipped, replications,
-        boundary=int(np.count_nonzero(boundary & kept)), nonconverged=failed,
+        (float(lo), float(hi)), replications,
+        boundary=int(np.count_nonzero(boundary & converged)), nonconverged=failed,
     )
-
-
-def family_lambda_statistic(family: CopulaFamily | str) -> BatchStatistic:
-    """Bootstrap statistic: refit the given family on every lane, return ``lambda_lower``.
-
-    The refit applies ``fit_copula``'s boundary rule, so a replicate at the
-    upper bound counts as 1, like the point estimate.
-    """
-    family = CopulaFamily(family)
-
-    def stat(batch: PseudoBatch) -> ReplicateValues:
-        fit = fit_batch(batch, family)
-        return ReplicateValues(
-            fit.lambda_lower, (None,) * len(batch), fit.converged, fit.boundary
-        )
-
-    return stat
-
-
-def empirical_lambda_statistic(tau: float) -> BatchStatistic:
-    """Bootstrap statistic: empirical conditional tail frequency at a fixed threshold."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    empty = f"no observations with u <= {tau}; conditioning set empty"
-
-    def stat(batch: PseudoBatch) -> ReplicateValues:
-        in_u = batch.u <= tau
-        denom = np.count_nonzero(in_u, axis=1)
-        joint = np.count_nonzero(in_u & (batch.v <= tau), axis=1)
-        values = np.divide(joint, denom, out=np.full(len(batch), np.nan), where=denom > 0)
-        return ReplicateValues(values, tuple(None if d else empty for d in denom))
-
-    return stat
 
 
 def attach_ci(fit: CopulaFit, ci: tuple[float, float]) -> CopulaFit:

@@ -133,7 +133,6 @@ def load_series(
     name: str | None = None,
     unit: str = "",
     source_kind: SourceKind | str = SourceKind.OFFICIAL,
-    reliability: float | None = None,
 ) -> MacroSeries:
     """Load one series from a CSV file.
 
@@ -177,31 +176,24 @@ def load_series(
             observations=tuple(rows),
             unit=unit,
             source_kind=SourceKind(source_kind),
-            reliability=reliability,
         )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def save_series(
-    series: MacroSeries,
-    path: str | Path,
-    *,
-    date_column: str = "date",
-    value_column: str = "value",
-) -> Path:
+def save_series(series: MacroSeries, path: str | Path) -> Path:
     """Write a series back to CSV; values use shortest round-trip formatting."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([date_column, value_column])
+        writer.writerow(["date", "value"])
         for stamp, value in series.observations:
             writer.writerow([stamp, repr(value)])
     return path
 
 
-def _interp_monthly(collapsed: list[tuple[str, float]], name: str) -> list[tuple[str, float]]:
+def _interp_monthly(collapsed: list[tuple[str, float]]) -> list[tuple[str, float]]:
     idx = np.array([mo.month_index(s) for s, _ in collapsed], dtype=float)
     vals = np.array([v for _, v in collapsed], dtype=float)
     full = np.arange(idx[0], idx[-1] + 1)
@@ -209,29 +201,18 @@ def _interp_monthly(collapsed: list[tuple[str, float]], name: str) -> list[tuple
     return [(mo.index_to_month(int(i)), float(v)) for i, v in zip(full, filled)]
 
 
-def to_monthly(
-    series: MacroSeries,
-    method: ConversionMethod | str,
-    *,
-    start: str | None = None,
-    end: str | None = None,
-) -> MacroSeries:
+def to_monthly(series: MacroSeries, method: ConversionMethod | str) -> MacroSeries:
     """Collapse a series to one observation per month.
 
     ``last`` and ``mean`` aggregate within each observed month and leave gaps
     alone.  ``linear_interp`` first collapses to last-in-month, then fills
     interior monthly gaps by linear interpolation on the month index; it never
-    extrapolates, so a ``start``/``end`` outside the observed span is an error.
-    Passing an already-monthly series through ``last`` or ``mean`` is the
-    identity on the selected window.
+    extrapolates.  Passing an already-monthly series through ``last`` or
+    ``mean`` is the identity.
     """
     method = ConversionMethod(method)
     if len(series) == 0:
         raise DataError(f"cannot convert empty series {series.name!r}")
-    if start is not None:
-        start = mo.month_of(start)
-    if end is not None:
-        end = mo.month_of(end)
 
     by_month: dict[str, list[float]] = {}
     order: list[str] = []
@@ -248,20 +229,8 @@ def to_monthly(
         collapsed = [(m, by_month[m][-1]) for m in order]
 
     if method is ConversionMethod.LINEAR_INTERP:
-        if start is not None and start < collapsed[0][0]:
-            raise DataError(
-                f"series {series.name!r}: cannot interpolate before first "
-                f"observation {collapsed[0][0]}"
-            )
-        if end is not None and end > collapsed[-1][0]:
-            raise DataError(
-                f"series {series.name!r}: cannot interpolate past last "
-                f"observation {collapsed[-1][0]}"
-            )
-        collapsed = _interp_monthly(collapsed, series.name)
-
-    kept = tuple((m, v) for m, v in collapsed if mo.within(m, start, end))
-    return replace(series, observations=kept)
+        collapsed = _interp_monthly(collapsed)
+    return replace(series, observations=tuple(collapsed))
 
 
 @dataclass(frozen=True)

@@ -561,16 +561,11 @@ def run_pipeline(
                 chosen = cop.select_family(fits, episode.criterion)
                 boot = cop.block_bootstrap_ci(
                     sample,
-                    cop.family_lambda_statistic(chosen.family),
+                    chosen.family,
                     replications=replications,
                     block_length=episode.bootstrap.block_length,
                     seed=residency_seed[residency],
                 )
-                if boot.skipped:
-                    diagnostics.append(
-                        f"copula ({residency.value}): bootstrap skipped "
-                        f"{boot.skipped}/{boot.replications} replicates"
-                    )
                 if boot.nonconverged:
                     diagnostics.append(
                         f"copula ({residency.value}): bootstrap {boot.nonconverged}/"

@@ -23,7 +23,6 @@ from crisishedge.copula import (
     PseudoSample,
     block_bootstrap_ci,
     empirical_tail_dependence,
-    family_lambda_statistic,
     fit_families,
     select_family,
     simulate_copula,
@@ -232,10 +231,10 @@ def test_bootstrap_ci_determinism_and_coverage(fixture_root):
     rng = np.random.default_rng(42)
     small = PseudoSample.from_data(*simulate_copula(CopulaFamily.CLAYTON, 2.0, 500, rng))
     big = PseudoSample.from_data(*simulate_copula(CopulaFamily.CLAYTON, 2.0, 2000, rng))
-    stat = family_lambda_statistic(CopulaFamily.CLAYTON)
-    ci_a = block_bootstrap_ci(small, stat, replications=1000, seed=7).interval
-    ci_b = block_bootstrap_ci(small, stat, replications=1000, seed=7).interval
-    ci_big = block_bootstrap_ci(big, stat, replications=1000, seed=7).interval
+    family = CopulaFamily.CLAYTON
+    ci_a = block_bootstrap_ci(small, family, replications=1000, seed=7).interval
+    ci_b = block_bootstrap_ci(small, family, replications=1000, seed=7).interval
+    ci_big = block_bootstrap_ci(big, family, replications=1000, seed=7).interval
 
     episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
     result = run_pipeline(episode, write_outputs=False)

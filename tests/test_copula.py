@@ -10,16 +10,14 @@ from crisishedge.copula import (
     CopulaFit,
     PseudoBatch,
     PseudoSample,
-    ReplicateValues,
     THETA_BOUNDS,
     _log_density,
     _margins,
     _rank,
     attach_ci,
     block_bootstrap_ci,
-    empirical_lambda_statistic,
     empirical_tail_dependence,
-    family_lambda_statistic,
+    fit_batch,
     fit_copula,
     fit_families,
     lower_tail_dependence,
@@ -27,7 +25,7 @@ from crisishedge.copula import (
     select_family,
     simulate_copula,
 )
-from crisishedge.errors import DataError, FitError, NumericalError, DegenerateSampleError
+from crisishedge.errors import DataError, FitError, DegenerateSampleError
 from crisishedge.resample import block_resamples, default_block_length
 
 from oracles import log_density
@@ -254,7 +252,7 @@ class TestFitCopula:
             "at parameter-space boundary; lambda_L=1 from the comonotone limit" in d
             for d in fit.diagnostics
         )
-        assert family_lambda_statistic(family)(PseudoBatch.of(s)).values[0] == 1.0
+        assert fit_batch(PseudoBatch.of(s), family).lambda_lower[0] == 1.0
 
     @pytest.mark.parametrize("family", list(CopulaFamily))
     def test_lower_bound_fit_keeps_zero(self, family):
@@ -345,6 +343,12 @@ class TestEmpiricalTailDependence:
         ):
             empirical_tail_dependence(s, 0.01)
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.1, 1.5])
+    def test_tau_outside_unit_interval_raises(self, tau):
+        s = PseudoSample(u=np.array([0.05, 0.6]), v=np.array([0.05, 0.6]))
+        with pytest.raises(ValueError, match=r"^tau must lie in \(0, 1\)"):
+            empirical_tail_dependence(s, tau)
+
 
 class TestBlocks:
     def test_default_block_length_is_cube_root(self):
@@ -383,58 +387,25 @@ class TestBlocks:
 class TestBootstrapCI:
     def test_deterministic_under_fixed_seed(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 300, seed=111)
-        stat = family_lambda_statistic(CopulaFamily.CLAYTON)
-        a = block_bootstrap_ci(s, stat, replications=150, seed=9)
-        b = block_bootstrap_ci(s, stat, replications=150, seed=9)
+        family = CopulaFamily.CLAYTON
+        a = block_bootstrap_ci(s, family, replications=150, seed=9)
+        b = block_bootstrap_ci(s, family, replications=150, seed=9)
         assert a == b
-        c = block_bootstrap_ci(s, stat, replications=150, seed=10)
+        c = block_bootstrap_ci(s, family, replications=150, seed=10)
         assert a != c
 
     def test_interval_brackets_the_point_estimate(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 500, seed=112)
         fit = fit_copula(s, "clayton")
         lo, hi = block_bootstrap_ci(
-            s, family_lambda_statistic(CopulaFamily.CLAYTON),
-            replications=200, seed=11,
+            s, CopulaFamily.CLAYTON, replications=200, seed=11,
         ).interval
         assert lo <= fit.lambda_lower <= hi
-
-    def test_too_many_degenerate_replicates_raise(self):
-        s = sample_from(CopulaFamily.CLAYTON, 2.0, 100, seed=113)
-
-        def flaky(batch):
-            # Decided by each replicate's own data, so it holds in any chunk.
-            failing = batch.u[:, 0] < 0.5
-            return ReplicateValues(
-                np.full(len(batch), 0.5),
-                tuple("synthetic failure" if f else None for f in failing),
-            )
-
-        with pytest.raises(NumericalError, match="50/100 replicates degenerate"):
-            block_bootstrap_ci(s, flaky, replications=100, seed=12)
-
-    def test_skipped_replicates_are_reported(self):
-        s = sample_from(CopulaFamily.CLAYTON, 2.0, 100, seed=113)
-
-        def flaky(batch):
-            # Skips 3 of 100 here: under the 5% bound, so the interval stands.
-            failing = batch.u[:, 0] < 0.03
-            return ReplicateValues(
-                batch.v[:, 0].copy(),
-                tuple("synthetic failure" if f else None for f in failing),
-            )
-
-        ci = block_bootstrap_ci(s, flaky, replications=100, seed=12)
-        assert (ci.skipped, ci.replications) == (3, 100)
-        lo, hi = ci.interval
-        assert 0.0 < lo <= hi < 1.0
 
     def test_replication_floor(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 100, seed=114)
         with pytest.raises(ValueError):
-            block_bootstrap_ci(
-                s, family_lambda_statistic("clayton"), replications=50, seed=1
-            )
+            block_bootstrap_ci(s, "clayton", replications=50, seed=1)
 
     def test_attach_ci_validates_interval(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 300, seed=115)
@@ -453,30 +424,19 @@ class TestBootstrapCI:
 class TestStatistics:
     def test_family_statistic_refits_on_replicate(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 400, seed=116)
-        stat = family_lambda_statistic(CopulaFamily.CLAYTON)
-        values = stat(PseudoBatch.of(s))
+        lanes = fit_batch(PseudoBatch.of(s), CopulaFamily.CLAYTON)
         fit = fit_copula(s, "clayton")
-        assert values.values[0] == fit.lambda_lower
-        assert values.skipped == (None,)
-        assert values.converged[0] == fit.converged
-        assert values.boundary[0] == fit.boundary
+        assert lanes.lambda_lower[0] == fit.lambda_lower
+        assert lanes.converged[0] == fit.converged
+        assert lanes.boundary[0] == fit.boundary
 
     def test_empirical_statistic_closure(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 400, seed=117)
         in_u = [v for u, v in zip(s.u, s.v) if u <= 0.1]
         expected = sum(v <= 0.1 for v in in_u) / len(in_u)
-        stat = empirical_lambda_statistic(0.1)
-        assert stat(PseudoBatch.of(s)).values[0] == expected
-        assert empirical_tail_dependence(s, 0.1) == expected
-
-    def test_empirical_statistic_skips_empty_conditioning_set(self):
-        batch = PseudoBatch(u=np.array([[0.05, 0.5], [0.5, 0.6]]),
-                            v=np.array([[0.05, 0.5], [0.5, 0.6]]))
-        values = empirical_lambda_statistic(0.1)(batch)
-        assert values.values[0] == 1.0
-        assert values.skipped == (
-            None, "no observations with u <= 0.1; conditioning set empty",
-        )
+        value = empirical_tail_dependence(s, 0.1)
+        assert value == expected
+        assert type(value) is float
 
 
 class TestSimulate:

@@ -218,35 +218,6 @@ class TestRunResult:
         assert expected in doc["diagnostics"]
         assert doc["attribution"]["stability_kendall_tau"] is not None
 
-    def test_skipped_copula_replicates_reach_diagnostics(
-        self, episode, tmp_path, monkeypatch
-    ):
-        real = copula.family_lambda_statistic
-
-        def flaky_statistic(family):
-            stat = real(family)
-
-            def flaky(batch):
-                # Decided by each replicate's own data, so it holds in any chunk.
-                values = stat(batch)
-                forced = batch.u[:, 0] < 0.03
-                return dataclasses.replace(values, skipped=tuple(
-                    "forced" if f else s for f, s in zip(forced, values.skipped)
-                ))
-
-            return flaky
-
-        monkeypatch.setattr(copula, "family_lambda_statistic", flaky_statistic)
-        result = run_pipeline(episode, out_dir=tmp_path)
-        # 5% of the replicates at most, so the run still completes.
-        expected = [
-            f"copula ({leg}): bootstrap skipped {count}/{FAST_REPS} replicates"
-            for leg, count in (("foreign", 5), ("local", 4))
-        ]
-        assert [d for d in result.diagnostics if "skipped" in d] == expected
-        doc = json.loads((tmp_path / "report.full").read_text())
-        assert [d for d in doc["diagnostics"] if "skipped" in d] == expected
-
     def test_boundary_replicate_fits_reach_diagnostics(self, run):
         # The perfect hedge is comonotone, so every replicate fits at the upper bound.
         expected = [
@@ -261,19 +232,18 @@ class TestRunResult:
     def test_nonconverged_copula_replicates_reach_diagnostics(
         self, episode, tmp_path, monkeypatch
     ):
-        real = copula.family_lambda_statistic
+        real = copula.fit_batch
 
-        def stalling_statistic(family):
-            stat = real(family)
+        def stalling_fit(batch, family):
+            fit = real(batch, family)
+            if len(batch) == 1:
+                # A point fit: stalling it would leave no family to select.
+                return fit
+            # Decided by each replicate's own data, so it holds in any chunk.
+            stalled = batch.u[:, 0] < 0.03
+            return dataclasses.replace(fit, converged=fit.converged & ~stalled)
 
-            def stalling(batch):
-                values = stat(batch)
-                stalled = batch.u[:, 0] < 0.03
-                return dataclasses.replace(values, converged=values.converged & ~stalled)
-
-            return stalling
-
-        monkeypatch.setattr(copula, "family_lambda_statistic", stalling_statistic)
+        monkeypatch.setattr(copula, "fit_batch", stalling_fit)
         result = run_pipeline(episode, out_dir=tmp_path)
         expected = [
             f"copula ({leg}): bootstrap {count}/{FAST_REPS} replicate fits did not converge"

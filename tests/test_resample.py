@@ -21,7 +21,6 @@ from crisishedge.copula import (
     CopulaFamily,
     PseudoSample,
     block_bootstrap_ci,
-    family_lambda_statistic,
     lower_tail_dependence,
 )
 from crisishedge.errors import DataError, NumericalError
@@ -105,9 +104,7 @@ def batched(monkeypatch, case, chunk=None):
         return fit
 
     monkeypatch.setattr(copula, "fit_batch", recording_fit)
-    ci = block_bootstrap_ci(
-        sample, family_lambda_statistic(family), replications=COPULA_REPS, seed=5
-    )
+    ci = block_bootstrap_ci(sample, family, replications=COPULA_REPS, seed=5)
     lanes = {
         name: np.concatenate([getattr(f, name) for f in fits])
         for name in ("theta", "lambda_lower", "converged", "boundary")
@@ -134,7 +131,7 @@ class TestSerialEqualsBatched:
         reference = np.array([fit[1] for fit in one_at_a_time("clayton")])
         assert ci.interval == tuple(np.quantile(reference, [0.025, 0.975]))
         assert np.array_equal(lanes["lambda_lower"], reference)
-        assert (ci.skipped, ci.nonconverged, ci.boundary) == (0, 0, 0)
+        assert (ci.nonconverged, ci.boundary) == (0, 0)
 
     def test_pipeline_outputs_byte_identical(self, fixture_root, tmp_path, monkeypatch):
         episode = load_episode(fixture_root / "perfect_hedge" / "episode.yaml")
@@ -225,11 +222,11 @@ class TestBatchedEqualsOneAtATime:
         ci, lanes = batched(monkeypatch, "clayton")
         converged = np.array([fit[2] for fit in reference])
         assert np.array_equal(lanes["converged"], converged)
-        assert (ci.nonconverged, ci.skipped) == (5, 0)
+        assert ci.nonconverged == 5
         kept = [fit[1] for fit in reference if fit[2]]
         assert ci.interval == tuple(np.quantile(kept, [0.025, 0.975]))
 
         # 11 of 100 fail at 19 evaluations: over the 5% bound.
         monkeypatch.setattr(copula, "MAXITER", 19)
-        with pytest.raises(NumericalError, match="11/100 replicates degenerate or not converged"):
+        with pytest.raises(NumericalError, match="11/100 replicate fits did not converge"):
             batched(monkeypatch, "clayton")
