@@ -21,20 +21,24 @@ which the finite-theta formula already gives.  Either way the fit carries
 Batched search.  Every fit is one lane of ``fit_batch``: a port of scipy's
 bounded Brent minimizer (``_minimize_scalar_bounded``: same operation order,
 xatol 1e-10, at most 500 evaluations, a success flag per lane) run over a
-row-wise log-density, so all bootstrap replicates of a family are fitted in
-one search and each lane's theta is the one a scalar search would find on
-that replicate alone.  ``fit_copula`` is a batch of one.  Every family is
+row-wise log-density, so each lane's theta is the one a scalar search would
+find on that lane's sample alone, whatever else shares the batch.
+``fit_families`` fits every residency's sample in one search per family, one
+lane per sample; ``fit_copula`` is a batch of one.  Every family is
 searched over its one ``THETA_BOUNDS`` interval, Frank's spanning both signs
 of theta.  The log-densities are written so that no terms cancel anywhere on
 those intervals (Frank's denominator as two terms of the sign of theta, see
 ``_log_density``), so the search sees the true likelihood up to both bounds.
 
-Replicate policy.  The bootstrap ranks its replicates in chunks of about
-``CHUNK_POINTS`` observations and refits the selected family on each chunk
-with ``fit_batch``.  A replicate whose search did not converge is left out of
-the percentile interval and counted; such replicates may not exceed 5% of the
-replications.  A replicate fitted at a parameter bound stays in at its limit
-value (the boundary rule above) and is counted.
+Replicate policy.  The bootstrap takes several samples of one family, each
+with its own seed, and fits their replicates as one stream, leg after leg, in
+chunks of about ``CHUNK_POINTS`` observations, one ``fit_batch`` per chunk.
+A replicate's ranks are counted from its sample's dense codes
+(``_counted_ranks``), so no replicate is sorted.  A replicate whose search did
+not converge is left out of its leg's percentile interval and counted; such
+replicates may not exceed 5% of a leg's replications.  A replicate fitted at a
+parameter bound stays in at its limit value (the boundary rule above) and is
+counted.
 """
 
 from __future__ import annotations
@@ -43,11 +47,11 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateSampleError, FitError, NumericalError
+from .errors import BootstrapUnstableError, DataError, DegenerateSampleError, FitError
 from .resample import block_resamples
 
 logger = logging.getLogger(__name__)
@@ -97,6 +101,30 @@ def _rank(x: np.ndarray) -> np.ndarray:
     ranks = np.empty_like(ranked)
     np.put_along_axis(ranks, order, ranked, axis=-1)
     return ranks
+
+
+def _dense_codes(x: np.ndarray) -> np.ndarray:
+    """0-based dense ranks of a 1-D sample: equal values share one code."""
+    return np.unique(x, return_inverse=True)[1]
+
+
+def _counted_ranks(codes: np.ndarray) -> np.ndarray:
+    """``_rank`` of each row of (lanes, n) dense codes in [0, n), found by counting.
+
+    One ``bincount`` over lane-offset codes sizes every (lane, code) tie
+    group.  A group's running total is its last rank, so its mean rank is
+    that total less (count - 1) / 2.  Every term is an integer or a
+    half-integer, so the ranks equal ``_rank``'s of any values the codes
+    order, bit for bit.  The arithmetic is in place: a chunk's ranking then
+    needs less memory than its fit.
+    """
+    lanes, n = codes.shape
+    keys = codes + n * np.arange(lanes)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=lanes * n).reshape(lanes, n)
+    mean = np.cumsum(counts, axis=1, dtype=float)
+    counts -= 1
+    mean -= counts / 2
+    return mean.ravel()[keys]
 
 
 def pseudo_observations(x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -183,14 +211,15 @@ class CopulaFit:
                 raise ValueError("CI bounds out of order")
 
 
-def _validate_theta(family: CopulaFamily, theta: float) -> None:
-    if not np.isfinite(theta):
+def _validate_theta(family: CopulaFamily, theta: float | np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``theta``, a value or an array, is admissible."""
+    if not np.all(np.isfinite(theta)):
         raise ValueError(f"theta must be finite, got {theta}")
-    if family is CopulaFamily.CLAYTON and theta <= 0.0:
+    if family is CopulaFamily.CLAYTON and np.any(theta <= 0.0):
         raise ValueError("Clayton needs theta > 0")
-    if family is CopulaFamily.GUMBEL and theta < 1.0:
+    if family is CopulaFamily.GUMBEL and np.any(theta < 1.0):
         raise ValueError("Gumbel needs theta >= 1")
-    if family is CopulaFamily.FRANK and theta == 0.0:
+    if family is CopulaFamily.FRANK and np.any(theta == 0.0):
         raise ValueError("Frank needs theta != 0")
 
 
@@ -407,17 +436,18 @@ class PseudoBatch:
         return int(self.u.shape[1])
 
     @classmethod
-    def of(cls, sample: PseudoSample) -> "PseudoBatch":
-        return cls(sample.u[None, :], sample.v[None, :])
+    def of(cls, *samples: PseudoSample) -> "PseudoBatch":
+        """One lane per sample, in order; the samples must share one length."""
+        return cls(np.stack([s.u for s in samples]), np.stack([s.v for s in samples]))
 
     @classmethod
-    def from_rows(cls, sample: PseudoSample, rows: np.ndarray) -> "PseudoBatch":
-        """Each row of ``rows`` resamples ``sample``; ranks are recomputed per lane."""
-        scale = rows.shape[1] + 1.0
-        return cls(
-            _rank(sample.u[rows]) / scale,
-            _rank(sample.v[rows]) / scale,
-        )
+    def from_codes(cls, u_codes: np.ndarray, v_codes: np.ndarray) -> "PseudoBatch":
+        """Lane ``i`` ranks row ``i`` of each margin's dense codes (``_counted_ranks``)."""
+        scale = u_codes.shape[1] + 1.0
+        u, v = _counted_ranks(u_codes), _counted_ranks(v_codes)
+        u /= scale
+        v /= scale
+        return cls(u, v)
 
 
 @dataclass(frozen=True)
@@ -470,8 +500,13 @@ def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
     ll = -fun
     edge_tol = _BOUNDARY_REL * (hi - lo)
     at_upper = theta >= hi - edge_tol
-    # lower_tail_dependence validates every lane's final theta.
-    analytic = np.array([lower_tail_dependence(family, t) for t in theta])
+    _validate_theta(family, theta)
+    # lower_tail_dependence's values: Python's ``**`` per lane, because numpy's
+    # power rounds differently in the last place.
+    analytic = (
+        np.array([2.0 ** (-1.0 / t) for t in theta.tolist()])
+        if family is CopulaFamily.CLAYTON else np.zeros(count)
+    )
     return BatchFit(
         theta=theta,
         log_likelihood=ll,
@@ -481,6 +516,46 @@ def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
         at_upper=at_upper,
         status=status,
     )
+
+
+def _lane_fit(fit: BatchFit, lane: int, family: CopulaFamily, n: int) -> CopulaFit:
+    """The ``CopulaFit`` of one lane of ``fit``, with its diagnostics."""
+    theta = float(fit.theta[lane])
+    ll = float(fit.log_likelihood[lane])
+    message = _SEARCH_MESSAGES.get(int(fit.status[lane]))
+    diagnostics = [] if message is None else [f"{family.value}: optimizer reported {message!r}"]
+    if not math.isfinite(ll) or ll <= -1e299:
+        diagnostics.append(f"{family.value}: likelihood not finite at optimum")
+        ll = float("-inf") if not math.isfinite(ll) else ll
+    at_upper = bool(fit.at_upper[lane])
+    boundary = bool(fit.boundary[lane])
+    if family is CopulaFamily.FRANK and abs(theta) <= 1e-3:
+        diagnostics.append("frank: theta near 0 (independence limit)")
+    if boundary:
+        diagnostics.append(
+            f"{family.value}: theta={theta:.6g} at parameter-space boundary"
+            + ("; lambda_L=1 from the comonotone limit" if at_upper else "")
+        )
+    return CopulaFit(
+        family=family,
+        theta=theta,
+        log_likelihood=ll,
+        aic=2.0 - 2.0 * ll,
+        bic=math.log(n) - 2.0 * ll,
+        lambda_lower=float(fit.lambda_lower[lane]),
+        n=n,
+        converged=bool(fit.converged[lane]),
+        boundary=boundary,
+        diagnostics=tuple(diagnostics),
+    )
+
+
+def _common_length(samples: Sequence[PseudoSample]) -> int:
+    """The one length of samples that share a batch; ``DataError`` if they differ."""
+    n = samples[0].n
+    if any(s.n != n for s in samples):
+        raise DataError("samples fitted together must share one length")
+    return n
 
 
 def fit_copula(
@@ -496,40 +571,23 @@ def fit_copula(
     selection can still see the fit.
     """
     family = CopulaFamily(family)
-    fit = fit_batch(PseudoBatch.of(sample), family)
-    theta = float(fit.theta[0])
-    ll = float(fit.log_likelihood[0])
-    message = _SEARCH_MESSAGES.get(int(fit.status[0]))
-    diagnostics = [] if message is None else [f"{family.value}: optimizer reported {message!r}"]
-    if not math.isfinite(ll) or ll <= -1e299:
-        diagnostics.append(f"{family.value}: likelihood not finite at optimum")
-        ll = float("-inf") if not math.isfinite(ll) else ll
-    at_upper = bool(fit.at_upper[0])
-    boundary = bool(fit.boundary[0])
-    if family is CopulaFamily.FRANK and abs(theta) <= 1e-3:
-        diagnostics.append("frank: theta near 0 (independence limit)")
-    if boundary:
-        diagnostics.append(
-            f"{family.value}: theta={theta:.6g} at parameter-space boundary"
-            + ("; lambda_L=1 from the comonotone limit" if at_upper else "")
-        )
-    return CopulaFit(
-        family=family,
-        theta=theta,
-        log_likelihood=ll,
-        aic=2.0 - 2.0 * ll,
-        bic=math.log(sample.n) - 2.0 * ll,
-        lambda_lower=float(fit.lambda_lower[0]),
-        n=sample.n,
-        converged=bool(fit.converged[0]),
-        boundary=boundary,
-        diagnostics=tuple(diagnostics),
+    return _lane_fit(fit_batch(PseudoBatch.of(sample), family), 0, family, sample.n)
+
+
+def fit_families(samples: Sequence[PseudoSample]) -> tuple[tuple[CopulaFit, ...], ...]:
+    """Fit every candidate family on every sample, in one search per family.
+
+    The samples, one lane each, must share one length.  Returns each
+    sample's fits in ``FAMILIES`` order; every fit equals
+    ``fit_copula(sample, family)`` field for field.
+    """
+    n = _common_length(samples)
+    batch = PseudoBatch.of(*samples)
+    fits = [fit_batch(batch, family) for family in FAMILIES]
+    return tuple(
+        tuple(_lane_fit(fit, lane, family, n) for family, fit in zip(FAMILIES, fits))
+        for lane in range(len(samples))
     )
-
-
-def fit_families(sample: PseudoSample) -> tuple[CopulaFit, ...]:
-    """Fit every candidate family on the same sample."""
-    return tuple(fit_copula(sample, f) for f in FAMILIES)
 
 
 def select_family(
@@ -575,56 +633,105 @@ class BootstrapCI:
     nonconverged: int
 
 
+def _replicate_batches(
+    samples: Sequence[PseudoSample],
+    seeds: Sequence[int],
+    *,
+    replications: int,
+    block_length: int | None,
+) -> Iterator[PseudoBatch]:
+    """Every leg's bootstrap replicates as one stream, in chunks of ``CHUNK_POINTS``.
+
+    Leg after leg, replicate ``r`` of a leg resamples its sample by row ``r``
+    of one ``block_resamples`` draw from the leg's seed.  A chunk holds
+    ``CHUNK_POINTS // n`` replicates (at least one) and may span two legs;
+    its ranks are counted from each sample's dense codes.  One leg's rows are
+    held at a time, and nothing of a chunk but its batch outlives the yield,
+    so the stream needs no more memory than a one-leg bootstrap.
+    """
+    n = samples[0].n
+    per = max(1, CHUNK_POINTS // n)
+    left = len(samples) * replications
+    parts: list[np.ndarray] = []  # (2, lanes, n) codes of the chunk being filled
+    room = per
+    for sample, seed in zip(samples, seeds):
+        rows = block_resamples(n, replications=replications, block_length=block_length, seed=seed)
+        # int32 codes keep a chunk's gathered codes no larger than one margin's values.
+        codes = np.stack([_dense_codes(sample.u), _dense_codes(sample.v)]).astype(np.int32)
+        start = 0
+        while start < replications:
+            stop = min(start + room, replications)
+            parts.append(codes[:, rows[start:stop]])
+            room -= stop - start
+            left -= stop - start
+            start = stop
+            if not room or not left:
+                joined = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+                batch = PseudoBatch.from_codes(*joined)
+                parts, joined, room = [], None, per
+                yield batch
+        del rows
+
+
 def block_bootstrap_ci(
-    sample: PseudoSample,
+    samples: Sequence[PseudoSample],
     family: CopulaFamily | str,
     *,
+    seeds: Sequence[int],
     replications: int = 1000,
     block_length: int | None = None,
-    seed: int,
-) -> BootstrapCI:
+) -> tuple[BootstrapCI, ...]:
     """95% percentile CI of a family's lambda_L under a paired moving-block bootstrap.
 
-    Blocks are drawn over the paired (u, v) sequence so temporal dependence
-    within each margin and the cross-dependence survive together; ranks are
-    recomputed inside every replicate, keeping the statistic rank-based.
-    Replicate ``r`` takes row ``r`` of one ``resample.block_resamples``
-    draw from ``seed``, and ``fit_batch`` refits the family on about
-    ``CHUNK_POINTS`` observations of replicates at a time, so a replicate's
-    value depends on neither ``replications`` nor the chunking.  The refit
-    applies the boundary rule, so a replicate at the upper bound counts as 1,
-    like the point estimate.  Non-converged replicates are left out and
-    counted; more than 5% of them raises ``NumericalError``.
+    One leg per sample, all of one length: blocks are drawn over the paired
+    (u, v) sequence so temporal dependence within each margin and the
+    cross-dependence survive together; ranks are recomputed inside every
+    replicate, keeping the statistic rank-based.  Replicate ``r`` of a leg
+    takes row ``r`` of one ``resample.block_resamples`` draw from that leg's
+    seed.  The legs' replicates form one stream, leg after leg, and
+    ``fit_batch`` refits the family on about ``CHUNK_POINTS`` observations of
+    it at a time, so a replicate's value depends on neither ``replications``,
+    the chunking nor the other legs.  The refit applies the boundary rule, so
+    a replicate at the upper bound counts as 1, like the point estimate.
+    Non-converged replicates are left out and counted; more than 5% of them
+    in a leg raises ``BootstrapUnstableError`` naming that leg.  Returns one
+    interval per sample.
     """
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
+    if len(seeds) != len(samples):
+        raise ValueError("need one seed per sample")
+    _common_length(samples)
 
-    rows = block_resamples(
-        sample.n, replications=replications, block_length=block_length, seed=seed
-    )
-    per = max(1, CHUNK_POINTS // sample.n)
     fits = [
-        fit_batch(PseudoBatch.from_rows(sample, rows[start: start + per]), family)
-        for start in range(0, replications, per)
-    ]
-    values = np.concatenate([f.lambda_lower for f in fits])
-    converged = np.concatenate([f.converged for f in fits])
-    boundary = np.concatenate([f.boundary for f in fits])
-
-    failed = int(np.count_nonzero(~converged))
-    if failed:
-        logger.warning("bootstrap: %d/%d replicate fits did not converge",
-                       failed, replications)
-    if failed > 0.05 * replications:
-        raise NumericalError(
-            f"bootstrap unstable: {failed}/{replications} replicate fits did not converge"
+        fit_batch(batch, family)
+        for batch in _replicate_batches(
+            samples, seeds, replications=replications, block_length=block_length
         )
+    ]
+
+    def legs(name: str) -> np.ndarray:
+        return np.concatenate([getattr(f, name) for f in fits]).reshape(len(samples), -1)
+
+    values, converged, boundary = legs("lambda_lower"), legs("converged"), legs("boundary")
     alpha = 1.0 - CI_LEVEL
-    lo, hi = np.quantile(values[converged], [alpha / 2.0, 1.0 - alpha / 2.0])
-    return BootstrapCI(
-        (float(lo), float(hi)), replications,
-        boundary=int(np.count_nonzero(boundary & converged)), nonconverged=failed,
-    )
+    intervals = []
+    for leg in range(len(samples)):
+        failed = int(np.count_nonzero(~converged[leg]))
+        if failed:
+            logger.warning("bootstrap: %d/%d replicate fits did not converge",
+                           failed, replications)
+        if failed > 0.05 * replications:
+            raise BootstrapUnstableError(
+                f"bootstrap unstable: {failed}/{replications} replicate fits did not converge",
+                leg=leg,
+            )
+        lo, hi = np.quantile(values[leg][converged[leg]], [alpha / 2.0, 1.0 - alpha / 2.0])
+        intervals.append(BootstrapCI(
+            (float(lo), float(hi)), replications,
+            boundary=int(np.count_nonzero(boundary[leg] & converged[leg])), nonconverged=failed,
+        ))
+    return tuple(intervals)
 
 
 def attach_ci(fit: CopulaFit, ci: tuple[float, float]) -> CopulaFit:

@@ -44,5 +44,16 @@ class FitError(NumericalError):
     """An optimizer failed to produce a usable estimate."""
 
 
+class BootstrapUnstableError(NumericalError):
+    """Too many replicate fits failed in one leg of a bootstrap run over several samples.
+
+    ``leg`` is that sample's index, so a caller can say whose leg it was.
+    """
+
+    def __init__(self, message: str, leg: int = 0) -> None:
+        super().__init__(message)
+        self.leg = leg
+
+
 class EndogeneityError(ConfigError):
     """A feature schema references outcome-derived columns."""

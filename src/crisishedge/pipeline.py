@@ -34,7 +34,12 @@ from . import qreg
 from . import returns as ret
 from . import tailsel
 from .config import CrisisEpisode, config_hash
-from .errors import CrisisHedgeError, DataError, DegenerateSampleError
+from .errors import (
+    BootstrapUnstableError,
+    CrisisHedgeError,
+    DataError,
+    DegenerateSampleError,
+)
 from .hedge import HedgeReport, LossSeries, Residency
 from .tailsel import MIN_TAIL_COUNT
 
@@ -533,13 +538,10 @@ def run_pipeline(
                     diagnostics.extend(f"cv (tau={tau:.4g}): {exc}" for tau in tau_levels)
 
         residency_seed = {Residency.LOCAL: int(seeds[0]), Residency.FOREIGN: int(seeds[1])}
+        residencies = sorted(episode.residency, key=lambda r: r.value)
         losses: dict[Residency, LossSeries] = {}
         samples: dict[Residency, cop.PseudoSample] = {}
-        candidates: dict[Residency, tuple[cop.CopulaFit, ...]] = {}
-        selected: dict[Residency, cop.CopulaFit] = {}
-        empirical: dict[Residency, float] = {}
-        reports: list[HedgeReport] = []
-        for residency in sorted(episode.residency, key=lambda r: r.value):
+        for residency in residencies:
             with _stage(f"hedge ({residency.value})"):
                 # A return month has the inflation and FX observations its loss
                 # needs, so every post-collapse month has a loss.
@@ -547,42 +549,64 @@ def run_pipeline(
                     inflation, panel[manifest.roles["fx"]], residency
                 ).at(post.months)
                 losses[residency] = loss
-
             with _stage(f"copula ({residency.value})"):
-                sample = cop.PseudoSample.from_data(post.nominal, loss.loss)
-                samples[residency] = sample
-                fits = cop.fit_families(sample)
-                empirical[residency] = cop.empirical_tail_dependence(sample, triplet.tau_low)
-                candidates[residency] = fits
-                for fit in fits:
-                    diagnostics.extend(
-                        f"copula ({residency.value}): {d}" for d in fit.diagnostics
-                    )
-                chosen = cop.select_family(fits, episode.criterion)
-                boot = cop.block_bootstrap_ci(
-                    sample,
-                    chosen.family,
+                samples[residency] = cop.PseudoSample.from_data(post.nominal, loss.loss)
+
+        # Every residency's sample is fitted in one search per family, and
+        # the residencies that select one family are bootstrapped together.
+        with _stage(f"copula ({residencies[0].value})"):
+            fitted = cop.fit_families([samples[r] for r in residencies])
+        candidates = dict(zip(residencies, fitted))
+        empirical: dict[Residency, float] = {}
+        chosen: dict[Residency, cop.CopulaFit] = {}
+        by_family: dict[cop.CopulaFamily, list[Residency]] = {}
+        for residency in residencies:
+            with _stage(f"copula ({residency.value})"):
+                empirical[residency] = cop.empirical_tail_dependence(
+                    samples[residency], triplet.tau_low
+                )
+                chosen[residency] = cop.select_family(candidates[residency], episode.criterion)
+            by_family.setdefault(chosen[residency].family, []).append(residency)
+        boots: dict[Residency, cop.BootstrapCI] = {}
+        for family, legs in by_family.items():
+            try:
+                intervals = cop.block_bootstrap_ci(
+                    [samples[r] for r in legs],
+                    family,
+                    seeds=[residency_seed[r] for r in legs],
                     replications=replications,
                     block_length=episode.bootstrap.block_length,
-                    seed=residency_seed[residency],
                 )
-                if boot.nonconverged:
-                    diagnostics.append(
-                        f"copula ({residency.value}): bootstrap {boot.nonconverged}/"
-                        f"{boot.replications} replicate fits did not converge"
-                    )
+            except CrisisHedgeError as exc:
+                # Reported under the stage of the residency whose leg failed.
+                failing = legs[exc.leg if isinstance(exc, BootstrapUnstableError) else 0]
+                with _stage(f"copula ({failing.value})"):
+                    raise
+            boots.update(zip(legs, intervals))
+
+        selected: dict[Residency, cop.CopulaFit] = {}
+        reports: list[HedgeReport] = []
+        for residency in residencies:
+            for fit in candidates[residency]:
+                diagnostics.extend(f"copula ({residency.value}): {d}" for d in fit.diagnostics)
+            boot = boots[residency]
+            if boot.nonconverged:
                 diagnostics.append(
-                    f"copula ({residency.value}): bootstrap {boot.boundary}/"
-                    f"{boot.replications} replicate fits at a parameter bound"
+                    f"copula ({residency.value}): bootstrap {boot.nonconverged}/"
+                    f"{boot.replications} replicate fits did not converge"
                 )
-                chosen = cop.attach_ci(chosen, boot.interval)
-                selected[residency] = chosen
+            diagnostics.append(
+                f"copula ({residency.value}): bootstrap {boot.boundary}/"
+                f"{boot.replications} replicate fits at a parameter bound"
+            )
+            selected[residency] = cop.attach_ci(chosen[residency], boot.interval)
 
             with _stage(f"hedge ({residency.value})"):
                 try:
                     reports.append(
                         hedge.build_hedge_report(
-                            episode, post, loss, chosen, empirical[residency]
+                            episode, post, losses[residency], selected[residency],
+                            empirical[residency],
                         )
                     )
                 except DegenerateSampleError as exc:

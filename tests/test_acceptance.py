@@ -215,7 +215,7 @@ def test_copula_mle_recovery_and_family_selection():
             rng = np.random.default_rng(10_000 * (offset + 1) + seed)
             u, v = simulate_copula(family, theta, 2000, rng)
             sample = PseudoSample.from_data(u, v)
-            fits = fit_families(sample)
+            (fits,) = fit_families([sample])
             estimates.append(next(f.theta for f in fits if f.family is family))
             if select_family(fits, "aic").family is family:
                 picked += 1
@@ -232,9 +232,9 @@ def test_bootstrap_ci_determinism_and_coverage(fixture_root):
     small = PseudoSample.from_data(*simulate_copula(CopulaFamily.CLAYTON, 2.0, 500, rng))
     big = PseudoSample.from_data(*simulate_copula(CopulaFamily.CLAYTON, 2.0, 2000, rng))
     family = CopulaFamily.CLAYTON
-    ci_a = block_bootstrap_ci(small, family, replications=1000, seed=7).interval
-    ci_b = block_bootstrap_ci(small, family, replications=1000, seed=7).interval
-    ci_big = block_bootstrap_ci(big, family, replications=1000, seed=7).interval
+    ci_a = block_bootstrap_ci([small], family, seeds=[7], replications=1000)[0].interval
+    ci_b = block_bootstrap_ci([small], family, seeds=[7], replications=1000)[0].interval
+    ci_big = block_bootstrap_ci([big], family, seeds=[7], replications=1000)[0].interval
 
     episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
     result = run_pipeline(episode, write_outputs=False)

@@ -6,12 +6,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from crisishedge.copula import (
+    FAMILIES,
     CopulaFamily,
     CopulaFit,
     PseudoBatch,
     PseudoSample,
     THETA_BOUNDS,
     _log_density,
+    _counted_ranks,
+    _dense_codes,
     _margins,
     _rank,
     attach_ci,
@@ -80,6 +83,24 @@ class TestRank:
             assert got.dtype == want.dtype, label
             assert got.shape == want.shape, label
             assert got.tobytes() == want.tobytes(), label
+
+    def test_counted_ranks_equal_sorted_ranks(self):
+        rng = np.random.default_rng(13)
+        margins = {
+            "untied": rng.normal(size=60),
+            "tied": rng.integers(0, 5, size=60).astype(float),
+            "all tied": np.full(60, 0.25),
+        }
+        rows = block_resamples(60, replications=40, seed=14)
+        rows[0] = 7  # one replicate that repeats a single row
+        for label, x in margins.items():
+            got = _counted_ranks(_dense_codes(x)[rows])
+            assert got.dtype == np.float64, label
+            assert got.tobytes() == _rank(x[rows]).tobytes(), label
+
+    def test_counted_ranks_of_two_points(self):
+        codes = np.array([[1, 0], [0, 0], [0, 1]])
+        assert _counted_ranks(codes).tolist() == [[2.0, 1.0], [1.5, 1.5], [1.0, 2.0]]
 
 
 class TestAnalyticTailDependence:
@@ -280,15 +301,53 @@ class TestFitCopula:
             fit_copula(s, "clayton")
 
 
+class TestFitFamilies:
+    @staticmethod
+    def samples():
+        x = np.random.default_rng(109).normal(size=120)
+        return [
+            sample_from(CopulaFamily.CLAYTON, 2.0, 120, seed=116),
+            PseudoSample.from_data(x, 2.0 * x + 1.0),  # every family at its upper bound
+            sample_from(CopulaFamily.FRANK, -3.0, 120, seed=2),
+        ]
+
+    def test_every_lane_equals_its_single_fit(self):
+        samples = self.samples()
+        fitted = fit_families(samples)
+        assert len(fitted) == len(samples)
+        for sample, fits in zip(samples, fitted):
+            assert fits == tuple(fit_copula(sample, family) for family in FAMILIES)
+        assert any(fit.diagnostics for fits in fitted for fit in fits)
+
+    def test_samples_must_share_one_length(self):
+        a = sample_from(CopulaFamily.CLAYTON, 2.0, 120, seed=1)
+        b = sample_from(CopulaFamily.CLAYTON, 2.0, 121, seed=1)
+        with pytest.raises(DataError, match="one length"):
+            fit_families([a, b])
+
+    @pytest.mark.parametrize("family", list(CopulaFamily))
+    def test_lane_lambdas_equal_the_analytic_formula(self, family):
+        s = sample_from(CopulaFamily.CLAYTON, 2.0, 120, seed=118)
+        rows = block_resamples(s.n, replications=200, seed=3)
+        codes = _dense_codes(s.u)[rows], _dense_codes(s.v)[rows]
+        lanes = fit_batch(PseudoBatch.from_codes(*codes), family)
+        inside = ~lanes.at_upper
+        expected = [lower_tail_dependence(family, t) for t in lanes.theta[inside]]
+        assert lanes.lambda_lower[inside].tolist() == expected
+        assert (lanes.lambda_lower[lanes.at_upper] == 1.0).all()
+
+
 class TestSelection:
     def test_generating_family_wins(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 2000, seed=105)
-        chosen = select_family(fit_families(s), "aic")
+        (fits,) = fit_families([s])
+        chosen = select_family(fits, "aic")
         assert chosen.family is CopulaFamily.CLAYTON
 
     def test_bic_criterion_accepted(self):
         s = sample_from(CopulaFamily.GUMBEL, 3.0, 1000, seed=106)
-        chosen = select_family(fit_families(s), "bic")
+        (fits,) = fit_families([s])
+        chosen = select_family(fits, "bic")
         assert chosen.family is CopulaFamily.GUMBEL
 
     def test_exact_tie_breaks_by_family_order(self):
@@ -388,24 +447,23 @@ class TestBootstrapCI:
     def test_deterministic_under_fixed_seed(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 300, seed=111)
         family = CopulaFamily.CLAYTON
-        a = block_bootstrap_ci(s, family, replications=150, seed=9)
-        b = block_bootstrap_ci(s, family, replications=150, seed=9)
+        a = block_bootstrap_ci([s], family, seeds=[9], replications=150)
+        b = block_bootstrap_ci([s], family, seeds=[9], replications=150)
         assert a == b
-        c = block_bootstrap_ci(s, family, replications=150, seed=10)
+        c = block_bootstrap_ci([s], family, seeds=[10], replications=150)
         assert a != c
 
     def test_interval_brackets_the_point_estimate(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 500, seed=112)
         fit = fit_copula(s, "clayton")
-        lo, hi = block_bootstrap_ci(
-            s, CopulaFamily.CLAYTON, replications=200, seed=11,
-        ).interval
+        (ci,) = block_bootstrap_ci([s], CopulaFamily.CLAYTON, seeds=[11], replications=200)
+        lo, hi = ci.interval
         assert lo <= fit.lambda_lower <= hi
 
     def test_replication_floor(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 100, seed=114)
         with pytest.raises(ValueError):
-            block_bootstrap_ci(s, "clayton", replications=50, seed=1)
+            block_bootstrap_ci([s], "clayton", seeds=[1], replications=50)
 
     def test_attach_ci_validates_interval(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 300, seed=115)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ import crisishedge
 from crisishedge import attribution, copula, pipeline, qreg
 from crisishedge.cli import main
 from crisishedge.config import BootstrapConfig, load_episode
+from crisishedge.copula import FAMILIES, CopulaFamily
 from crisishedge.errors import (
     ConfigError,
     DataError,
@@ -71,6 +73,27 @@ def assert_numeric_fields_parse(out: Path) -> None:
                 if value == "" and name == "sweep.csv":
                     continue
                 float(value)
+
+
+def stall_replicates(monkeypatch, stalled):
+    """Mark the copula bootstrap's replicate fits unconverged where ``stalled(u)`` holds.
+
+    Only the fits made inside ``copula.block_bootstrap_ci`` are touched:
+    stalling a point fit would leave no family to select.  ``stalled`` sees
+    each lane's own ranks, so its verdict holds in any chunk.
+    """
+    real_fit, real_ci = copula.fit_batch, copula.block_bootstrap_ci
+
+    def stalling_fit(batch, family):
+        fit = real_fit(batch, family)
+        return dataclasses.replace(fit, converged=fit.converged & ~stalled(batch.u))
+
+    def stalling_ci(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(copula, "fit_batch", stalling_fit)
+            return real_ci(*args, **kwargs)
+
+    monkeypatch.setattr(copula, "block_bootstrap_ci", stalling_ci)
 
 
 @pytest.fixture(scope="module")
@@ -232,18 +255,7 @@ class TestRunResult:
     def test_nonconverged_copula_replicates_reach_diagnostics(
         self, episode, tmp_path, monkeypatch
     ):
-        real = copula.fit_batch
-
-        def stalling_fit(batch, family):
-            fit = real(batch, family)
-            if len(batch) == 1:
-                # A point fit: stalling it would leave no family to select.
-                return fit
-            # Decided by each replicate's own data, so it holds in any chunk.
-            stalled = batch.u[:, 0] < 0.03
-            return dataclasses.replace(fit, converged=fit.converged & ~stalled)
-
-        monkeypatch.setattr(copula, "fit_batch", stalling_fit)
+        stall_replicates(monkeypatch, lambda u: u[:, 0] < 0.03)
         result = run_pipeline(episode, out_dir=tmp_path)
         expected = [
             f"copula ({leg}): bootstrap {count}/{FAST_REPS} replicate fits did not converge"
@@ -252,6 +264,99 @@ class TestRunResult:
         assert [d for d in result.diagnostics if "converge" in d] == expected
         doc = json.loads((tmp_path / "report.full").read_text())
         assert [d for d in doc["diagnostics"] if "converge" in d] == expected
+
+    def test_unstable_copula_leg_fails_under_its_own_stage(
+        self, episode, tmp_path, monkeypatch, caplog
+    ):
+        # Both legs select Gumbel and are bootstrapped together; this rule
+        # stalls 4 foreign and 10 local replicates, so only the second leg
+        # breaks the 5% rule.
+        stall_replicates(monkeypatch, lambda u: u[:, 6] < 0.1)
+        message = f"bootstrap unstable: 10/{FAST_REPS} replicate fits did not converge"
+        with pytest.raises(NumericalError, match=rf"^copula \(local\): {message}$"):
+            run_pipeline(episode, out_dir=tmp_path)
+        warnings = [r.getMessage() for r in caplog.records if r.name == "crisishedge.copula"]
+        assert warnings == [
+            f"bootstrap: {count}/{FAST_REPS} replicate fits did not converge"
+            for count in (4, 10)
+        ]
+
+
+def bootstrap_calls(patch):
+    """Record (family, number of samples) of every copula bootstrap call."""
+    calls = []
+    real = copula.block_bootstrap_ci
+
+    def spy(samples, family, **kwargs):
+        calls.append((CopulaFamily(family), len(samples)))
+        return real(samples, family, **kwargs)
+
+    patch.setattr(copula, "block_bootstrap_ci", spy)
+    return calls
+
+
+def wobble_fx(fixture: Path, out: Path) -> Path:
+    """A copy of ``fixture`` whose FX strays from its inflation path by up to 3%.
+
+    Data row ``k`` (numbered from 2, after the header) is scaled by
+    ``1 + 0.03 ((7919 k mod 13) - 6) / 6`` and written to 10 significant
+    digits, as the CI workflow's ``awk`` step does, so the two residencies'
+    losses rank differently.  Returns the copy's episode file.
+    """
+    shutil.copytree(fixture, out)
+    header, *lines = (fixture / "fx_usd.csv").read_text().splitlines()
+    rows = [header]
+    for k, line in enumerate(lines, start=2):
+        month, value = line.split(",")
+        rows.append(f"{month},{float(value) * (1 + 0.03 * ((k * 7919) % 13 - 6) / 6):.10g}")
+    (out / "fx_usd.csv").write_text("\n".join(rows) + "\n")
+    return out / "episode.yaml"
+
+
+class TestCopulaGrouping:
+    """One point-fit search per family; one bootstrap per selected family."""
+
+    def test_residencies_of_one_family_share_one_bootstrap(self, episode, monkeypatch):
+        calls = bootstrap_calls(monkeypatch)
+        run_pipeline(episode, write_outputs=False)
+        assert calls == [(CopulaFamily.GUMBEL, 2)]
+
+    @pytest.fixture(scope="class")
+    def split_run(self, fixture_root, tmp_path_factory):
+        config = wobble_fx(
+            fixture_root / "clayton_coupled", tmp_path_factory.mktemp("split") / "fixture"
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            calls = bootstrap_calls(patch)
+            result = run_pipeline(load_episode(config), fast=True, write_outputs=False)
+        return result, calls
+
+    def test_split_residencies_are_bootstrapped_apart(self, split_run):
+        _, calls = split_run
+        assert calls == [(CopulaFamily.FRANK, 1), (CopulaFamily.CLAYTON, 1)]
+
+    def test_split_residencies_keep_their_fits_and_intervals(self, split_run):
+        # Pinned from the code that fitted and bootstrapped each residency on
+        # its own, before residencies shared searches.
+        expected = {
+            Residency.FOREIGN: (CopulaFamily.FRANK, 4.247766416592059, (0.0, 0.0)),
+            Residency.LOCAL: (
+                CopulaFamily.CLAYTON, 1.9477726950314975,
+                (0.6549802034950378, 0.7393901287646134),
+            ),
+        }
+        result, _ = split_run
+        got = {
+            residency: (fit.family, fit.theta, fit.lambda_lower_ci)
+            for residency, fit in result.copula_fits.items()
+        }
+        assert got == expected
+
+    def test_split_point_fits_equal_single_fits(self, split_run):
+        result, _ = split_run
+        for residency, sample in result.pseudo_samples.items():
+            single = tuple(copula.fit_copula(sample, family) for family in FAMILIES)
+            assert result.copula_candidates[residency] == single, residency
 
 
 class TestQuantileFitCertificates:

@@ -23,7 +23,7 @@ from crisishedge.copula import (
     block_bootstrap_ci,
     lower_tail_dependence,
 )
-from crisishedge.errors import DataError, NumericalError
+from crisishedge.errors import BootstrapUnstableError, DataError, NumericalError
 from crisishedge.qreg import FitCertificates, expanding_window_cv, fit_quantile
 from crisishedge.resample import block_resamples
 
@@ -104,7 +104,7 @@ def batched(monkeypatch, case, chunk=None):
         return fit
 
     monkeypatch.setattr(copula, "fit_batch", recording_fit)
-    ci = block_bootstrap_ci(sample, family, replications=COPULA_REPS, seed=5)
+    (ci,) = block_bootstrap_ci([sample], family, seeds=[5], replications=COPULA_REPS)
     lanes = {
         name: np.concatenate([getattr(f, name) for f in fits])
         for name in ("theta", "lambda_lower", "converged", "boundary")
@@ -148,6 +148,56 @@ class TestSerialEqualsBatched:
         )
         for rel in files:
             assert (outs["batched"] / rel).read_bytes() == (outs["alone"] / rel).read_bytes(), rel
+
+
+class TestLegsEqualSingleCalls:
+    """Samples bootstrapped as one stream get the intervals they get alone."""
+
+    LEGS = {
+        "gumbel": (lambda: [COPULA_CASES[case][0]() for case in
+                            ("gumbel-upper-bound", "gumbel-near-independence")], 500),
+        # 5 and 3 of 100 replicate fits stop unconverged at 23 evaluations.
+        "clayton": (lambda: [sample_from(CopulaFamily.CLAYTON, 2.0, 120, seed=s)
+                             for s in (116, 120)], 23),
+    }
+
+    @pytest.mark.parametrize("family", sorted(LEGS))
+    def test_each_leg_equals_its_single_call(self, monkeypatch, family):
+        make, maxiter = self.LEGS[family]
+        samples = make()
+        monkeypatch.setattr(copula, "MAXITER", maxiter)
+        alone = tuple(
+            block_bootstrap_ci([s], family, seeds=[seed], replications=COPULA_REPS)[0]
+            for s, seed in zip(samples, (5, 6))
+        )
+        # Chunks of 7 replicates: the 15th holds the first leg's last 2 and
+        # the second leg's first 5.
+        monkeypatch.setattr(copula, "CHUNK_POINTS", 7 * samples[0].n)
+        together = block_bootstrap_ci(samples, family, seeds=[5, 6], replications=COPULA_REPS)
+        assert together == alone
+        assert sum(ci.boundary + ci.nonconverged for ci in together) > 0
+
+    def test_the_leg_that_breaks_the_5pct_rule_is_named(self, monkeypatch, caplog):
+        # At 23 evaluations the first sample leaves 5 of 100 fits unconverged,
+        # the second 6.
+        monkeypatch.setattr(copula, "MAXITER", 23)
+        monkeypatch.setattr(copula, "CHUNK_POINTS", 7 * 120)
+        samples = [sample_from(CopulaFamily.CLAYTON, 2.0, 120, seed=s) for s in (116, 117)]
+        message = "^bootstrap unstable: 6/100 replicate fits did not converge$"
+        with pytest.raises(BootstrapUnstableError, match=message) as raised:
+            block_bootstrap_ci(samples, "clayton", seeds=[5, 5], replications=COPULA_REPS)
+        assert raised.value.leg == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"bootstrap: {k}/100 replicate fits did not converge" for k in (5, 6)
+        ]
+
+    def test_samples_must_share_one_length(self):
+        a = sample_from(CopulaFamily.CLAYTON, 2.0, 120, seed=1)
+        b = sample_from(CopulaFamily.CLAYTON, 2.0, 121, seed=1)
+        with pytest.raises(DataError, match="one length"):
+            block_bootstrap_ci([a, b], "clayton", seeds=[1, 2], replications=COPULA_REPS)
+        with pytest.raises(ValueError, match="one seed per sample"):
+            block_bootstrap_ci([a], "clayton", seeds=[1, 2], replications=COPULA_REPS)
 
 
 def crowded_design(n=48, seed=68):
