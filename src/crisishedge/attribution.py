@@ -23,6 +23,7 @@ from .qreg import (
     CHUNK_ROWS,
     DesignMatrix,
     FitCertificates,
+    MIN_FIT_ROWS,
     QuantileModel,
     _with_intercept,
     require_design,
@@ -293,8 +294,8 @@ def bootstrap_stability(
     if replications < 2:
         raise ValueError("need at least 2 replications")
     n = len(X)
-    if n < 10:
-        raise DataError(f"need at least 10 rows to fit, got {n}")
+    if n < MIN_FIT_ROWS:
+        raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
     rows = np.sort(
         block_resamples(n, replications=replications, block_length=block_length, seed=seed),
         axis=1,

@@ -20,7 +20,7 @@ import yaml
 from . import months as mo
 from .errors import ConfigError
 from .hedge import Residency
-from .qreg import FeatureSchema
+from .qreg import MIN_FIT_ROWS, FeatureSchema
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -47,8 +47,8 @@ class CVConfig:
     force_test_month: str | None = None
 
     def __post_init__(self) -> None:
-        if self.initial_window < 10:
-            raise ConfigError("cv initial_window must be >= 10")
+        if self.initial_window < MIN_FIT_ROWS:
+            raise ConfigError(f"cv initial_window must be >= {MIN_FIT_ROWS}")
         if self.step < 1:
             raise ConfigError("cv step must be >= 1")
 

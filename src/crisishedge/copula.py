@@ -33,12 +33,12 @@ those intervals (Frank's denominator as two terms of the sign of theta, see
 Replicate policy.  The bootstrap takes several samples of one family, each
 with its own seed, and fits their replicates as one stream, leg after leg, in
 chunks of about ``CHUNK_POINTS`` observations, one ``fit_batch`` per chunk.
-A replicate's ranks are counted from its sample's dense codes
-(``_counted_ranks``), so no replicate is sorted.  A replicate whose search did
-not converge is left out of its leg's percentile interval and counted; such
-replicates may not exceed 5% of a leg's replications.  A replicate fitted at a
-parameter bound stays in at its limit value (the boundary rule above) and is
-counted.
+Every sample's ranks, a point sample's and a replicate's alike, are counted
+from dense codes (``_counted_ranks``); a replicate reuses its sample's codes,
+so no replicate is sorted.  A replicate whose search did not converge is left
+out of its leg's percentile interval and counted; such replicates may not
+exceed 5% of a leg's replications.  A replicate fitted at a parameter bound
+stays in at its limit value (the boundary rule above) and is counted.
 """
 
 from __future__ import annotations
@@ -83,40 +83,20 @@ _SEARCH_MESSAGES = {1: "Maximum number of function calls reached.",
                     2: "NaN result encountered."}
 
 
-def _rank(x: np.ndarray) -> np.ndarray:
-    """Average ranks from 1 along the last axis, as ``scipy.stats.rankdata`` gives them.
-
-    Ties share the mean of their positions; the float64 ranks are exact,
-    being integers or half-integers.  Input must be NaN-free.
-    """
-    order = np.argsort(x, axis=-1, kind="stable")
-    ordered = np.take_along_axis(x, order, axis=-1)
-    starts = np.ones(x.shape, dtype=bool)
-    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    # A tie group starting at 0-based position f with c members has mean
-    # rank f + (c + 1) / 2; f is taken modulo the lane length.
-    first = np.flatnonzero(starts)
-    counts = np.diff(first, append=starts.size)
-    ranked = np.repeat(first % x.shape[-1] + (counts + 1) / 2, counts).reshape(x.shape)
-    ranks = np.empty_like(ranked)
-    np.put_along_axis(ranks, order, ranked, axis=-1)
-    return ranks
-
-
 def _dense_codes(x: np.ndarray) -> np.ndarray:
     """0-based dense ranks of a 1-D sample: equal values share one code."""
     return np.unique(x, return_inverse=True)[1]
 
 
 def _counted_ranks(codes: np.ndarray) -> np.ndarray:
-    """``_rank`` of each row of (lanes, n) dense codes in [0, n), found by counting.
+    """Average ranks from 1 of each row of (lanes, n) dense codes in [0, n).
 
     One ``bincount`` over lane-offset codes sizes every (lane, code) tie
     group.  A group's running total is its last rank, so its mean rank is
     that total less (count - 1) / 2.  Every term is an integer or a
-    half-integer, so the ranks equal ``_rank``'s of any values the codes
-    order, bit for bit.  The arithmetic is in place: a chunk's ranking then
-    needs less memory than its fit.
+    half-integer, so the ranks equal ``scipy.stats.rankdata(method="average")``
+    of any values the codes order, bit for bit.  The arithmetic is in place:
+    a chunk's ranking then needs less memory than its fit.
     """
     lanes, n = codes.shape
     keys = codes + n * np.arange(lanes)[:, None]
@@ -131,7 +111,8 @@ def pseudo_observations(x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Rank-transform a sample to (0,1): average rank over n + 1.
 
     Invariant under strictly monotone transforms of the input; ties share
-    their average rank.  The ranks are computed in numpy and equal
+    their average rank.  The ranks are counted from the sample's dense codes
+    by ``_counted_ranks``, the rule every bootstrap replicate uses, and equal
     ``scipy.stats.rankdata(x, method="average")`` bit for bit.
     """
     arr = np.asarray(x, dtype=float)
@@ -139,7 +120,7 @@ def pseudo_observations(x: Sequence[float] | np.ndarray) -> np.ndarray:
         raise DataError("pseudo-observations need a 1-D sample of length >= 2")
     if not np.all(np.isfinite(arr)):
         raise DataError("pseudo-observations need finite input")
-    return _rank(arr) / (arr.size + 1.0)
+    return _counted_ranks(_dense_codes(arr)[None])[0] / (arr.size + 1.0)
 
 
 @dataclass(frozen=True)
@@ -223,14 +204,6 @@ def _validate_theta(family: CopulaFamily, theta: float | np.ndarray) -> None:
         raise ValueError("Frank needs theta != 0")
 
 
-def _check_unit_interval(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not (np.all((u > 0) & (u < 1)) and np.all((v > 0) & (v < 1))):
-        raise ValueError("copula arguments must lie strictly inside (0, 1)")
-    return u, v
-
-
 def _margins(family: CopulaFamily, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
     """The theta-free transforms of (u, v) that ``_log_density`` starts from."""
     if family is CopulaFamily.CLAYTON:
@@ -300,19 +273,6 @@ def _log_density(
             (np.exp(a) * np.expm1(b) + np.exp(b) * np.expm1(-theta * w)) / -theta
         )
     return np.where(theta == 0, 0.0, log_c)
-
-
-def lower_tail_dependence(family: CopulaFamily | str, theta: float) -> float:
-    """Analytic lower-tail-dependence coefficient of a fitted family.
-
-    Only Clayton has a lower tail: 2^(-1/theta).  Gumbel's dependence sits in
-    the upper tail and Frank has none, so both map to 0.
-    """
-    family = CopulaFamily(family)
-    _validate_theta(family, theta)
-    if family is CopulaFamily.CLAYTON:
-        return float(2.0 ** (-1.0 / theta))
-    return 0.0
 
 
 def _minimize_bounded(
@@ -427,6 +387,10 @@ class PseudoBatch:
     def __post_init__(self) -> None:
         if self.u.ndim != 2 or self.u.shape != self.v.shape:
             raise ValueError("u and v must be 2-D of equal shape")
+        # Extremes rather than elementwise masks: checking a bootstrap chunk
+        # then allocates nothing, and NaN fails both comparisons.
+        if not (self.u.min() > 0 and self.u.max() < 1 and self.v.min() > 0 and self.v.max() < 1):
+            raise ValueError("copula arguments must lie strictly inside (0, 1)")
 
     def __len__(self) -> int:
         return int(self.u.shape[0])
@@ -476,13 +440,13 @@ def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
     both simpler and more robust than a Newton iteration from a moment start.
     Every lane searches the family's whole ``THETA_BOUNDS`` interval; for
     Frank that one interval spans negative and positive dependence, on a
-    log-density whose denominator does not cancel for either sign.  Inputs
-    are checked once for the batch and every lane's final theta is validated.
+    log-density whose denominator does not cancel for either sign.  The
+    batch has checked its (u, v) on construction; every lane's final theta is
+    validated.
     """
     family = CopulaFamily(family)
     if batch.n < 20:
         raise DataError(f"need at least 20 paired observations, got {batch.n}")
-    u, v = _check_unit_interval(batch.u, batch.v)
     count = len(batch)
     lo, hi = THETA_BOUNDS[family]
     _validate_theta(family, lo)
@@ -494,15 +458,16 @@ def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
         return np.where(np.isfinite(total), total, 1e300)
 
     theta, fun, status = _minimize_bounded(
-        nll, np.full(count, lo), np.full(count, hi), _margins(family, u, v),
+        nll, np.full(count, lo), np.full(count, hi), _margins(family, batch.u, batch.v),
         xatol=XATOL, maxiter=MAXITER,
     )
     ll = -fun
     edge_tol = _BOUNDARY_REL * (hi - lo)
     at_upper = theta >= hi - edge_tol
     _validate_theta(family, theta)
-    # lower_tail_dependence's values: Python's ``**`` per lane, because numpy's
-    # power rounds differently in the last place.
+    # Only Clayton has a lower tail, 2^(-1/theta); Gumbel's dependence sits in
+    # the upper tail and Frank has none.  Python's ``**`` per lane, because
+    # numpy's power rounds differently in the last place.
     analytic = (
         np.array([2.0 ** (-1.0 / t) for t in theta.tolist()])
         if family is CopulaFamily.CLAYTON else np.zeros(count)

@@ -67,9 +67,6 @@ class LossSeries:
     def __len__(self) -> int:
         return len(self.months)
 
-    def window(self, start: str | None = None, end: str | None = None) -> "LossSeries":
-        return self.at(tuple(m for m in self.months if mo.within(m, start, end)))
-
     def at(self, months: Sequence[str]) -> "LossSeries":
         """The rows of exactly ``months``, each of which must be present."""
         index = {m: i for i, m in enumerate(self.months)}

@@ -41,6 +41,7 @@ from .errors import (
     DegenerateSampleError,
 )
 from .hedge import HedgeReport, LossSeries, Residency
+from .quantiles import order_statistic_rank
 from .tailsel import MIN_TAIL_COUNT
 
 logger = logging.getLogger(__name__)
@@ -764,7 +765,7 @@ def sensitivity_sweep(
                 SweepEntry(tau=tau, feasible=False, reason="not a lower-tail level")
             )
             continue
-        if tailsel.tail_count(tau, t_post) < MIN_TAIL_COUNT:
+        if order_statistic_rank(tau, t_post) < MIN_TAIL_COUNT:
             entries.append(
                 SweepEntry(
                     tau=tau,

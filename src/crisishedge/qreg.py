@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 TARGET_COLUMN = "equity_nominal_return"
 ENDOGENOUS_PREFIX = "equity"
 INTERCEPT_LABEL = "(intercept)"
+MIN_FIT_ROWS = 10  # fewest design rows a fit or a CV training window may have
 
 
 def check_loss(u: float | np.ndarray, tau: float) -> float | np.ndarray:
@@ -502,7 +503,7 @@ def _frisch_newton(
     )
     for it in range(_MAX_ITER + 1):
         resid = targets + (X @ dual[:, :, None])[:, :, 0]
-        loss = np.sum(resid * (tau - (resid < 0.0)), axis=1)
+        loss = np.sum(check_loss(resid, tau), axis=1)
         mu = np.sum(x * z, axis=1) + np.sum(s * w, axis=1)
         gap[live] = mu
         done = mu <= GAP_TOL * (1.0 + loss)
@@ -592,7 +593,7 @@ def solve_check_loss(
         for b in np.flatnonzero(fallback[t]):
             coef[t, b] = _highs_fit(designs[b], targets[b], float(tau))
         resid = targets - (designs @ coef[t, :, :, None])[:, :, 0]
-        loss[t] = np.sum(resid * (tau - (resid < 0.0)), axis=1)
+        loss[t] = np.sum(check_loss(resid, tau), axis=1)
     return coef, FitCertificates(
         tuple(loss.ravel().tolist()),
         tuple(np.where(np.isfinite(gap), gap, np.inf).ravel().tolist()),
@@ -647,8 +648,8 @@ def fit_quantile(X: DesignMatrix, tau: float) -> QuantileModel:
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     n = len(X)
-    if n < 10:
-        raise DataError(f"need at least 10 rows to fit, got {n}")
+    if n < MIN_FIT_ROWS:
+        raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
     require_varying(X.target)
     for j in np.flatnonzero(np.ptp(X.values, axis=0) == 0.0):
         # Constant columns get coefficient 0.0 by convention; debug level
@@ -755,8 +756,8 @@ def expanding_window_cv(
     constant training or test target), so a failure raises once for all
     levels.
     """
-    if initial_window < 10:
-        raise DataError(f"initial window must be >= 10, got {initial_window}")
+    if initial_window < MIN_FIT_ROWS:
+        raise DataError(f"initial window must be >= {MIN_FIT_ROWS}, got {initial_window}")
     if step < 1:
         raise DataError("step must be >= 1")
     n = len(X)
@@ -765,7 +766,7 @@ def expanding_window_cv(
         if force_test_month not in X.months:
             raise DataError(f"{force_test_month} is not a design-matrix month")
         pos = X.months.index(force_test_month)
-        if pos < 10:
+        if pos < MIN_FIT_ROWS:
             raise DataError(
                 f"cannot place {force_test_month} in a test fold: only {pos} "
                 "rows precede it"

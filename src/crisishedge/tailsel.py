@@ -11,14 +11,13 @@ full sample.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, DegenerateSampleError
-from .quantiles import CEIL_FUZZ, empirical_quantile
+from .quantiles import empirical_quantile, order_statistic_rank
 
 logger = logging.getLogger(__name__)
 
@@ -64,11 +63,6 @@ def min_feasible_tail_quantile(returns: Sequence[float] | np.ndarray) -> float:
     if n < MIN_TAIL_COUNT:
         raise DataError(f"sample of {n} cannot hold a {MIN_TAIL_COUNT}-point tail")
     return MIN_TAIL_COUNT / n
-
-
-def tail_count(tau: float, n: int) -> int:
-    """Observations a level-``tau`` empirical tail holds in a sample of ``n``."""
-    return math.ceil(tau * n - CEIL_FUZZ)
 
 
 def unify_tail_quantile(per_country: Mapping[str, float]) -> float:
@@ -135,7 +129,7 @@ def build_triplet(
         tau_low = float(tau_override)
         for country, returns in per_country_returns.items():
             n = len(returns)
-            if tail_count(tau_low, n) < MIN_TAIL_COUNT:
+            if order_statistic_rank(tau_low, n) < MIN_TAIL_COUNT:
                 raise DataError(
                     f"{country}: tau={tau_low} leaves fewer than "
                     f"{MIN_TAIL_COUNT} tail observations (T={n})"

@@ -1,9 +1,13 @@
 """Certificate-only references that the tests hold the shipped code to.
 
-Nothing here is on a run's path.  Each oracle is one of three kinds:
+Nothing here is on a run's path.  Each oracle is one of four kinds:
 
 * a slow, obviously correct reference: Shapley values and interaction
-  indices by 2^M subset enumeration, importance shares one column at a time;
+  indices by 2^M subset enumeration, importance shares one column at a time,
+  average ranks by sorting (``_rank``, against the counted ranks a run uses);
+* a one-value-at-a-time copy of a formula a run computes per lane:
+  ``lower_tail_dependence``, the analytic lambda_L of one fitted theta,
+  against ``copula.fit_batch``'s;
 * a one-at-a-time input for a batched path: a row subset of a design as a
   design of its own;
 * a checked per-call entry point to a private kernel.  These call the
@@ -24,7 +28,6 @@ import numpy as np
 from crisishedge.attribution import _pair_positions, _shapley_batch
 from crisishedge.copula import (
     CopulaFamily,
-    _check_unit_interval,
     _log_density,
     _margins,
     _validate_theta,
@@ -229,6 +232,47 @@ def restandardized_subset(X, stats_rows, rows):
         dummy_columns=X.dummy_columns,
         raw_linear=X.raw_linear[rows],
     )
+
+
+def _rank(x: np.ndarray) -> np.ndarray:
+    """Average ranks from 1 along the last axis, as ``scipy.stats.rankdata`` gives them.
+
+    Ties share the mean of their positions; the float64 ranks are exact,
+    being integers or half-integers.  Input must be NaN-free.
+    """
+    order = np.argsort(x, axis=-1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=-1)
+    starts = np.ones(x.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    # A tie group starting at 0-based position f with c members has mean
+    # rank f + (c + 1) / 2; f is taken modulo the lane length.
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=starts.size)
+    ranked = np.repeat(first % x.shape[-1] + (counts + 1) / 2, counts).reshape(x.shape)
+    ranks = np.empty_like(ranked)
+    np.put_along_axis(ranks, order, ranked, axis=-1)
+    return ranks
+
+
+def lower_tail_dependence(family: CopulaFamily | str, theta: float) -> float:
+    """Analytic lower-tail-dependence coefficient of a fitted family.
+
+    Only Clayton has a lower tail: 2^(-1/theta).  Gumbel's dependence sits in
+    the upper tail and Frank has none, so both map to 0.
+    """
+    family = CopulaFamily(family)
+    _validate_theta(family, theta)
+    if family is CopulaFamily.CLAYTON:
+        return float(2.0 ** (-1.0 / theta))
+    return 0.0
+
+
+def _check_unit_interval(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not (np.all((u > 0) & (u < 1)) and np.all((v > 0) & (v < 1))):
+        raise ValueError("copula arguments must lie strictly inside (0, 1)")
+    return u, v
 
 
 def log_density(

@@ -16,14 +16,12 @@ from crisishedge.copula import (
     _counted_ranks,
     _dense_codes,
     _margins,
-    _rank,
     attach_ci,
     block_bootstrap_ci,
     empirical_tail_dependence,
     fit_batch,
     fit_copula,
     fit_families,
-    lower_tail_dependence,
     pseudo_observations,
     select_family,
     simulate_copula,
@@ -31,7 +29,7 @@ from crisishedge.copula import (
 from crisishedge.errors import DataError, FitError, DegenerateSampleError
 from crisishedge.resample import block_resamples, default_block_length
 
-from oracles import log_density
+from oracles import _rank, log_density, lower_tail_dependence
 
 
 def sample_from(family, theta, n, seed):
@@ -59,7 +57,11 @@ class TestPseudoObservations:
 
 
 class TestRank:
-    """The numpy ranks against ``scipy.stats.rankdata``, compared as bytes."""
+    """The numpy ranks against ``scipy.stats.rankdata``, compared as bytes.
+
+    ``_rank`` is the sorted reference; the shipped rule is ``_counted_ranks``,
+    reached through ``pseudo_observations`` on 1-D lanes.
+    """
 
     @staticmethod
     def lanes():
@@ -83,6 +85,11 @@ class TestRank:
             assert got.dtype == want.dtype, label
             assert got.shape == want.shape, label
             assert got.tobytes() == want.tobytes(), label
+            if x.ndim == 1:
+                shipped = pseudo_observations(x)
+                scaled = want / (x.size + 1.0)
+                assert shipped.dtype == scaled.dtype, label
+                assert shipped.tobytes() == scaled.tobytes(), label
 
     def test_counted_ranks_equal_sorted_ranks(self):
         rng = np.random.default_rng(13)
@@ -318,6 +325,16 @@ class TestFitFamilies:
         for sample, fits in zip(samples, fitted):
             assert fits == tuple(fit_copula(sample, family) for family in FAMILIES)
         assert any(fit.diagnostics for fits in fitted for fit in fits)
+
+    @pytest.mark.parametrize("margin", ["u", "v"])
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_batch_outside_unit_square_rejected(self, margin, edge):
+        s = sample_from(CopulaFamily.CLAYTON, 2.0, 40, seed=119)
+        u, v = np.stack([s.u, s.u]), np.stack([s.v, s.v])
+        {"u": u, "v": v}[margin][1, 7] = edge
+        message = r"^copula arguments must lie strictly inside \(0, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            PseudoBatch(u, v)
 
     def test_samples_must_share_one_length(self):
         a = sample_from(CopulaFamily.CLAYTON, 2.0, 120, seed=1)

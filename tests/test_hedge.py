@@ -139,12 +139,6 @@ class TestLossSeries:
                 fx_ret=np.array([0.0, 0.1, 0.0]),
             )
 
-    def test_window_slices_all_components(self):
-        pi = make_series("cpi_rate", [0.01, 0.02, 0.03, 0.04], start="2020-01")
-        out = loss_series(pi, None, Residency.LOCAL).window("2020-02", "2020-03")
-        assert out.months == ("2020-02", "2020-03")
-        np.testing.assert_allclose(out.loss, [0.02, 0.03])
-
 
 class TestNetRealReturn:
     def test_table_row_identity(self):
@@ -317,7 +311,7 @@ class TestBuildHedgeReport:
 
     def test_window_mismatch_rejected(self):
         episode, returns, loss = self.build_inputs()
-        shifted = loss.window(loss.months[1], None)
+        shifted = loss.at(loss.months[1:])
         with pytest.raises(DataError, match="mismatch"):
             build_hedge_report(
                 episode, returns, shifted, fit_with(0.3, ci=(0.2, 0.4)), 0.25

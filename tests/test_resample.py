@@ -21,13 +21,18 @@ from crisishedge.copula import (
     CopulaFamily,
     PseudoSample,
     block_bootstrap_ci,
-    lower_tail_dependence,
 )
 from crisishedge.errors import BootstrapUnstableError, DataError, NumericalError
 from crisishedge.qreg import FitCertificates, expanding_window_cv, fit_quantile
 from crisishedge.resample import block_resamples
 
-from oracles import log_density, restandardized_subset, summary_oracle, window_phi
+from oracles import (
+    log_density,
+    lower_tail_dependence,
+    restandardized_subset,
+    summary_oracle,
+    window_phi,
+)
 from test_attribution import make_design
 from test_copula import sample_from
 from test_qreg import noise_matrix

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from crisishedge.errors import DataError, DegenerateSampleError
+from crisishedge.quantiles import order_statistic_rank
 from crisishedge.tailsel import (
     build_triplet,
     min_feasible_tail_quantile,
-    tail_count,
     tail_variance_check,
     unify_tail_quantile,
 )
@@ -97,7 +97,7 @@ class TestBuildTriplet:
         with pytest.raises(DataError):
             build_triplet({"x": returns}, tau_override=0.05)
         # ceil(0.0666 * 75) = 5 points is one short; ceil(0.0667 * 75) = 6 is enough.
-        assert (tail_count(0.0666, 75), tail_count(0.0667, 75)) == (5, 6)
+        assert (order_statistic_rank(0.0666, 75), order_statistic_rank(0.0667, 75)) == (5, 6)
         with pytest.raises(DataError, match="fewer than 6 tail observations"):
             build_triplet({"x": returns}, tau_override=0.0666)
         assert build_triplet({"x": returns}, tau_override=0.0667).tau_low == 0.0667
