@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from .qreg import (
     restandardized_values,
     solve_check_loss,
 )
-from .resample import block_resamples
+from .resample import chunks, stacked_resamples
 
 logger = logging.getLogger(__name__)
 
@@ -200,73 +201,58 @@ def _shares(
     return shares, order, zero
 
 
-def _rankings(
-    columns: Sequence[str], phi: np.ndarray
-) -> list[tuple[str, ...] | DegenerateSampleError]:
-    """Each (M x n) block's ``importance_summary`` ranking, or the error it raises."""
-    _, order, zero = _shares(columns, phi)
-    return [
-        DegenerateSampleError(_ZERO_ATTRIBUTIONS)
-        if degenerate
-        else tuple(columns[k] for k in row)
-        for row, degenerate in zip(order.tolist(), zero.tolist())
-    ]
-
-
-def stability_kendall(rankings: Sequence[Sequence[str]]) -> float:
+def stability_kendall(orders: np.ndarray) -> float:
     """Mean pairwise Kendall tau over bootstrap importance rankings.
 
-    Computed exactly by counting, for every unordered item pair, how many
-    rankings order it each way; O(R * m^2) instead of O(R^2 * m^2).
+    ``orders`` is (R, M): row ``r`` lists the column indices of ranking
+    ``r``, best first.  One comparison of the rankings' positions counts, for
+    every column pair, how many rankings order it each way; the pair's
+    concordant minus discordant ranking pairs follow from those two counts,
+    and the sum is exact in integers.  O(R * M^2) instead of O(R^2 * M^2).
     """
-    if len(rankings) < 2:
+    if orders.ndim != 2 or len(orders) < 2:
         raise DataError("need at least 2 rankings")
-    items = sorted(rankings[0])
-    if len(items) < 2:
+    r_count, m = orders.shape
+    if m < 2:
         raise DataError("need at least 2 ranked items")
-    for r in rankings:
-        if sorted(r) != items:
-            raise DataError("rankings cover different column sets")
-    r_count = len(rankings)
-    positions = [
-        {col: pos for pos, col in enumerate(r)} for r in rankings
-    ]
-    ranking_pairs = r_count * (r_count - 1) // 2
-    item_pairs = len(items) * (len(items) - 1) // 2
-    net = 0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            a, b = items[i], items[j]
-            c = sum(1 for pos in positions if pos[a] < pos[b])
-            d = r_count - c
-            agree = c * (c - 1) // 2 + d * (d - 1) // 2
-            net += agree - c * d
-    return net / (ranking_pairs * item_pairs)
+    if not (np.sort(orders, axis=1) == np.arange(m)).all():
+        raise DataError("rankings cover different column sets")
+    positions = np.argsort(orders, axis=1)  # the inverse permutations
+    before = np.count_nonzero(positions[:, :, None] < positions[:, None, :], axis=0)
+    c = before[np.triu_indices(m, 1)].astype(np.int64)
+    d = r_count - c
+    net = int(np.sum(c * (c - 1) // 2 + d * (d - 1) // 2 - c * d))
+    return net / ((r_count * (r_count - 1) // 2) * (m * (m - 1) // 2))
 
 
 def _chunk_rankings(
     X: DesignMatrix, tau: float, rows: np.ndarray, pairs: Sequence[tuple[int, int]]
-) -> tuple[list[tuple[str, ...] | DegenerateSampleError], FitCertificates]:
-    """Rank features for each of a chunk of bootstrap row sets, fitted as one batch."""
+) -> tuple[np.ndarray, list[str | None], FitCertificates]:
+    """Rank features for each of a chunk of bootstrap row sets, fitted as one batch.
+
+    Returns the (B, M) orders of ``_shares`` and, per replicate, the reason
+    it was skipped or None; a skipped replicate's order row is meaningless.
+    """
     values = restandardized_values(X, rows, rows)
     targets = X.target[rows]
-    outcomes: list[tuple[str, ...] | DegenerateSampleError] = []
-    fitted = []
-    for b, target in enumerate(targets):
+    reasons: list[str | None] = []
+    for target in targets:
         try:
             require_varying(target)
+            reasons.append(None)
         except DegenerateSampleError as exc:
-            outcomes.append(exc)
-        else:
-            fitted.append(b)
-            outcomes.append(())
+            reasons.append(str(exc))
+    fitted = [b for b, reason in enumerate(reasons) if reason is None]
     values = values[fitted]
     coefs, fits = solve_check_loss(_with_intercept(values), targets[fitted], (tau,))
     linear = values[:, :, : X.n_linear]
     _, phi = _shapley_batch(coefs[0], linear, np.mean(linear, axis=1), pairs)
-    for b, ranking in zip(fitted, _rankings(X.linear_column_names, phi)):
-        outcomes[b] = ranking
-    return outcomes, fits
+    _, order, zero = _shares(X.linear_column_names, phi)
+    orders = np.zeros((len(rows), order.shape[1]), dtype=order.dtype)
+    orders[fitted] = order
+    for b in compress(fitted, zero):
+        reasons[b] = _ZERO_ATTRIBUTIONS
+    return orders, reasons, fits
 
 
 def bootstrap_stability(
@@ -281,15 +267,17 @@ def bootstrap_stability(
 
     Each replicate resamples design rows in blocks, re-standardizes from its
     own rows, refits the quantile model, and re-ranks features by mean |phi|.
-    Replicates are handled a chunk of about ``CHUNK_ROWS`` design rows at a
-    time, each step array-at-a-time: one batched fit, one (B x M x n) stack
-    of Shapley values, one batched ranking that equals ``importance_summary``
-    on each replicate's own values.  Row sets drawn in one
-    ``resample.block_resamples`` call, filled replicate by replicate, and a
-    batch-independent solver keep every replicate's ranking independent of
-    the others.  Columns that degenerate inside a replicate simply attract
-    zero attributions, so rankings stay comparable; a replicate with a
-    constant target or all-zero attributions is skipped and counted.
+    The rows are drawn once (``resample.stacked_resamples`` of one leg) and
+    handled a ``resample.chunks`` slice of about ``CHUNK_ROWS`` design rows at
+    a time: one batched fit, one (B x M x n) stack of Shapley values, one
+    batched ranking that equals ``importance_summary`` on each replicate's
+    own values, kept as a row of integer orders for ``stability_kendall``.
+    Row sets filled replicate by replicate and a batch-independent solver
+    keep every replicate's ranking independent of the chunking.  Columns that
+    degenerate inside a replicate simply attract zero attributions, so
+    rankings stay comparable; a replicate with a constant target
+    (``require_varying``) or all-zero attributions is skipped, logged in
+    replicate order and counted.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
@@ -297,24 +285,20 @@ def bootstrap_stability(
     if n < MIN_FIT_ROWS:
         raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
     rows = np.sort(
-        block_resamples(n, replications=replications, block_length=block_length, seed=seed),
+        stacked_resamples(n, seeds=(seed,), replications=replications, block_length=block_length),
         axis=1,
     )
     pairs = _pair_positions(X.linear_column_names, X.interaction_pairs)
-    outcomes: list[tuple[str, ...] | DegenerateSampleError] = []
-    certificates = FitCertificates()
-    per = max(1, CHUNK_ROWS // n)
-    for start in range(0, replications, per):
-        chunk, fits = _chunk_rankings(X, tau, rows[start: start + per], pairs)
-        outcomes += chunk
-        certificates += fits
-
-    skipped = [str(o) for o in outcomes if isinstance(o, DegenerateSampleError)]
+    orders, chunk_reasons, fits = zip(*(
+        _chunk_rankings(X, tau, rows[part], pairs) for part in chunks(replications, n, CHUNK_ROWS)
+    ))
+    reasons = [reason for chunk in chunk_reasons for reason in chunk]
+    skipped = [reason for reason in reasons if reason is not None]
     for reason in skipped:
         logger.warning("stability replicate skipped: %s", reason)
-    rankings = [o for o in outcomes if not isinstance(o, DegenerateSampleError)]
-    if len(rankings) < 2:
+    kept = np.concatenate(orders)[[reason is None for reason in reasons]]
+    if len(kept) < 2:
         raise DegenerateSampleError("too few usable replicates for stability")
     return StabilityResult(
-        stability_kendall(rankings), len(skipped), replications, certificates
+        stability_kendall(kept), len(skipped), replications, sum(fits, FitCertificates())
     )

@@ -259,6 +259,9 @@ def config_hash(episode: CrisisEpisode) -> str:
         "bootstrap": [episode.bootstrap.replications,
                       episode.bootstrap.block_length, episode.bootstrap.seed],
         "criterion": episode.criterion,
+        "cv": None if episode.cv is None else [
+            episode.cv.initial_window, episode.cv.step, episode.cv.force_test_month
+        ],
         "features": {
             "base": list(episode.feature_schema.base_features),
             "lags": {k: list(v) for k, v in episode.feature_schema.lag_spec.items()},

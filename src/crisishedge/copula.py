@@ -31,14 +31,17 @@ those intervals (Frank's denominator as two terms of the sign of theta, see
 ``_log_density``), so the search sees the true likelihood up to both bounds.
 
 Replicate policy.  The bootstrap takes several samples of one family, each
-with its own seed, and fits their replicates as one stream, leg after leg, in
-chunks of about ``CHUNK_POINTS`` observations, one ``fit_batch`` per chunk.
-Every sample's ranks, a point sample's and a replicate's alike, are counted
-from dense codes (``_counted_ranks``); a replicate reuses its sample's codes,
-so no replicate is sorted.  A replicate whose search did not converge is left
-out of its leg's percentile interval and counted; such replicates may not
-exceed 5% of a leg's replications.  A replicate fitted at a parameter bound
-stays in at its limit value (the boundary rule above) and is counted.
+with its own seed.  Their replicate rows are drawn once as one stack, leg
+after leg (``resample.stacked_resamples``), and fitted in the
+``resample.chunks`` of about ``CHUNK_POINTS`` observations, one ``fit_batch``
+per chunk; a chunk may span two legs.  Every sample's ranks, a point
+sample's and a replicate's alike, are counted from dense codes
+(``_counted_ranks``); a replicate gathers its sample's codes from one table
+of every leg's codes, so no replicate is sorted.  A replicate whose search
+did not converge is left out of its leg's percentile interval and counted;
+such replicates may not exceed 5% of a leg's replications.  A replicate
+fitted at a parameter bound stays in at its limit value (the boundary rule
+above) and is counted.
 """
 
 from __future__ import annotations
@@ -47,12 +50,12 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BootstrapUnstableError, DataError, DegenerateSampleError, FitError
-from .resample import block_resamples
+from .resample import chunks, stacked_resamples
 
 logger = logging.getLogger(__name__)
 
@@ -598,46 +601,6 @@ class BootstrapCI:
     nonconverged: int
 
 
-def _replicate_batches(
-    samples: Sequence[PseudoSample],
-    seeds: Sequence[int],
-    *,
-    replications: int,
-    block_length: int | None,
-) -> Iterator[PseudoBatch]:
-    """Every leg's bootstrap replicates as one stream, in chunks of ``CHUNK_POINTS``.
-
-    Leg after leg, replicate ``r`` of a leg resamples its sample by row ``r``
-    of one ``block_resamples`` draw from the leg's seed.  A chunk holds
-    ``CHUNK_POINTS // n`` replicates (at least one) and may span two legs;
-    its ranks are counted from each sample's dense codes.  One leg's rows are
-    held at a time, and nothing of a chunk but its batch outlives the yield,
-    so the stream needs no more memory than a one-leg bootstrap.
-    """
-    n = samples[0].n
-    per = max(1, CHUNK_POINTS // n)
-    left = len(samples) * replications
-    parts: list[np.ndarray] = []  # (2, lanes, n) codes of the chunk being filled
-    room = per
-    for sample, seed in zip(samples, seeds):
-        rows = block_resamples(n, replications=replications, block_length=block_length, seed=seed)
-        # int32 codes keep a chunk's gathered codes no larger than one margin's values.
-        codes = np.stack([_dense_codes(sample.u), _dense_codes(sample.v)]).astype(np.int32)
-        start = 0
-        while start < replications:
-            stop = min(start + room, replications)
-            parts.append(codes[:, rows[start:stop]])
-            room -= stop - start
-            left -= stop - start
-            start = stop
-            if not room or not left:
-                joined = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-                batch = PseudoBatch.from_codes(*joined)
-                parts, joined, room = [], None, per
-                yield batch
-        del rows
-
-
 def block_bootstrap_ci(
     samples: Sequence[PseudoSample],
     family: CopulaFamily | str,
@@ -651,13 +614,13 @@ def block_bootstrap_ci(
     One leg per sample, all of one length: blocks are drawn over the paired
     (u, v) sequence so temporal dependence within each margin and the
     cross-dependence survive together; ranks are recomputed inside every
-    replicate, keeping the statistic rank-based.  Replicate ``r`` of a leg
-    takes row ``r`` of one ``resample.block_resamples`` draw from that leg's
-    seed.  The legs' replicates form one stream, leg after leg, and
-    ``fit_batch`` refits the family on about ``CHUNK_POINTS`` observations of
-    it at a time, so a replicate's value depends on neither ``replications``,
-    the chunking nor the other legs.  The refit applies the boundary rule, so
-    a replicate at the upper bound counts as 1, like the point estimate.
+    replicate, keeping the statistic rank-based.  The legs' replicates, one
+    draw from each leg's seed, form one ``resample.stacked_resamples`` stack,
+    and ``fit_batch`` refits the family on one ``resample.chunks`` slice of
+    about ``CHUNK_POINTS`` observations at a time, so a replicate's value
+    depends on neither ``replications``, the chunking nor the other legs.
+    The refit applies the boundary rule, so a replicate at the upper bound
+    counts as 1, like the point estimate.
     Non-converged replicates are left out and counted; more than 5% of them
     in a leg raises ``BootstrapUnstableError`` naming that leg.  Returns one
     interval per sample.
@@ -666,13 +629,15 @@ def block_bootstrap_ci(
         raise ValueError(f"need at least 100 replications, got {replications}")
     if len(seeds) != len(samples):
         raise ValueError("need one seed per sample")
-    _common_length(samples)
-
+    n = _common_length(samples)
+    # Every leg's dense codes side by side, (2, legs * n), which a stacked
+    # row indexes with its leg's offset; int32 keeps a chunk's gathered codes
+    # no larger than one margin's values.
+    codes = np.hstack([[_dense_codes(s.u), _dense_codes(s.v)] for s in samples]).astype(np.int32)
+    rows = stacked_resamples(n, seeds=seeds, replications=replications, block_length=block_length)
     fits = [
-        fit_batch(batch, family)
-        for batch in _replicate_batches(
-            samples, seeds, replications=replications, block_length=block_length
-        )
+        fit_batch(PseudoBatch.from_codes(*codes[:, rows[part]]), family)
+        for part in chunks(len(rows), n, CHUNK_POINTS)
     ]
 
     def legs(name: str) -> np.ndarray:

@@ -21,6 +21,7 @@ from . import months as mo
 from .dataio import MacroSeries
 from .errors import ConfigError, DataError, DegenerateSampleError, EndogeneityError, FitError
 from .quantiles import empirical_quantile
+from .resample import chunks
 
 logger = logging.getLogger(__name__)
 
@@ -582,10 +583,8 @@ def solve_check_loss(
     gap = np.empty((len(taus), batch))
     fallback = np.empty((len(taus), batch), dtype=bool)
     loss = np.empty((len(taus), batch))
-    per = max(1, CHUNK_ROWS // n)
     for t, tau in enumerate(taus):
-        for i in range(0, batch, per):
-            part = slice(i, i + per)
+        for part in chunks(batch, n, CHUNK_ROWS):
             coef[t, part], gap[t, part], converged = _frisch_newton(
                 designs[part], targets[part], float(tau)
             )

@@ -1,14 +1,19 @@
-"""Moving-block resampling for the bootstrap loops.
+"""Moving-block resampling and the replicate chunks of the bootstrap loops.
 
-One generator per bootstrap draws every replicate's block starts in a single
-call (``block_resamples``).  numpy fills the start matrix row by row, so a
-replicate's rows, and everything a caller computes from them, do not depend
-on how many replicates there are or on which of them are processed together.
+One generator per bootstrap leg draws every replicate's block starts in a
+single call (``block_resamples``).  numpy fills the start matrix row by row,
+so a replicate's rows, and everything a caller computes from them, do not
+depend on how many replicates there are or on which of them are processed
+together.  ``stacked_resamples`` lays several legs' draws one after another
+in one row array, and ``chunks`` is the one rule that splits a stack of
+replicates into the batches the copula bootstrap, the stability bootstrap
+and the check-loss solver process together.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,3 +47,31 @@ def block_resamples(
     )
     runs = starts[:, :, None] + np.arange(length, dtype=np.intp)
     return runs.reshape(replications, k * length)[:, :n]
+
+
+def stacked_resamples(
+    n: int, *, seeds: Sequence[int], replications: int, block_length: int | None = None
+) -> np.ndarray:
+    """(legs * replications, n) int32 rows of one moving-block draw per seed.
+
+    Leg ``k`` takes rows ``k * replications`` on: its ``block_resamples``
+    draw from ``seeds[k]``, offset by ``k * n``, so the rows index a table
+    that holds the legs' samples side by side.  The draw is made at its own
+    dtype and cast afterwards, as the generator's stream depends on the dtype.
+    """
+    out = np.empty((len(seeds) * replications, n), dtype=np.int32)
+    for k, seed in enumerate(seeds):
+        rows = block_resamples(n, replications=replications, block_length=block_length, seed=seed)
+        np.add(rows, k * n, out=out[k * replications: (k + 1) * replications], casting="unsafe")
+    return out
+
+
+def chunks(count: int, n: int, budget: int) -> Iterator[slice]:
+    """Consecutive slices over ``count`` replicates of ``n`` rows each.
+
+    A slice holds ``budget // n`` replicates, at least one, so a chunk spans
+    about ``budget`` rows; the last slice takes what is left.
+    """
+    per = max(1, budget // n)
+    for start in range(0, count, per):
+        yield slice(start, min(start + per, count))

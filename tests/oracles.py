@@ -4,6 +4,7 @@ Nothing here is on a run's path.  Each oracle is one of four kinds:
 
 * a slow, obviously correct reference: Shapley values and interaction
   indices by 2^M subset enumeration, importance shares one column at a time,
+  the stability Kendall tau over rankings of names (``kendall_oracle``),
   average ranks by sorting (``_rank``, against the counted ranks a run uses);
 * a one-value-at-a-time copy of a formula a run computes per lane:
   ``lower_tail_dependence``, the analytic lambda_L of one fitted theta,
@@ -219,6 +220,38 @@ def summary_oracle(columns, phi):
         shares[top] += drift
     ranking = tuple(sorted(columns, key=lambda c: (-shares[c], c)))
     return ranking, shares
+
+
+def kendall_oracle(rankings):
+    """Mean pairwise Kendall tau over rankings given as tuples of column names.
+
+    The reference for ``attribution.stability_kendall``'s integer orders: for
+    every unordered name pair, how many rankings order it each way, counted
+    one ranking at a time over position dicts.
+    """
+    if len(rankings) < 2:
+        raise DataError("need at least 2 rankings")
+    items = sorted(rankings[0])
+    if len(items) < 2:
+        raise DataError("need at least 2 ranked items")
+    for r in rankings:
+        if sorted(r) != items:
+            raise DataError("rankings cover different column sets")
+    r_count = len(rankings)
+    positions = [
+        {col: pos for pos, col in enumerate(r)} for r in rankings
+    ]
+    ranking_pairs = r_count * (r_count - 1) // 2
+    item_pairs = len(items) * (len(items) - 1) // 2
+    net = 0
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            a, b = items[i], items[j]
+            c = sum(1 for pos in positions if pos[a] < pos[b])
+            d = r_count - c
+            agree = c * (c - 1) // 2 + d * (d - 1) // 2
+            net += agree - c * d
+    return net / (ranking_pairs * item_pairs)
 
 
 def restandardized_subset(X, stats_rows, rows):

@@ -21,6 +21,7 @@ from crisishedge.errors import DataError, DegenerateSampleError, NumericalError
 from crisishedge.pipeline import run_pipeline
 from crisishedge.qreg import (
     DesignMatrix,
+    FitCertificates,
     QuantileModel,
     fit_quantile,
     predict,
@@ -30,6 +31,7 @@ from crisishedge.qreg import (
 from oracles import (
     interaction_values,
     interaction_values_brute_force,
+    kendall_oracle,
     shapley_brute_force,
     shapley_values,
     summary_oracle,
@@ -362,7 +364,26 @@ class TestBatchedRankings:
         values = np.stack([self.replicate(7)] + [self.replicate(s) for s in range(91, 105)])
         return np.array(coefs), values
 
-    def test_chunk_matches_the_oracle_replicate_by_replicate(self):
+    def chunk_rankings(self, monkeypatch, coefs, values):
+        """``_chunk_rankings`` on given replicate values and coefficients.
+
+        The design only supplies varying targets and the column layout; the
+        re-standardized values and the fit are replaced by the chunk's own.
+        """
+        n = values.shape[1]
+        X = make_design(
+            values[0], np.arange(n, dtype=float), self.COLUMNS + ("charlie*foxtrot",),
+            interaction_pairs=(self.PAIR,),
+        )
+        monkeypatch.setattr(attribution, "restandardized_values", lambda X, s, r: values)
+        monkeypatch.setattr(
+            attribution, "solve_check_loss", lambda d, t, taus: (coefs[None], FitCertificates())
+        )
+        rows = np.tile(np.arange(n), (len(values), 1))
+        orders, reasons, _ = attribution._chunk_rankings(X, 0.5, rows, [(4, 5)])
+        return orders, reasons
+
+    def test_chunk_matches_the_oracle_replicate_by_replicate(self, monkeypatch):
         coefs, values = self.chunk()
         expected = [self.oracle(c, v) for c, v in zip(coefs, values)]
 
@@ -374,11 +395,13 @@ class TestBatchedRankings:
         assert ranking[:2] == ("echo", "alpha")
         assert isinstance(expected[1], DegenerateSampleError)
 
-        phi = self.batched_phi(coefs, values)
-        got = attribution._rankings(self.COLUMNS, phi)
-        assert isinstance(got[1], DegenerateSampleError)
-        assert str(got[1]) == str(expected[1])
+        orders, reasons = self.chunk_rankings(monkeypatch, coefs, values)
+        assert orders.shape == (len(coefs), len(self.COLUMNS))
+        assert reasons[1] == str(expected[1])
+        assert reasons[:1] + reasons[2:] == [None] * (len(coefs) - 1)
+        got = [tuple(self.COLUMNS[k] for k in order) for order in orders.tolist()]
         assert got[:1] + got[2:] == [e[0] for e in expected[:1] + expected[2:]]
+        phi = self.batched_phi(coefs, values)
         shares, _, zero = attribution._shares(self.COLUMNS, phi)
         assert zero.tolist() == [b == 1 for b in range(len(coefs))]
         for b in np.flatnonzero(~zero):
@@ -422,42 +445,60 @@ class TestBatchedRankings:
 
 class TestStabilityKendall:
     def test_identical_rankings(self):
-        assert stability_kendall([("a", "b", "c")] * 3 ) == pytest.approx(1.0)
+        assert stability_kendall(np.array([[0, 1, 2]] * 3)) == pytest.approx(1.0)
 
     def test_exactly_reversed_pair(self):
-        assert stability_kendall([("a", "b", "c"), ("c", "b", "a")]) == pytest.approx(-1.0)
+        assert stability_kendall(np.array([[0, 1, 2], [2, 1, 0]])) == pytest.approx(-1.0)
 
     def test_adjacent_swap_over_four_items(self):
-        base = ("a", "b", "c", "d")
-        swapped = ("a", "c", "b", "d")
-        assert stability_kendall([base, swapped]) == pytest.approx(2.0 / 3.0)
+        base = [0, 1, 2, 3]
+        swapped = [0, 2, 1, 3]
+        assert stability_kendall(np.array([base, swapped])) == pytest.approx(2.0 / 3.0)
 
     def test_matches_pairwise_average(self):
         rng = np.random.default_rng(66)
-        items = ["a", "b", "c", "d", "e"]
-        rankings = [tuple(rng.permutation(items)) for _ in range(6)]
+        items = 5
+        rankings = np.array([rng.permutation(items) for _ in range(6)])
         taus = []
         for i in range(len(rankings)):
             for j in range(i + 1, len(rankings)):
                 pos_i = {c: p for p, c in enumerate(rankings[i])}
                 pos_j = {c: p for p, c in enumerate(rankings[j])}
                 net = 0
-                for x in range(len(items)):
-                    for y in range(x + 1, len(items)):
-                        a, b = items[x], items[y]
+                for a in range(items):
+                    for b in range(a + 1, items):
                         s1 = pos_i[a] - pos_i[b]
                         s2 = pos_j[a] - pos_j[b]
                         net += 1 if s1 * s2 > 0 else -1
                 taus.append(net / 10)
         assert stability_kendall(rankings) == pytest.approx(np.mean(taus), abs=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 12])
+    @pytest.mark.parametrize("r", [2, 3, 1000])
+    def test_equals_the_name_oracle_exactly(self, r, m):
+        rng = np.random.default_rng(1000 * r + m)
+        names = [f"c{k:02d}" for k in rng.permutation(m)]
+        orders = np.array([rng.permutation(m) for _ in range(r)])
+        if r > 3:
+            # A run's rankings mostly agree: half the rows repeat the first.
+            orders[r // 2:] = orders[0]
+        rankings = [tuple(names[k] for k in row) for row in orders.tolist()]
+        assert stability_kendall(orders) == kendall_oracle(rankings)
+
     def test_requires_two_rankings(self):
-        with pytest.raises(DataError):
-            stability_kendall([("a", "b")])
+        with pytest.raises(DataError, match="at least 2 rankings"):
+            stability_kendall(np.array([[0, 1]]))
+        with pytest.raises(DataError, match="at least 2 rankings"):
+            kendall_oracle([("a", "b")])
 
     def test_mismatched_sets_rejected(self):
-        with pytest.raises(DataError):
-            stability_kendall([("a", "b"), ("a", "c")])
+        # A row that is not a permutation of the column indices.
+        with pytest.raises(DataError, match="different column sets"):
+            stability_kendall(np.array([[0, 1], [0, 0]]))
+        with pytest.raises(DataError, match="different column sets"):
+            stability_kendall(np.array([[0, 1], [1, 2]]))
+        with pytest.raises(DataError, match="different column sets"):
+            kendall_oracle([("a", "b"), ("a", "c")])
 
 
 class TestBootstrapStability:

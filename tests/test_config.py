@@ -266,3 +266,14 @@ class TestConfigHash:
         assert config_hash(minimal_episode()) != config_hash(
             minimal_episode(country="other")
         )
+
+    def test_in_memory_hash_covers_cv(self):
+        hashes = {
+            config_hash(minimal_episode(cv=cv))
+            for cv in (None, CVConfig(36, 12), CVConfig(36, 6), CVConfig(24, 6),
+                       CVConfig(36, 12, force_test_month="2018-01"))
+        }
+        assert len(hashes) == 5
+        assert config_hash(minimal_episode(cv=CVConfig(36, 12))) == config_hash(
+            minimal_episode(cv=CVConfig(36, 12))
+        )

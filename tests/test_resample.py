@@ -15,7 +15,7 @@ import pytest
 from scipy import optimize
 
 from crisishedge import attribution, copula, load_episode, qreg, run_pipeline
-from crisishedge.attribution import bootstrap_stability, stability_kendall
+from crisishedge.attribution import bootstrap_stability
 from crisishedge.copula import (
     THETA_BOUNDS,
     CopulaFamily,
@@ -24,9 +24,10 @@ from crisishedge.copula import (
 )
 from crisishedge.errors import BootstrapUnstableError, DataError, NumericalError
 from crisishedge.qreg import FitCertificates, expanding_window_cv, fit_quantile
-from crisishedge.resample import block_resamples
+from crisishedge.resample import block_resamples, chunks, stacked_resamples
 
 from oracles import (
+    kendall_oracle,
     log_density,
     lower_tail_dependence,
     restandardized_subset,
@@ -129,6 +130,33 @@ class TestBlockBootstrap:
         assert np.array_equal(rows[1000][:100], rows[100])
         assert np.array_equal(rows[1000][:200], rows[200])
 
+    @pytest.mark.parametrize("block_length", [None, 7])
+    def test_stacked_rows_are_each_legs_draw_offset_by_leg(self, block_length):
+        seeds, reps, n = (5, 6, 5), 40, 60
+        stacked = stacked_resamples(n, seeds=seeds, replications=reps, block_length=block_length)
+        assert stacked.dtype == np.int32
+        assert stacked.shape == (len(seeds) * reps, n)
+        for k, seed in enumerate(seeds):
+            leg = block_resamples(n, replications=reps, block_length=block_length, seed=seed)
+            for r in range(reps):
+                assert np.array_equal(stacked[k * reps + r], leg[r] + k * n)
+
+    @pytest.mark.parametrize(
+        "count, n, budget, sizes",
+        [
+            (10, 3, 7, [2, 2, 2, 2, 2]),
+            (11, 3, 9, [3, 3, 3, 2]),
+            (4, 10, 3, [1, 1, 1, 1]),  # a budget below n: one replicate a slice
+            (5, 4, 100, [5]),
+            (0, 4, 100, []),
+        ],
+    )
+    def test_chunks_cover_every_replicate_in_order(self, count, n, budget, sizes):
+        parts = list(chunks(count, n, budget))
+        assert [p.stop - p.start for p in parts] == sizes
+        assert [i for p in parts for i in range(count)[p]] == list(range(count))
+        assert all(p.stop - p.start == max(1, budget // n) for p in parts[:-1])
+
 
 class TestSerialEqualsBatched:
     def test_block_bootstrap_ci(self, monkeypatch):
@@ -225,7 +253,7 @@ class TestBatchedEqualsOneAtATime:
             phi = window_phi(model, linear, np.mean(linear, axis=0))
             rankings.append(summary_oracle(model.columns, phi)[0])
             certificates += model.certificate
-        assert batched.kendall_tau == stability_kendall(rankings)
+        assert batched.kendall_tau == kendall_oracle(rankings)
         assert batched.skipped == 0
         assert batched.certificates == certificates
 
