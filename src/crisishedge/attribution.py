@@ -11,6 +11,7 @@ moving-block bootstrap is summarized by mean pairwise Kendall tau.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -225,9 +226,12 @@ def stability_kendall(orders: np.ndarray) -> float:
     return net / ((r_count * (r_count - 1) // 2) * (m * (m - 1) // 2))
 
 
+ChunkRankings = tuple[np.ndarray, list[str | None], FitCertificates]
+
+
 def _chunk_rankings(
     X: DesignMatrix, tau: float, rows: np.ndarray, pairs: Sequence[tuple[int, int]]
-) -> tuple[np.ndarray, list[str | None], FitCertificates]:
+) -> ChunkRankings:
     """Rank features for each of a chunk of bootstrap row sets, fitted as one batch.
 
     Returns the (B, M) orders of ``_shares`` and, per replicate, the reason
@@ -255,6 +259,56 @@ def _chunk_rankings(
     return orders, reasons, fits
 
 
+class StabilityPlan:
+    """A checked stability bootstrap, cut into ``resample.chunks`` of replicates.
+
+    Any chunk may be solved alone, in any order and process; ``rows``, the
+    one draw, is made where it is first needed.
+    """
+
+    def __init__(
+        self, X: DesignMatrix, tau: float, *, replications: int = 1000,
+        block_length: int | None = None, seed: int,
+    ) -> None:
+        if replications < 2:
+            raise ValueError("need at least 2 replications")
+        n = len(X)
+        if n < MIN_FIT_ROWS:
+            raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
+        self.X, self.tau, self.replications = X, tau, replications
+        self.block_length, self.seed = block_length, seed
+        self.pairs = _pair_positions(X.linear_column_names, X.interaction_pairs)
+        self.parts = tuple(chunks(replications, n, CHUNK_ROWS))
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        return stacked_resamples(
+            len(self.X), seeds=(self.seed,), replications=self.replications,
+            block_length=self.block_length,
+        )
+
+
+def solve_stability_chunk(plan: StabilityPlan, index: int) -> ChunkRankings:
+    """``_chunk_rankings`` of chunk ``index``, each replicate's rows sorted."""
+    rows = np.sort(plan.rows[plan.parts[index]], axis=1)
+    return _chunk_rankings(plan.X, plan.tau, rows, plan.pairs)
+
+
+def finish_stability(plan: StabilityPlan, solved: Sequence[ChunkRankings]) -> StabilityResult:
+    """The result from every chunk's rankings in chunk order; skips are logged and counted."""
+    orders, chunk_reasons, fits = zip(*solved)
+    reasons = [reason for chunk in chunk_reasons for reason in chunk]
+    skipped = [reason for reason in reasons if reason is not None]
+    for reason in skipped:
+        logger.warning("stability replicate skipped: %s", reason)
+    kept = np.concatenate(orders)[[reason is None for reason in reasons]]
+    if len(kept) < 2:
+        raise DegenerateSampleError("too few usable replicates for stability")
+    return StabilityResult(
+        stability_kendall(kept), len(skipped), plan.replications, sum(fits, FitCertificates())
+    )
+
+
 def bootstrap_stability(
     X: DesignMatrix,
     tau: float,
@@ -278,27 +332,14 @@ def bootstrap_stability(
     rankings stay comparable; a replicate with a constant target
     (``require_varying``) or all-zero attributions is skipped, logged in
     replicate order and counted.
+
+    It is a ``StabilityPlan``, ``solve_stability_chunk`` on each chunk in
+    order and ``finish_stability``; the pipeline's workers solve the chunks
+    in any order and finish on them merged by index.
     """
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
-    n = len(X)
-    if n < MIN_FIT_ROWS:
-        raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
-    rows = np.sort(
-        stacked_resamples(n, seeds=(seed,), replications=replications, block_length=block_length),
-        axis=1,
+    plan = StabilityPlan(
+        X, tau, replications=replications, block_length=block_length, seed=seed
     )
-    pairs = _pair_positions(X.linear_column_names, X.interaction_pairs)
-    orders, chunk_reasons, fits = zip(*(
-        _chunk_rankings(X, tau, rows[part], pairs) for part in chunks(replications, n, CHUNK_ROWS)
-    ))
-    reasons = [reason for chunk in chunk_reasons for reason in chunk]
-    skipped = [reason for reason in reasons if reason is not None]
-    for reason in skipped:
-        logger.warning("stability replicate skipped: %s", reason)
-    kept = np.concatenate(orders)[[reason is None for reason in reasons]]
-    if len(kept) < 2:
-        raise DegenerateSampleError("too few usable replicates for stability")
-    return StabilityResult(
-        stability_kendall(kept), len(skipped), replications, sum(fits, FitCertificates())
+    return finish_stability(
+        plan, [solve_stability_chunk(plan, index) for index in range(len(plan.parts))]
     )

@@ -9,9 +9,10 @@ provenance so outputs are traceable to an exact configuration.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -238,17 +239,21 @@ def load_episode(path: str | Path) -> CrisisEpisode:
 def config_hash(episode: CrisisEpisode) -> str:
     """SHA-256 provenance of the run configuration.
 
-    File-backed configs hash their exact bytes; in-memory episodes hash a
-    canonical JSON rendering of their fields, so a sweep override changes the
-    hash it stamps on outputs.
+    File-backed configs hash their exact bytes, plus any sweep override; an
+    in-memory episode, or one changed since it was loaded, hashes a canonical
+    JSON rendering of its fields (after the file's bytes, if any).
     """
-    if episode.source_path is not None and episode.source_path.exists():
-        digest = hashlib.sha256(episode.source_path.read_bytes())
+    digest = hashlib.sha256()
+    path = episode.source_path
+    if path is not None and path.exists():
+        raw = path.read_bytes()
+        digest.update(raw)
         if episode.quantile_override:
             digest.update(
                 f"override={','.join(repr(t) for t in episode.quantile_override)}".encode()
             )
-        return digest.hexdigest()
+        if replace(episode, quantile_override=None) == _parsed(path, raw):
+            return digest.hexdigest()
     payload = {
         "country": episode.country,
         "crisis_date": episode.crisis_date,
@@ -269,6 +274,15 @@ def config_hash(episode: CrisisEpisode) -> str:
             "interactions": [list(p) for p in episode.feature_schema.interaction_pairs],
         },
     }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    digest.update(json.dumps(payload, sort_keys=True).encode("utf-8"))
+    return digest.hexdigest()
+
+
+# load_episode(path) without its override, or None once the file no longer
+# loads; ``raw`` keys the cache to the file's bytes.
+@functools.lru_cache(maxsize=8)
+def _parsed(path: Path, raw: bytes) -> CrisisEpisode | None:
+    try:
+        return replace(load_episode(path), quantile_override=None)
+    except ConfigError:
+        return None

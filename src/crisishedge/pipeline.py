@@ -5,9 +5,11 @@ quantile regressions, fit copulas and bootstrap tail-dependence intervals,
 assemble hedge reports, and only then compute attribution.  Hedge outputs are
 flushed to disk before attribution starts, so a late-stage failure can never
 corrupt the already-written report files; every file is written atomically.
-The attribution stability bootstrap is the one stage that runs elsewhere: a
-forked child starts it once the design exists, and the attribution stage
-joins it.
+The attribution stability bootstrap is the one stage that runs elsewhere:
+a forked lead starts claiming its chunks once the design exists, and at the
+attribution stage's join a forked helper takes any chunks still unclaimed.
+This process never solves a chunk itself, so what it runs is the same on
+every run, however the chunks were split.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
 )
 from .hedge import HedgeReport, LossSeries, Residency
 from .quantiles import order_statistic_rank
+from .resample import chunks
 from .tailsel import MIN_TAIL_COUNT
 
 logger = logging.getLogger(__name__)
@@ -94,85 +97,99 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-class _Records(logging.Handler):
-    """Keeps a forked child's log records, flattened so that they pickle."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.format(record)  # sets record.message and, with exc_info, record.exc_text
-        record.msg, record.args, record.exc_info = record.message, None, None
-        self.records.append(record)
-
-
-def _serve(call: functools.partial, fd: int) -> NoReturn:
-    """Child side of :class:`_ForkedCall`: run ``call``, pickle the outcome to ``fd``.
-
-    The package's log records are kept rather than handed to the handlers
-    inherited from the parent, which re-emits them.  The child leaves through
-    ``os._exit`` whatever happens, so it never unwinds into the caller's stack
-    or runs exit handlers; status 0 means the whole outcome was written.
-    """
-    status = 1
+def _serve(fd: int, work: str, *args) -> NoReturn:
+    """Child side of a fork: ``workers.serve``, imported only after the fork."""
     try:
-        records = _Records()
-        package = logging.getLogger(__package__)
-        package.handlers, package.propagate = [records], False
-        try:
-            outcome = (True, call())
-        except BaseException as exc:
-            outcome = (False, exc)
-        with os.fdopen(fd, "wb") as pipe:
-            pickle.dump((outcome, records.records), pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
+        from . import workers
+
+        workers.serve(fd, work, *args)
     finally:
-        os._exit(status)
+        os._exit(1)  # never unwind into the caller's stack
 
 
-class _ForkedCall:
-    """``fn(*args, **kwargs)`` in a forked child while the caller works on.
+# A chunk token is 2 bytes.  A fresh pipe holds at least one page, so every
+# token is written before the first fork without blocking; past that many
+# chunks a token stands for a run of consecutive chunks.
+_TOKEN = 2
+_MAX_TOKENS = 4096 // _TOKEN
 
-    Entering forks, where ``os.fork`` exists and the affinity mask holds at
-    least two CPUs; elsewhere nothing is forked and :meth:`join` makes the
-    call itself.  ``join`` reads the child's outcome, reaps it, re-emits its
-    package log records in order, and returns the value or raises the
-    exception the call raised.  Leaving the ``with`` block before the join
-    kills and reaps the child.
+
+class _ForkedStability:
+    """``attr.bootstrap_stability(design, tau, **kwargs)`` in forked workers.
+
+    With ``os.fork`` and two CPUs, entering writes the chunk tokens and forks
+    the lead (see ``workers``).  :meth:`join` claims one token and, if it
+    gets one, forks a helper for it; it then reads the lead's outcome, reaps
+    both, re-emits the lead's log records in order, and returns or raises.
+    This process never solves a chunk.  Elsewhere ``join`` makes the call
+    itself.  Leaving the ``with`` block kills and reaps every worker.
     """
 
-    def __init__(self, fn, /, *args, **kwargs) -> None:
-        self._call = functools.partial(fn, *args, **kwargs)
-        self._pid: int | None = None
-        self._fd = -1
+    def __init__(
+        self, design: qreg.DesignMatrix, tau: float, *, replications: int, **kwargs
+    ) -> None:
+        self._job = functools.partial(
+            attr.StabilityPlan, design, tau, replications=replications, **kwargs
+        )
+        # Only the chunk count: the plan is built in the workers, so a bad
+        # input still raises at the join, under the attribution stage.
+        self._chunks = sum(1 for _ in chunks(replications, len(design), attr.CHUNK_ROWS))
+        self._lead: int | None = None
+        self._helper: int | None = None
+        self._tokens = self._to_lead = self._result = -1
 
-    def __enter__(self) -> _ForkedCall:
+    def __enter__(self) -> _ForkedStability:
         if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) >= 2):
             return self
-        read, write = os.pipe()
-        self._pid = os.fork()
-        if self._pid == 0:
-            os.close(read)
-            _serve(self._call, write)
-        os.close(write)
-        self._fd = read
+        lead_ends: list[int] = []  # the parent's copies of the lead's pipe ends
+        try:
+            self._tokens, write = os.pipe()
+            try:
+                os.write(write, b"".join(
+                    t.to_bytes(_TOKEN, "big") for t in range(min(self._chunks, _MAX_TOKENS))
+                ))
+            finally:
+                os.close(write)  # before any fork: an empty pipe then reads as EOF
+            os.set_blocking(self._tokens, False)
+            from_helper, self._to_lead = os.pipe()
+            lead_ends.append(from_helper)
+            self._result, write = os.pipe()
+            lead_ends.append(write)
+            self._lead = os.fork()
+            if self._lead == 0:
+                os.close(self._to_lead)
+                os.close(self._result)
+                _serve(write, "lead", self._job, self._tokens, from_helper)
+        except BaseException:
+            self.__exit__()
+            raise
+        finally:
+            for fd in lead_ends:
+                os.close(fd)
         return self
 
-    def join(self):
-        if self._pid is None:
-            return self._call()
-        with os.fdopen(self._fd, "rb") as pipe:
-            self._fd = -1  # the file object closes it
+    def join(self) -> attr.StabilityResult:
+        if self._lead is None:
+            return attr.bootstrap_stability(*self._job.args, **self._job.keywords)
+        token = os.read(self._tokens, _TOKEN)
+        if token:
+            self._helper = os.fork()
+            if self._helper == 0:
+                _serve(self._to_lead, "helper", self._job, self._tokens, token)
+        os.close(self._to_lead)
+        self._to_lead = -1
+        with os.fdopen(self._result, "rb") as pipe:
+            self._result = -1  # the file object closes it
             data = pipe.read()
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
+        _, status = os.waitpid(self._lead, 0)
+        self._lead = None
+        self.__exit__()
         code = os.waitstatus_to_exitcode(status)
         if code != 0 or not data:
             how = f"exit status {code}" if code >= 0 else f"signal {-code}"
             raise ChildProcessError(
-                f"forked {self._call.func.__name__} ended without a result "
+                f"forked stability bootstrap ended without a result "
                 f"(wait status {status}, {how})"
             )
         (ok, value), records = pickle.loads(data)
@@ -183,15 +200,17 @@ class _ForkedCall:
         return value
 
     def __exit__(self, *exc_info) -> None:
-        if self._pid is not None:
-            import signal  # only this path needs it
+        for pid in (self._lead, self._helper):
+            if pid is not None:
+                import signal  # only this path needs it
 
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        if self._fd >= 0:
-            os.close(self._fd)
-            self._fd = -1
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        self._lead = self._helper = None
+        for fd in (self._tokens, self._to_lead, self._result):
+            if fd >= 0:
+                os.close(fd)
+        self._tokens = self._to_lead = self._result = -1
 
 
 def resolve_out_dir(episode: CrisisEpisode, out_dir: str | Path | None) -> Path:
@@ -508,10 +527,9 @@ def run_pipeline(
 
     seeds = np.random.SeedSequence(episode.bootstrap.seed).generate_state(3)
     # The stability bootstrap needs only the design, tau_low and its seed, so
-    # it runs in a forked child beside the fits, CV and copula legs and is
+    # it runs in forked workers beside the fits, CV and copula legs and is
     # joined where attribution needs it (inline with fewer than two CPUs).
-    with _ForkedCall(
-        attr.bootstrap_stability,
+    with _ForkedStability(
         design,
         triplet.tau_low,
         replications=replications,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,50 @@ class TestConfigHash:
         assert config_hash(swept) == config_hash(
             dataclasses.replace(episode, quantile_override=(0.2,))
         )
+
+    @staticmethod
+    def file_hash(config: Path, override: tuple[float, ...] | None) -> str:
+        digest = hashlib.sha256(config.read_bytes())
+        if override:
+            digest.update(f"override={','.join(repr(t) for t in override)}".encode())
+        return digest.hexdigest()
+
+    def test_loaded_episode_keeps_its_file_hash(self, tmp_path):
+        cfg = tmp_path / "episode.yaml"
+        cfg.write_text(VALID_YAML)
+        episode = load_episode(cfg)
+        assert config_hash(episode) == self.file_hash(cfg, (0.12,))
+        assert config_hash(dataclasses.replace(episode)) == self.file_hash(cfg, (0.12,))
+        swept = dataclasses.replace(episode, quantile_override=(0.2, 0.25))
+        assert config_hash(swept) == self.file_hash(cfg, (0.2, 0.25))
+        cleared = dataclasses.replace(episode, quantile_override=None)
+        assert config_hash(cleared) == self.file_hash(cfg, None)
+
+    def test_episode_changed_in_memory_leaves_its_file_hash(self, tmp_path):
+        cfg = tmp_path / "episode.yaml"
+        cfg.write_text(VALID_YAML)
+        episode = load_episode(cfg)
+        changed = [
+            dataclasses.replace(episode, cv=CVConfig(24, 6)),
+            dataclasses.replace(episode, bootstrap=BootstrapConfig(300, None, 1)),
+            dataclasses.replace(
+                episode, bootstrap=dataclasses.replace(episode.bootstrap, seed=8)
+            ),
+        ]
+        hashes = {config_hash(e) for e in [episode, *changed]}
+        assert len(hashes) == 4
+        assert config_hash(changed[0]) == config_hash(
+            dataclasses.replace(episode, cv=CVConfig(24, 6))
+        )
+        # An override on a changed episode still changes its hash.
+        assert config_hash(dataclasses.replace(changed[0], quantile_override=(0.2,))) not in hashes
+
+    def test_shipped_fixtures_hash_their_bytes(self, fixture_root):
+        configs = sorted(fixture_root.glob("*/episode.yaml"))
+        assert len(configs) == 4
+        for config in configs:
+            episode = load_episode(config)
+            assert config_hash(episode) == self.file_hash(config, episode.quantile_override)
 
     def test_in_memory_hash_deterministic(self):
         assert config_hash(minimal_episode()) == config_hash(minimal_episode())

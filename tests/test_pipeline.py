@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -453,6 +454,10 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/dev/fd"))
+
+
 @pytest.fixture(params=["forked", "one_cpu"])
 def cpus(request):
     """Each test runs once with the stability stage forked and once inline."""
@@ -463,38 +468,107 @@ def cpus(request):
     return request.param
 
 
+def attribution_records(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "crisishedge.attribution"]
+
+
 def written_files(out: Path) -> dict[str, bytes]:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+class Workers:
+    """Watches the stability workers of a run and steers them.
+
+    Every chunk solved is logged as "pid index" to a file, since the
+    workers are separate processes.  ``forks`` holds the pids the run forked;
+    a worker's copy holds those forked before it, so the lead sees none and
+    the helper sees the lead.  ``on_plan(role)`` runs before a worker plans
+    (the lead plans before its first claim) and ``on_chunk(role, index)``
+    after a chunk is logged; with ``log_records`` set, both the plan and
+    each chunk also emit a package log record.
+    """
+
+    def __init__(self, path: Path, mp: pytest.MonkeyPatch) -> None:
+        self.path = path
+        self.forks: list[int] = []
+        self.on_plan = lambda role: None
+        self.on_chunk = lambda role, index: None
+        self.log_records = False
+        log = logging.getLogger("crisishedge.attribution")
+        real_fork = os.fork
+        real_plan = attribution.StabilityPlan
+        real_solve = attribution.solve_stability_chunk
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                self.forks.append(pid)
+            return pid
+
+        def plan(*args, **kwargs):
+            self.on_plan(self.role())
+            if self.log_records:
+                log.warning("planned")
+            return real_plan(*args, **kwargs)
+
+        def solve(plan, index):
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {index}\n")
+            self.on_chunk(self.role(), index)
+            if self.log_records:
+                log.warning("chunk %d", index)
+            return real_solve(plan, index)
+
+        mp.setattr(os, "fork", fork)
+        mp.setattr(attribution, "StabilityPlan", plan)
+        mp.setattr(attribution, "solve_stability_chunk", solve)
+
+    def role(self) -> str:
+        return "helper" if self.forks else "lead"
+
+    def solved(self) -> list[tuple[int, int]]:
+        if not self.path.exists():
+            return []
+        lines = self.path.read_text(encoding="utf-8").splitlines()
+        return [tuple(map(int, line.split())) for line in lines]
+
+    def wait_for(self, seen) -> None:
+        """Poll the chunk log until ``seen(entries)`` holds (30 s at most)."""
+        deadline = time.monotonic() + 30.0
+        while not seen(self.solved()) and time.monotonic() < deadline:
+            time.sleep(0.005)
+
+    def wait_for_other_worker(self) -> None:
+        me = os.getpid()
+        self.wait_for(lambda entries: any(pid != me for pid, _ in entries))
+
+
+@pytest.fixture
+def workers(tmp_path, monkeypatch):
+    return Workers(tmp_path / "chunks.log", monkeypatch)
 
 
 @pytest.fixture(scope="module", params=["perfect_hedge", "clayton_coupled"])
 def forked_fast_run(request, fixture_root, tmp_path_factory):
     """A ``--fast`` run of a shipped fixture, its output directory and the
-    pid of the process that ran the stability bootstrap."""
+    pids of the processes that solved the stability chunks."""
     episode = load_episode(fixture_root / request.param / "episode.yaml")
     out = tmp_path_factory.mktemp(f"forked_{request.param}")
-    pid_file = out.parent / f"{out.name}.pid"
-    real = attribution.bootstrap_stability
-
-    def recording(*args, **kwargs):
-        pid_file.write_text(str(os.getpid()))
-        return real(*args, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attribution, "bootstrap_stability", recording)
+        workers = Workers(out.parent / f"{out.name}.chunks", mp)
         run_pipeline(episode, fast=True, out_dir=out)
-    return episode, out, int(pid_file.read_text())
+    return episode, out, [pid for pid, _ in workers.solved()]
 
 
 class TestForkedStability:
-    """The stability bootstrap forked beside the other stages equals it inline."""
+    """The stability bootstrap solved by forked workers equals it inline."""
 
     @needs_fork
     def test_forked_run_equals_one_cpu_run_byte_for_byte(
         self, forked_fast_run, one_cpu, tmp_path, monkeypatch
     ):
-        episode, forked_out, forked_pid = forked_fast_run
-        assert forked_pid != os.getpid()
+        episode, forked_out, forked_pids = forked_fast_run
+        assert forked_pids and os.getpid() not in forked_pids
         real = attribution.bootstrap_stability
         pids = []
 
@@ -510,13 +584,165 @@ class TestForkedStability:
         assert forked == inline
         assert_no_child_left()
 
+    @needs_fork
+    @pytest.mark.parametrize("tokens", ["one per chunk", "runs of chunks"])
+    def test_helper_shares_the_chunks_and_changes_no_byte_or_record(
+        self, fixture_root, workers, tokens, tmp_path, monkeypatch, caplog
+    ):
+        # The lead waits before its first claim until the helper has solved a
+        # chunk, so the helper runs and takes chunk 0 on.  With 3 tokens for
+        # the 4 chunks, the last token stands for chunks 2 and 3.
+        if tokens == "runs of chunks":
+            monkeypatch.setattr(pipeline, "_MAX_TOKENS", 3)
+        episode = load_episode(fixture_root / "perfect_hedge" / "episode.yaml")
+        workers.log_records = True
+        workers.on_plan = lambda role: role == "lead" and workers.wait_for_other_worker()
+        before = open_fds()
+        with caplog.at_level(logging.WARNING, logger="crisishedge.attribution"):
+            run_pipeline(episode, fast=True, out_dir=tmp_path / "forked")
+        assert open_fds() == before
+        assert_no_child_left()
+        forked_records = attribution_records(caplog)
+        lead, helper = workers.forks
+        solved = workers.solved()
+        count = len(solved)
+        assert sorted(index for _, index in solved) == list(range(count))
+        assert count == 4
+        assert (helper, 0) in solved
+        assert {pid for pid, _ in solved} <= {lead, helper}
+        assert forked_records == ["planned", *(f"chunk {i}" for i in range(count))]
+        if tokens == "runs of chunks":
+            solver = dict((index, pid) for pid, index in solved)
+            assert solver[2] == solver[3]
+
+        caplog.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with caplog.at_level(logging.WARNING, logger="crisishedge.attribution"):
+            run_pipeline(episode, fast=True, out_dir=tmp_path / "one_cpu")
+        assert attribution_records(caplog) == forked_records
+        forked, inline = written_files(tmp_path / "forked"), written_files(tmp_path / "one_cpu")
+        assert len(forked) == 7
+        assert forked == inline
+
+    @needs_fork
+    @pytest.mark.parametrize("lowest", ["lead", "helper"])
+    def test_the_lowest_failing_chunk_is_raised_whichever_worker_solved_it(
+        self, episode, workers, lowest, tmp_path, monkeypatch
+    ):
+        # One replicate per chunk.  The lead takes chunk 0 and holds it until
+        # the helper (forked at the join) has taken chunk 1.  Then both fail:
+        # the lead at chunk 0, or, in the other case, the helper at chunk 1
+        # once the lead has failed at a later chunk.
+        monkeypatch.setattr(attribution, "CHUNK_ROWS", 1)
+
+        def chunk(role, index):
+            if role == "lead" and index == 0:
+                workers.wait_for_other_worker()
+                if lowest == "lead":
+                    raise NumericalError("chunk 0")
+            elif role == "lead":
+                raise NumericalError(f"chunk {index}")
+            elif lowest == "helper":
+                workers.wait_for(lambda entries: len(entries) >= 3)
+                raise NumericalError(f"chunk {index}")
+            else:
+                raise NumericalError(f"chunk {index}")
+
+        workers.on_chunk = chunk
+        with pytest.raises(NumericalError) as info:
+            run_pipeline(episode, out_dir=tmp_path)
+        lead, helper = workers.forks
+        solved = workers.solved()
+        assert (lead, 0) in solved and (helper, 1) in solved
+        if lowest == "lead":
+            assert str(info.value) == "attribution: chunk 0"
+        else:
+            assert (lead, 2) in solved
+            assert str(info.value) == "attribution: chunk 1"
+        assert_no_child_left()
+
+    @needs_fork
+    def test_a_helper_dying_names_the_chunk_it_left_unsolved(
+        self, episode, workers, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(attribution, "CHUNK_ROWS", 1)
+
+        def chunk(role, index):
+            if role == "helper":
+                os._exit(4)
+            if index == 0:
+                workers.wait_for_other_worker()
+
+        workers.on_chunk = chunk
+        before = open_fds()
+        with pytest.raises(ChildProcessError, match="^stability chunk 1 was claimed by a helper"):
+            run_pipeline(episode, out_dir=tmp_path)
+        assert open_fds() == before
+        lead, helper = workers.forks
+        assert (helper, 1) in workers.solved()
+        assert_no_child_left()
+
+    @needs_fork
+    @pytest.mark.parametrize("failing", ["lead", "helper"])
+    def test_a_failed_fork_fails_the_run_and_leaves_no_worker(
+        self, episode, workers, failing, tmp_path, monkeypatch
+    ):
+        # A failed helper fork comes after the lead's, which is killed and reaped.
+        monkeypatch.setattr(attribution, "CHUNK_ROWS", 1)
+        workers.on_chunk = lambda role, index: time.sleep(60.0)
+        forking = os.fork
+
+        def failing_fork():
+            if len(workers.forks) == ("lead", "helper").index(failing):
+                raise OSError("forced")
+            return forking()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        before = open_fds()
+        start = time.monotonic()
+        with pytest.raises(OSError, match="^forced$"):
+            run_pipeline(episode, out_dir=tmp_path)
+        assert time.monotonic() - start < 30.0
+        assert open_fds() == before
+        assert len(workers.forks) == ("lead", "helper").index(failing)
+        assert_no_child_left()
+
+    @needs_fork
+    def test_parent_failure_after_the_helper_fork_kills_and_reaps_both(
+        self, episode, workers, tmp_path, monkeypatch
+    ):
+        # The helper signals the parent, whose handler raises while the
+        # parent waits at the join; the lead is still planning.
+        def helper_signals(role, index):
+            if role == "helper":
+                os.kill(os.getppid(), signal.SIGUSR1)
+            time.sleep(60.0)
+
+        def forced(signum, frame):
+            raise RuntimeError("forced")
+
+        workers.on_plan = lambda role: role == "lead" and time.sleep(60.0)
+        workers.on_chunk = helper_signals
+        previous = signal.signal(signal.SIGUSR1, forced)
+        before = open_fds()
+        start = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="^forced$"):
+                run_pipeline(episode, out_dir=tmp_path)
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert time.monotonic() - start < 30.0
+        assert open_fds() == before
+        assert len(workers.forks) == 2
+        assert_no_child_left()
+
     def test_degenerate_stability_becomes_the_same_diagnostic(
         self, episode, cpus, tmp_path, monkeypatch
     ):
         def degenerate(*args, **kwargs):
             raise DegenerateSampleError("forced")
 
-        monkeypatch.setattr(attribution, "bootstrap_stability", degenerate)
+        monkeypatch.setattr(attribution, "finish_stability", degenerate)
         result = run_pipeline(episode, out_dir=tmp_path)
         assert "attribution stability: forced" in result.diagnostics
         assert result.attributions.stability_kendall_tau is None
@@ -528,7 +754,7 @@ class TestForkedStability:
         def failing(*args, **kwargs):
             raise NumericalError("forced")
 
-        monkeypatch.setattr(attribution, "bootstrap_stability", failing)
+        monkeypatch.setattr(attribution, "solve_stability_chunk", failing)
         with pytest.raises(NumericalError) as info:
             run_pipeline(episode, out_dir=tmp_path)
         assert type(info.value) is NumericalError
@@ -542,7 +768,7 @@ class TestForkedStability:
         def dying(*args, **kwargs):
             os._exit(3)
 
-        monkeypatch.setattr(attribution, "bootstrap_stability", dying)
+        monkeypatch.setattr(attribution, "StabilityPlan", dying)
         start = time.monotonic()
         with pytest.raises(ChildProcessError, match="exit status 3"):
             run_pipeline(episode, out_dir=tmp_path)
@@ -558,7 +784,7 @@ class TestForkedStability:
         def failing_ci(*args, **kwargs):
             raise FitError("forced")
 
-        monkeypatch.setattr(attribution, "bootstrap_stability", slow)
+        monkeypatch.setattr(attribution, "solve_stability_chunk", slow)
         monkeypatch.setattr(copula, "block_bootstrap_ci", failing_ci)
         start = time.monotonic()
         with pytest.raises(FitError, match=r"^copula \(foreign\): forced$"):
@@ -569,7 +795,7 @@ class TestForkedStability:
     def test_stability_logs_reach_the_parent_once_in_order(
         self, episode, cpus, tmp_path, monkeypatch, caplog
     ):
-        real = attribution.bootstrap_stability
+        real = attribution.StabilityPlan
         log = logging.getLogger("crisishedge.attribution")
 
         def logging_stability(*args, **kwargs):
@@ -577,7 +803,7 @@ class TestForkedStability:
             log.warning("second warning")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(attribution, "bootstrap_stability", logging_stability)
+        monkeypatch.setattr(attribution, "StabilityPlan", logging_stability)
         # A handler writing to a file would show a record emitted by the
         # child through the handlers it inherited, as well as by the parent.
         stream = logging.FileHandler(tmp_path / "log.txt", encoding="utf-8")

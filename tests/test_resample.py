@@ -257,6 +257,25 @@ class TestBatchedEqualsOneAtATime:
         assert batched.skipped == 0
         assert batched.certificates == certificates
 
+    @pytest.mark.parametrize("order", ["reverse", "shuffled"])
+    def test_stability_chunks_solved_in_any_order(self, monkeypatch, order):
+        X = crowded_design()
+        monkeypatch.setattr(attribution, "CHUNK_ROWS", 5 * len(X))
+        expected = bootstrap_stability(X, 0.25, replications=24, seed=9)
+        def plan():
+            return attribution.StabilityPlan(X, 0.25, replications=24, seed=9)
+
+        indices = list(range(len(plan().parts)))[::-1]
+        assert len(indices) == 5
+        if order == "shuffled":
+            np.random.default_rng(3).shuffle(indices)
+            assert indices not in (sorted(indices), sorted(indices)[::-1])
+        # Each chunk on a plan of its own, as in a worker process of its own.
+        solved = {index: attribution.solve_stability_chunk(plan(), index) for index in indices}
+        merged = attribution.finish_stability(plan(), [solved[k] for k in range(len(indices))])
+        assert merged == expected
+        assert len(merged.certificates) == 24
+
     def test_expanding_window_cv(self):
         X = noise_matrix(80, seed=41)
         taus = (0.1, 0.5, 0.9)
