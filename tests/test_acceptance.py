@@ -352,11 +352,14 @@ def test_hedge_effectiveness_characterization(fixture_root):
     )
 
 
-def test_sensitivity_sweep_stability(fixture_root):
+def test_sensitivity_sweep_stability(fixture_root, golden_root, tmp_path):
     taus = [0.10, 0.15, 0.20]
 
+    # anti_hedge is swept as CI and the benchmark sweep it, with the
+    # infeasible 0.05 first, and its sweep.csv is compared byte for byte.
     anti = load_episode(fixture_root / "anti_hedge" / "episode.yaml")
-    _, anti_entries = sensitivity_sweep(anti, taus, fast=True, write_outputs=False)
+    _, anti_entries = sensitivity_sweep(anti, [0.05, *taus], fast=True, out_dir=tmp_path)
+    infeasible = anti_entries.pop(1)
     anti_he = {
         round(entry.tau, 4): sorted(r.hedge_effectiveness_pct for r in entry.rows)
         for entry in anti_entries
@@ -364,10 +367,15 @@ def test_sensitivity_sweep_stability(fixture_root):
     anti_empirical = {
         row.tail_dependence_empirical for entry in anti_entries[1:] for row in entry.rows
     }
+    sweep_pinned = (tmp_path / "sweep.csv").read_bytes() == (
+        golden_root / "anti_hedge_sweep.csv"
+    ).read_bytes()
     anti_ok = (
         all(entry.feasible for entry in anti_entries)
+        and (infeasible.tau, infeasible.feasible) == (0.05, False)
         and all(values == [0.0, 0.0] for values in anti_he.values())
         and anti_empirical == {0.0}
+        and sweep_pinned
     )
 
     clayton = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
@@ -399,6 +407,7 @@ def test_sensitivity_sweep_stability(fixture_root):
         "A08 sweep stability",
         ok,
         f"anti-hedge HE by tau {anti_he}, anti-hedge empirical {sorted(anti_empirical)}, "
+        f"anti-hedge sweep.csv equals golden {sweep_pinned}, "
         f"tail-dependence drift {drift:.4f}, clayton empirical gap {empirical_gap:.4f}",
     )
 
