@@ -18,17 +18,20 @@ independence and Frank to the countermonotone copula W, all with lambda_L = 0,
 which the finite-theta formula already gives.  Either way the fit carries
 ``boundary=True`` and a diagnostic; an upper-bound diagnostic names the limit.
 
-Batched search.  Every fit is one lane of ``fit_batch``: a port of scipy's
-bounded Brent minimizer (``_minimize_scalar_bounded``: same operation order,
-xatol 1e-10, at most 500 evaluations, a success flag per lane) run over a
-row-wise log-density, so each lane's theta is the one a scalar search would
-find on that lane's sample alone, whatever else shares the batch.
-``fit_families`` fits every residency's sample in one search per family, one
-lane per sample; ``fit_copula`` is a batch of one.  Every family is
-searched over its one ``THETA_BOUNDS`` interval, Frank's spanning both signs
-of theta.  The log-densities are written so that no terms cancel anywhere on
-those intervals (Frank's denominator as two terms of the sign of theta, see
+Batched search.  Every fit is one lane of a port of scipy's bounded Brent
+minimizer (``_minimize_scalar_bounded``: same operation order, xatol 1e-10,
+at most 500 evaluations, a success flag per lane) run over a row-wise
+log-density, so each lane's theta is the one a scalar search would find on
+that lane's sample alone, whatever else shares the search.  A lane carries
+its family's bounds and log-density: ``fit_families`` fits every (family,
+sample) pair in one search, ``fit_batch`` one family on every lane of a
+batch, and ``fit_copula`` is a batch of one.  Every family is searched over
+its one ``THETA_BOUNDS`` interval, Frank's spanning both signs of theta.
+The log-densities are written so that no terms cancel anywhere on those
+intervals (Frank's denominator as two terms of the sign of theta, see
 ``_log_density``), so the search sees the true likelihood up to both bounds.
+They are computed in place, in the order of their plain expressions, into
+scratch arrays allocated once per search, or once per bootstrap.
 
 Replicate policy.  The bootstrap takes several samples of one family, each
 with its own seed.  Their replicate rows are drawn once as one stack, leg
@@ -98,16 +101,17 @@ def _counted_ranks(codes: np.ndarray) -> np.ndarray:
     group.  A group's running total is its last rank, so its mean rank is
     that total less (count - 1) / 2.  Every term is an integer or a
     half-integer, so the ranks equal ``scipy.stats.rankdata(method="average")``
-    of any values the codes order, bit for bit.  The arithmetic is in place:
-    a chunk's ranking then needs less memory than its fit.
+    of any values the codes order, bit for bit.  The arithmetic is in place,
+    and the offset codes are dropped once counted.
     """
     lanes, n = codes.shape
-    keys = codes + n * np.arange(lanes)[:, None]
-    counts = np.bincount(keys.ravel(), minlength=lanes * n).reshape(lanes, n)
+    counts = np.bincount(
+        (codes + n * np.arange(lanes)[:, None]).ravel(), minlength=lanes * n
+    ).reshape(lanes, n)
     mean = np.cumsum(counts, axis=1, dtype=float)
     counts -= 1
     mean -= counts / 2
-    return mean.ravel()[keys]
+    return np.take_along_axis(mean, codes, axis=1)
 
 
 def pseudo_observations(x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -208,20 +212,33 @@ def _validate_theta(family: CopulaFamily, theta: float | np.ndarray) -> None:
 
 
 def _margins(family: CopulaFamily, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The theta-free transforms of (u, v) that ``_log_density`` starts from."""
+    """The theta-free transforms of (u, v) that ``_log_density`` starts from.
+
+    Intermediates are overwritten once spent, so that few arrays of the
+    batch's size exist at once.
+    """
     if family is CopulaFamily.CLAYTON:
         lu, lv = np.log(u), np.log(v)
-        return lu + lv, np.maximum(lu, lv), np.minimum(lu, lv)
+        return lu + lv, np.maximum(lu, lv), np.minimum(lu, lv, out=lu)
     if family is CopulaFamily.GUMBEL:
-        x, y = -np.log(u), -np.log(v)
-        ratio = np.minimum(x, y) / np.maximum(x, y)
-        return (x + y, np.log(x + y), np.log(x) + np.log(y), np.log(ratio),
-                ratio / (1.0 + ratio), np.log1p(ratio))
+        x, y = np.log(u), np.log(v)
+        np.negative(x, out=x)
+        np.negative(y, out=y)
+        xy = x + y
+        ratio = np.minimum(x, y)
+        np.divide(ratio, np.maximum(x, y), out=ratio)
+        lxy = np.add(np.log(x, out=x), np.log(y, out=y), out=x)
+        share = np.add(1.0, ratio)
+        np.divide(ratio, share, out=share)
+        return xy, np.log(xy), lxy, np.log(ratio, out=y), share, np.log1p(ratio)
     return u, v, 1.0 - v
 
 
 def _log_density(
-    family: CopulaFamily, theta: float | np.ndarray, *margins: np.ndarray
+    family: CopulaFamily,
+    theta: float | np.ndarray,
+    *margins: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pointwise log copula density from ``_margins``, without checks.
 
@@ -230,8 +247,13 @@ def _log_density(
     thousands.  ``theta`` broadcasts: with (L, n) margins and an (L, 1) theta
     column this is the log-density of L lanes at once, each element computed
     in the same order as with a scalar theta, so every lane equals its own
-    scalar evaluation bit for bit.
+    scalar evaluation bit for bit.  Every step writes into ``work``, four
+    scratch arrays of the result's shape (allocated when None), and the
+    result is one of them.
     """
+    if work is None:
+        work = np.empty((4,) + np.broadcast(theta, margins[0]).shape)
+    one, two, three, four = work
     if family is CopulaFamily.CLAYTON:
         # log c = log(1 + th) + th log(uv) - (2 + 1/th) log(1 - P), where
         # P = (1 - u^th)(1 - v^th) and u^th >= v^th names the larger power.
@@ -241,11 +263,14 @@ def _log_density(
         # terms cancel, as theta -> 0 included.
         luv, high, low = margins
         above = theta > 1.0
-        shift = np.where(above, theta, 0.0) * high
-        log_1mp = shift + np.log1p(
-            -np.expm1(theta * high) * (np.expm1(theta * low - shift) + above)
-        )
-        return np.log1p(theta) + theta * luv - (2.0 + 1.0 / theta) * log_1mp
+        shift = np.multiply(np.where(above, theta, 0.0), high, out=one)
+        ratio = np.subtract(np.multiply(theta, low, out=two), shift, out=two)
+        np.add(np.expm1(ratio, out=ratio), above, out=ratio)
+        log_1mp = np.negative(np.expm1(np.multiply(theta, high, out=three), out=three), out=three)
+        np.log1p(np.multiply(log_1mp, ratio, out=log_1mp), out=log_1mp)
+        np.add(shift, log_1mp, out=log_1mp)
+        head = np.add(np.log1p(theta), np.multiply(theta, luv, out=two), out=two)
+        return np.subtract(head, np.multiply(2.0 + 1.0 / theta, log_1mp, out=log_1mp), out=head)
 
     if family is CopulaFamily.GUMBEL:
         # With x = -log u, y = -log v, A = (x^th + y^th)^(1/th) and d = th - 1:
@@ -254,28 +279,42 @@ def _log_density(
         # same-signed O(d) terms, keeps every term O(d) near independence.
         xy, log_xy, lxy, log_r, r_share, log1p_r = margins
         d = theta - 1.0
-        log_a_rel = (np.log1p(r_share * np.expm1(d * log_r)) - d * log1p_r) / theta
-        growth = np.expm1(log_a_rel)
-        big_a = xy + xy * growth
-        return -xy * growth + d * lxy - 2.0 * d * (log_xy + log_a_rel) + np.log1p(d / big_a)
+        log_a_rel = np.expm1(np.multiply(d, log_r, out=one), out=one)
+        np.log1p(np.multiply(r_share, log_a_rel, out=log_a_rel), out=log_a_rel)
+        np.subtract(log_a_rel, np.multiply(d, log1p_r, out=two), out=log_a_rel)
+        np.divide(log_a_rel, theta, out=log_a_rel)
+        growth = np.expm1(log_a_rel, out=three)
+        big_a = np.add(xy, np.multiply(xy, growth, out=two), out=two)
+        last = np.log1p(np.divide(d, big_a, out=big_a), out=big_a)
+        log_c = np.negative(np.multiply(xy, growth, out=growth), out=growth)
+        np.add(log_c, np.multiply(d, lxy, out=four), out=log_c)
+        np.multiply(2.0 * d, np.add(log_xy, log_a_rel, out=log_a_rel), out=log_a_rel)
+        np.subtract(log_c, log_a_rel, out=log_c)
+        return np.add(log_c, last, out=log_c)
 
     # Frank: the density's denominator
     # e^{-th u} (1 - e^{-th v}) + e^{-th v} (1 - e^{-th (1 - v)})
     # is a sum of two terms of the sign of theta, so nothing cancels.  It is
     # taken over theta, which keeps its log of order theta as theta -> 0;
     # theta = 0 is the independence limit.  The per-lane scale uses math,
-    # one lane at a time, because numpy's expm1 rounds differently in the
-    # last place.
+    # once per distinct theta, because numpy's expm1 rounds differently in
+    # the last place.
     u, v, w = margins
+    distinct, lane = np.unique(theta, return_inverse=True)
     scale = np.array(
-        [math.log(-math.expm1(-t) / t) if t else 0.0 for t in np.ravel(theta).tolist()]
-    ).reshape(np.shape(theta))
-    a, b = -theta * u, -theta * v
+        [math.log(-math.expm1(-t) / t) if t else 0.0 for t in distinct.tolist()]
+    )[lane].reshape(np.shape(theta))
+    neg = -theta
+    a, b = np.multiply(neg, u, out=one), np.multiply(neg, v, out=two)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_c = scale + a + b - 2.0 * np.log(
-            (np.exp(a) * np.expm1(b) + np.exp(b) * np.expm1(-theta * w)) / -theta
-        )
-    return np.where(theta == 0, 0.0, log_c)
+        denom = np.multiply(np.exp(a, out=three), np.expm1(b, out=four), out=three)
+        other = np.expm1(np.multiply(neg, w, out=four), out=four)
+        log_c = np.add(np.add(scale, a, out=a), b, out=a)
+        np.add(denom, np.multiply(np.exp(b, out=b), other, out=b), out=denom)
+        np.log(np.divide(denom, neg, out=denom), out=denom)
+        np.subtract(log_c, np.multiply(2.0, denom, out=denom), out=log_c)
+    np.copyto(log_c, 0.0, where=theta == 0)
+    return log_c
 
 
 def _minimize_bounded(
@@ -318,13 +357,17 @@ def _minimize_bounded(
         xm = 0.5 * (a + b)
         tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        going = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+        to_middle = xm - xf
+        going = np.abs(to_middle) > (tol2 - 0.5 * (b - a))
         if not going.all():
-            done = lanes[~going]
-            x_out[done], f_out[done], fu_out[done] = xf[~going], fx[~going], fu[~going]
-            lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, fu, xm, tol1, tol2 = (
-                arr[going] for arr in
-                (lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, fu, xm, tol1, tol2)
+            stopped = ~going
+            done = lanes[stopped]
+            x_out[done], f_out[done], fu_out[done] = xf[stopped], fx[stopped], fu[stopped]
+            lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, fu, xm, tol1, tol2, to_middle = (
+                arr[going] for arr in (
+                    lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, fu, xm, tol1, tol2,
+                    to_middle,
+                )
             )
             data = tuple(rows[going] for rows in data)
         if not lanes.size:
@@ -332,24 +375,25 @@ def _minimize_bounded(
 
         # A parabolic step where the step before last was long enough and the
         # parabola's minimum falls inside the bracket; golden section elsewhere.
-        parabolic = np.abs(e) > tol1
-        r = (xf - nfc) * (fx - ffulc)
-        q = (xf - fulc) * (fx - fnfc)
-        p = (xf - fulc) * q - (xf - nfc) * r
+        to_a, to_b = a - xf, b - xf
+        from_nfc, from_fulc = xf - nfc, xf - fulc
+        r = from_nfc * (fx - ffulc)
+        q = from_fulc * (fx - fnfc)
+        p = from_fulc * q - from_nfc * r
         q = 2.0 * (q - r)
         p = np.where(q > 0.0, -p, p)
         q = np.abs(q)
         accept = (
-            parabolic
+            (np.abs(e) > tol1)
             & (np.abs(p) < np.abs(0.5 * q * e))
-            & (p > q * (a - xf))
-            & (p < q * (b - xf))
+            & (p > q * to_a)
+            & (p < q * to_b)
         )
         step = np.divide(p + 0.0, q, out=np.zeros_like(p), where=accept)
         x = xf + step
-        toward_middle = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        toward_middle = tol1 * (np.sign(to_middle) + (to_middle == 0))
         near_edge = ((x - a) < tol2) | ((b - x) < tol2)
-        golden = np.where(xf >= xm, a - xf, b - xf)
+        golden = np.where(xf >= xm, to_a, to_b)
         rat, e = (
             np.where(accept, np.where(near_edge, toward_middle, step), golden_mean * golden),
             np.where(accept, rat, golden),
@@ -359,14 +403,19 @@ def _minimize_bounded(
         fu = fun(x, *data)
         num += 1
 
+        # Of x and xf, the one that does not become the best is the new
+        # bracket end on its side.
         better = fu <= fx
-        right = x >= xf
-        a = np.where(better & right, xf, np.where(~better & ~right, x, a))
-        b = np.where(better & ~right, xf, np.where(~better & right, x, b))
-        second = ~better & ((fu <= fnfc) | (nfc == xf))
-        third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-        fulc = np.where(better | second, nfc, np.where(third, x, fulc))
-        ffulc = np.where(better | second, fnfc, np.where(third, fu, ffulc))
+        moved = np.where(better, xf, x)
+        lower = better == (x >= xf)
+        a = np.where(lower, moved, a)
+        b = np.where(lower, b, moved)
+        worse = ~better
+        second = worse & ((fu <= fnfc) | (nfc == xf))
+        third = worse & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        shift = better | second
+        fulc = np.where(shift, nfc, np.where(third, x, fulc))
+        ffulc = np.where(shift, fnfc, np.where(third, fu, ffulc))
         nfc = np.where(better, xf, np.where(second, x, nfc))
         fnfc = np.where(better, fx, np.where(second, fu, fnfc))
         xf = np.where(better, x, xf)
@@ -436,7 +485,9 @@ class BatchFit:
     status: np.ndarray
 
 
-def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
+def fit_batch(
+    batch: PseudoBatch, family: CopulaFamily | str, *, work: np.ndarray | None = None
+) -> BatchFit:
     """Maximum-likelihood fit of one family on every lane, in one bounded search.
 
     The profile is one-dimensional, so a bounded Brent search to ``XATOL`` is
@@ -445,45 +496,78 @@ def fit_batch(batch: PseudoBatch, family: CopulaFamily | str) -> BatchFit:
     Frank that one interval spans negative and positive dependence, on a
     log-density whose denominator does not cancel for either sign.  The
     batch has checked its (u, v) on construction; every lane's final theta is
-    validated.
+    validated.  ``work`` is ``_log_density``'s scratch for at least
+    ``len(batch)`` lanes, so that a caller fitting batch after batch
+    allocates it once.
     """
-    family = CopulaFamily(family)
+    return _fit_blocks(batch, (CopulaFamily(family),), work)[0]
+
+
+def _fit_blocks(
+    batch: PseudoBatch, families: Sequence[CopulaFamily], work: np.ndarray | None = None
+) -> list[BatchFit]:
+    """``fit_batch`` of ``families[k]`` on the k-th of equal blocks of lanes, in one search.
+
+    Each lane keeps its family's bounds and log-density, so it follows the
+    path of its own scalar search.  Every family's margins are taken on every
+    lane, which gives the search one row per lane.
+    """
     if batch.n < 20:
         raise DataError(f"need at least 20 paired observations, got {batch.n}")
-    count = len(batch)
-    lo, hi = THETA_BOUNDS[family]
-    _validate_theta(family, lo)
-    _validate_theta(family, hi)
+    block = len(batch) // len(families)
+    for family in families:
+        _validate_theta(family, np.array(THETA_BOUNDS[family]))
+    margins = [_margins(family, batch.u, batch.v) for family in families]
+    offsets = np.cumsum([0] + [len(m) for m in margins]).tolist()
+    work = np.empty((4, block, batch.n)) if work is None else work[:, :block]
 
-    def nll(theta: np.ndarray, *margins: np.ndarray) -> np.ndarray:
+    def nll(theta: np.ndarray, codes: np.ndarray, *rows: np.ndarray) -> np.ndarray:
+        # ``codes`` names each lane's family; the lanes stay in family order.
+        total = np.empty(theta.size)
+        edges = np.searchsorted(codes, np.arange(len(families) + 1)).tolist()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            total = -np.sum(_log_density(family, theta[:, None], *margins), axis=1)
+            for k, family in enumerate(families):
+                start, stop = edges[k], edges[k + 1]
+                if start < stop:
+                    log_c = _log_density(
+                        family, theta[start:stop, None],
+                        *(m[start:stop] for m in rows[offsets[k]: offsets[k + 1]]),
+                        work=work[:, : stop - start],
+                    )
+                    np.sum(log_c, axis=1, out=total[start:stop])
+        np.negative(total, out=total)
         return np.where(np.isfinite(total), total, 1e300)
 
-    theta, fun, status = _minimize_bounded(
-        nll, np.full(count, lo), np.full(count, hi), _margins(family, batch.u, batch.v),
+    thetas, funs, statuses = _minimize_bounded(
+        nll, *np.repeat([THETA_BOUNDS[f] for f in families], block, axis=0).T,
+        (np.repeat(np.arange(len(families)), block), *sum(margins, ())),
         xatol=XATOL, maxiter=MAXITER,
     )
-    ll = -fun
-    edge_tol = _BOUNDARY_REL * (hi - lo)
-    at_upper = theta >= hi - edge_tol
-    _validate_theta(family, theta)
-    # Only Clayton has a lower tail, 2^(-1/theta); Gumbel's dependence sits in
-    # the upper tail and Frank has none.  Python's ``**`` per lane, because
-    # numpy's power rounds differently in the last place.
-    analytic = (
-        np.array([2.0 ** (-1.0 / t) for t in theta.tolist()])
-        if family is CopulaFamily.CLAYTON else np.zeros(count)
-    )
-    return BatchFit(
-        theta=theta,
-        log_likelihood=ll,
-        lambda_lower=np.where(at_upper, 1.0, analytic),
-        converged=np.isfinite(ll) & (ll > -1e299) & (status == 0),
-        boundary=at_upper | (theta <= lo + edge_tol),
-        at_upper=at_upper,
-        status=status,
-    )
+    fits = []
+    for k, family in enumerate(families):
+        part = slice(k * block, (k + 1) * block)
+        theta, ll, status = thetas[part], -funs[part], statuses[part]
+        lo, hi = THETA_BOUNDS[family]
+        edge_tol = _BOUNDARY_REL * (hi - lo)
+        at_upper = theta >= hi - edge_tol
+        _validate_theta(family, theta)
+        # Only Clayton has a lower tail, 2^(-1/theta); Gumbel's dependence sits in
+        # the upper tail and Frank has none.  Python's ``**`` per lane, because
+        # numpy's power rounds differently in the last place.
+        analytic = (
+            np.array([2.0 ** (-1.0 / t) for t in theta.tolist()])
+            if family is CopulaFamily.CLAYTON else np.zeros(block)
+        )
+        fits.append(BatchFit(
+            theta=theta,
+            log_likelihood=ll,
+            lambda_lower=np.where(at_upper, 1.0, analytic),
+            converged=np.isfinite(ll) & (ll > -1e299) & (status == 0),
+            boundary=at_upper | (theta <= lo + edge_tol),
+            at_upper=at_upper,
+            status=status,
+        ))
+    return fits
 
 
 def _lane_fit(fit: BatchFit, lane: int, family: CopulaFamily, n: int) -> CopulaFit:
@@ -543,15 +627,14 @@ def fit_copula(
 
 
 def fit_families(samples: Sequence[PseudoSample]) -> tuple[tuple[CopulaFit, ...], ...]:
-    """Fit every candidate family on every sample, in one search per family.
+    """Fit every candidate family on every sample, in one search.
 
-    The samples, one lane each, must share one length.  Returns each
-    sample's fits in ``FAMILIES`` order; every fit equals
-    ``fit_copula(sample, family)`` field for field.
+    The samples must share one length; each (family, sample) pair is one
+    lane.  Returns each sample's fits in ``FAMILIES`` order; every fit
+    equals ``fit_copula(sample, family)`` field for field.
     """
     n = _common_length(samples)
-    batch = PseudoBatch.of(*samples)
-    fits = [fit_batch(batch, family) for family in FAMILIES]
+    fits = _fit_blocks(PseudoBatch.of(*list(samples) * len(FAMILIES)), FAMILIES)
     return tuple(
         tuple(_lane_fit(fit, lane, family, n) for family, fit in zip(FAMILIES, fits))
         for lane in range(len(samples))
@@ -635,9 +718,11 @@ def block_bootstrap_ci(
     # no larger than one margin's values.
     codes = np.hstack([[_dense_codes(s.u), _dense_codes(s.v)] for s in samples]).astype(np.int32)
     rows = stacked_resamples(n, seeds=seeds, replications=replications, block_length=block_length)
+    parts = list(chunks(len(rows), n, CHUNK_POINTS))
+    work = np.empty((4, parts[0].stop - parts[0].start, n))
     fits = [
-        fit_batch(PseudoBatch.from_codes(*codes[:, rows[part]]), family)
-        for part in chunks(len(rows), n, CHUNK_POINTS)
+        fit_batch(PseudoBatch.from_codes(*codes[:, rows[part]]), family, work=work)
+        for part in parts
     ]
 
     def legs(name: str) -> np.ndarray:

@@ -537,13 +537,9 @@ def run_pipeline(
         seed=int(seeds[2]),
     ) as stability_job:
         with _stage("qreg"):
-            models: dict[float, qreg.QuantileModel] = {}
-            r2: dict[float, float] = {}
+            models = dict(zip(tau_levels, qreg.fit_quantiles(design, tau_levels)))
+            r2 = {tau: qreg.pseudo_r2(model, design) for tau, model in models.items()}
             cv_reports: dict[float, qreg.CVReport] = {}
-            for tau in tau_levels:
-                model = qreg.fit_quantile(design, tau)
-                models[tau] = model
-                r2[tau] = qreg.pseudo_r2(model, design)
             if episode.cv is not None:
                 try:
                     cv_reports = qreg.expanding_window_cv(
@@ -571,7 +567,7 @@ def run_pipeline(
             with _stage(f"copula ({residency.value})"):
                 samples[residency] = cop.PseudoSample.from_data(post.nominal, loss.loss)
 
-        # Every residency's sample is fitted in one search per family, and
+        # Every (family, residency) pair is one lane of one search, and
         # the residencies that select one family are bootstrapped together.
         with _stage(f"copula ({residencies[0].value})"):
             fitted = cop.fit_families([samples[r] for r in residencies])

@@ -31,9 +31,12 @@ INTERCEPT_LABEL = "(intercept)"
 MIN_FIT_ROWS = 10  # fewest design rows a fit or a CV training window may have
 
 
-def check_loss(u: float | np.ndarray, tau: float) -> float | np.ndarray:
-    """Asymmetric check loss: u * (tau - 1[u < 0]); nonnegative everywhere."""
-    if not 0.0 < tau < 1.0:
+def check_loss(u: float | np.ndarray, tau: float | np.ndarray) -> float | np.ndarray:
+    """Asymmetric check loss: u * (tau - 1[u < 0]); nonnegative everywhere.
+
+    ``tau`` may be an array of levels that broadcasts against ``u``.
+    """
+    if not np.all((0.0 < tau) & (tau < 1.0)):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     arr = np.asarray(u, dtype=float)
     out = arr * (tau - (arr < 0.0))
@@ -458,21 +461,23 @@ def _newton_step(
 
 
 def _frisch_newton(
-    designs: np.ndarray, targets: np.ndarray, tau: float
+    designs: np.ndarray, targets: np.ndarray, tau: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coefficients, gaps, converged) for one chunk of problems at one level.
+    """(coefficients, gaps, converged) for one chunk of problems, ``tau`` the level of each.
 
-    The iterates of the members still running are kept compacted: a member
-    that stops is dropped from every state array once, when it stops.
+    ``designs`` is the chunk's own copy: its unusable columns are zeroed in
+    place.  The iterates of the members still running are kept compacted: a
+    member that stops is dropped from every state array once, when it stops.
     """
     batch, n, p = designs.shape
     real = designs[:, :, 0] != 0.0
-    lo = np.where(real[:, :, None], designs, np.inf).min(axis=1)
-    hi = np.where(real[:, :, None], designs, -np.inf).max(axis=1)
+    lo = np.min(designs, axis=1, where=real[:, :, None], initial=np.inf)
+    hi = np.max(designs, axis=1, where=real[:, :, None], initial=-np.inf)
     usable = hi > lo
     usable[:, 0] = True
-    X = designs * usable[:, None, :]
+    X = np.multiply(designs, usable[:, None, :], out=designs)
     c = -targets
+    tau = tau[:, None]
 
     # Least-squares start.  x = 1 - tau is feasible for the bounded dual; z
     # and w split the residual exactly, with a small floor on both sides of a
@@ -495,13 +500,14 @@ def _frisch_newton(
     # order-statistic solution.
     exact = ~usable[:, 1:].any(axis=1)
     for b in np.flatnonzero(exact):
-        coef[b, 0] = empirical_quantile(targets[b][real[b]], tau)
+        coef[b, 0] = empirical_quantile(targets[b][real[b]], float(tau[b, 0]))
     gap[exact] = 0.0
     converged[exact] = True
     live = np.flatnonzero(~exact)
-    X, usable, targets, x, s, z, w, dual = (
-        a[live] for a in (X, usable, targets, x, s, z, w, dual)
-    )
+    if exact.any():
+        X, usable, targets, tau, x, s, z, w, dual = (
+            a[live] for a in (X, usable, targets, tau, x, s, z, w, dual)
+        )
     for it in range(_MAX_ITER + 1):
         resid = targets + (X @ dual[:, :, None])[:, :, 0]
         loss = np.sum(check_loss(resid, tau), axis=1)
@@ -515,8 +521,8 @@ def _frisch_newton(
             break
         if not running.all():
             live = live[running]
-            X, usable, targets, x, s, z, w, dual, mu = (
-                a[running] for a in (X, usable, targets, x, s, z, w, dual, mu)
+            X, usable, targets, tau, x, s, z, w, dual, mu = (
+                a[running] for a in (X, usable, targets, tau, x, s, z, w, dual, mu)
             )
         x, s, z, w, dual = _newton_step(X, usable, x, s, z, w, dual, mu)
     return coef, gap, converged
@@ -568,29 +574,33 @@ def solve_check_loss(
     rows get coefficient 0, and a design with no other usable column takes
     the exact order-statistic intercept.
 
-    The fits are solved together, one level at a time in chunks of about
-    ``CHUNK_ROWS`` design rows, by the Frisch-Newton method of
-    ``fit_quantile``; each stops on its own duality gap and is then frozen,
+    Every (level, design) pair is one member of a single batch, level by
+    level in design order, solved in chunks of about ``CHUNK_ROWS`` design
+    rows by the Frisch-Newton method of ``fit_quantile``; a chunk may span
+    two levels.  Each fit stops on its own duality gap and is then frozen,
     so at a given padded width a fit's coefficients do not depend on the
-    batch or the chunk it is solved in.  A fit that does not reach its gap
-    within the iteration cap is re-solved by HiGHS and flagged in the
-    certificates, which list the fits level by level in design order.
+    batch, the chunk or the other levels it is solved with.  A fit that does
+    not reach its gap within the iteration cap is re-solved by HiGHS and
+    flagged in the certificates, which list the fits in member order.
     """
     designs = np.asarray(designs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     batch, n, p = designs.shape
-    coef = np.empty((len(taus), batch, p))
-    gap = np.empty((len(taus), batch))
-    fallback = np.empty((len(taus), batch), dtype=bool)
+    levels = np.repeat(np.asarray(taus, dtype=float), batch)
+    coef = np.empty((levels.size, p))
+    gap = np.empty(levels.size)
+    fallback = np.empty(levels.size, dtype=bool)
+    for part in chunks(levels.size, n, CHUNK_ROWS):
+        rows = np.arange(part.start, part.stop) % batch
+        coef[part], gap[part], converged = _frisch_newton(
+            designs[rows], targets[rows], levels[part]
+        )
+        fallback[part] = ~converged
+    for m in np.flatnonzero(fallback):
+        coef[m] = _highs_fit(designs[m % batch], targets[m % batch], float(levels[m]))
+    coef = coef.reshape(len(taus), batch, p)
     loss = np.empty((len(taus), batch))
     for t, tau in enumerate(taus):
-        for part in chunks(batch, n, CHUNK_ROWS):
-            coef[t, part], gap[t, part], converged = _frisch_newton(
-                designs[part], targets[part], float(tau)
-            )
-            fallback[t, part] = ~converged
-        for b in np.flatnonzero(fallback[t]):
-            coef[t, b] = _highs_fit(designs[b], targets[b], float(tau))
         resid = targets - (designs @ coef[t, :, :, None])[:, :, 0]
         loss[t] = np.sum(check_loss(resid, tau), axis=1)
     return coef, FitCertificates(
@@ -627,8 +637,9 @@ def _with_intercept(values: np.ndarray) -> np.ndarray:
 def fit_quantile(X: DesignMatrix, tau: float) -> QuantileModel:
     """Minimize the summed check loss over intercept + linear + interaction terms.
 
-    The fit is a batch of one for ``solve_check_loss``: the Frisch-Newton
-    interior-point method, a Mehrotra predictor-corrector on the bounded dual
+    The fit is ``fit_quantiles`` at one level, a batch of one for
+    ``solve_check_loss``: the Frisch-Newton interior-point method, a
+    Mehrotra predictor-corrector on the bounded dual
     ``max y'a s.t. X'a = (1 - tau) X'1, 0 <= a <= 1`` (Portnoy & Koenker
     1997; Koenker 2005, section 6.2; the algorithm of R quantreg's
     ``rq.fit.fnb``).  It stops once the duality gap is at most
@@ -644,8 +655,14 @@ def fit_quantile(X: DesignMatrix, tau: float) -> QuantileModel:
     variance over the fit window get coefficient 0, and a model with no
     usable columns takes the exact order-statistic rule for the intercept.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    return fit_quantiles(X, (tau,))[0]
+
+
+def fit_quantiles(X: DesignMatrix, taus: Sequence[float]) -> tuple[QuantileModel, ...]:
+    """``fit_quantile`` at every level in ``taus``, solved as one batch."""
+    for tau in taus:
+        if not 0.0 < tau < 1.0:
+            raise ValueError(f"tau must lie in (0, 1), got {tau}")
     n = len(X)
     if n < MIN_FIT_ROWS:
         raise DataError(f"need at least {MIN_FIT_ROWS} rows to fit, got {n}")
@@ -654,10 +671,13 @@ def fit_quantile(X: DesignMatrix, tau: float) -> QuantileModel:
         # Constant columns get coefficient 0.0 by convention; debug level
         # because CV folds and bootstrap replicates hit this routinely.
         logger.debug("fit_quantile: dropping zero-variance column %r", X.columns[j])
-    coef, certificate = solve_check_loss(
-        _with_intercept(X.values)[None], X.target[None], (tau,)
+    coef, certificates = solve_check_loss(
+        _with_intercept(X.values)[None], X.target[None], taus
     )
-    return _quantile_model(X, tau, coef[0, 0], certificate.loss[0], certificate)
+    return tuple(
+        _quantile_model(X, tau, coef[t, 0], certificates.loss[t], certificates[t: t + 1])
+        for t, tau in enumerate(taus)
+    )
 
 
 def require_design(model: QuantileModel, X: DesignMatrix) -> None:

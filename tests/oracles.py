@@ -9,6 +9,9 @@ Nothing here is on a run's path.  Each oracle is one of four kinds:
 * a one-value-at-a-time copy of a formula a run computes per lane:
   ``lower_tail_dependence``, the analytic lambda_L of one fitted theta,
   against ``copula.fit_batch``'s;
+* a plain-expression copy of a kernel a run computes in place:
+  ``log_density_expression``, the copula log-density with one new array per
+  operation, against ``copula._log_density``'s buffered steps, bit for bit;
 * a one-at-a-time input for a batched path: a row subset of a design as a
   design of its own;
 * a checked per-call entry point to a private kernel.  These call the
@@ -321,3 +324,38 @@ def log_density(
     _validate_theta(family, theta)
     u, v = _check_unit_interval(u, v)
     return _log_density(family, theta, *_margins(family, u, v))
+
+
+def log_density_expression(family: CopulaFamily, theta, *margins: np.ndarray) -> np.ndarray:
+    """``copula._log_density`` as plain expressions, one new array per operation.
+
+    The same operations in the same order as the in-place kernel, so the two
+    agree bit for bit; Frank's per-lane scale is computed lane by lane.
+    """
+    if family is CopulaFamily.CLAYTON:
+        luv, high, low = margins
+        above = theta > 1.0
+        shift = np.where(above, theta, 0.0) * high
+        log_1mp = shift + np.log1p(
+            -np.expm1(theta * high) * (np.expm1(theta * low - shift) + above)
+        )
+        return np.log1p(theta) + theta * luv - (2.0 + 1.0 / theta) * log_1mp
+
+    if family is CopulaFamily.GUMBEL:
+        xy, log_xy, lxy, log_r, r_share, log1p_r = margins
+        d = theta - 1.0
+        log_a_rel = (np.log1p(r_share * np.expm1(d * log_r)) - d * log1p_r) / theta
+        growth = np.expm1(log_a_rel)
+        big_a = xy + xy * growth
+        return -xy * growth + d * lxy - 2.0 * d * (log_xy + log_a_rel) + np.log1p(d / big_a)
+
+    u, v, w = margins
+    scale = np.array(
+        [math.log(-math.expm1(-t) / t) if t else 0.0 for t in np.ravel(theta).tolist()]
+    ).reshape(np.shape(theta))
+    a, b = -theta * u, -theta * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = scale + a + b - 2.0 * np.log(
+            (np.exp(a) * np.expm1(b) + np.exp(b) * np.expm1(-theta * w)) / -theta
+        )
+    return np.where(theta == 0, 0.0, log_c)

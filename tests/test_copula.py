@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from crisishedge import copula
 from crisishedge.copula import (
     FAMILIES,
     CopulaFamily,
@@ -29,7 +30,7 @@ from crisishedge.copula import (
 from crisishedge.errors import DataError, FitError, DegenerateSampleError
 from crisishedge.resample import block_resamples, default_block_length
 
-from oracles import _rank, log_density, lower_tail_dependence
+from oracles import _rank, log_density, log_density_expression, lower_tail_dependence
 
 
 def sample_from(family, theta, n, seed):
@@ -250,6 +251,63 @@ class TestLogDensityPrecision:
             assert_allclose(log_density(CopulaFamily.FRANK, theta, u, v), 0.0, atol=1e-12)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceLogDensity:
+    """The buffered ``_log_density`` equals its plain-expression oracle bit for bit."""
+
+    THETAS = {
+        CopulaFamily.CLAYTON: (1e-6, 0.01, 0.5, 0.999, 1.0, 1.000001, 3.0, 50.0),
+        CopulaFamily.GUMBEL: (1.000001, 1.01, 1.5, 2.0, 3.0, 10.0, 25.0, 50.0),
+        CopulaFamily.FRANK: (-50.0, -3.0, -1e-6, 0.0, 1e-12, 0.5, 7.0, 50.0),
+    }
+
+    @staticmethod
+    def lanes(count):
+        """Bootstrap-like lanes: block resamples of one sample, ranked lane by lane."""
+        s = sample_from(CopulaFamily.CLAYTON, 2.0, 96, seed=120)
+        rows = block_resamples(s.n, replications=count, seed=4)
+        return PseudoBatch.from_codes(_dense_codes(s.u)[rows], _dense_codes(s.v)[rows])
+
+    @staticmethod
+    def both(family, theta, margins, work):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return (
+                _log_density(family, theta, *margins, work=work),
+                log_density_expression(family, theta, *margins),
+            )
+
+    @pytest.mark.parametrize("family", list(CopulaFamily))
+    def test_distinct_and_shared_thetas_then_fewer_lanes(self, family):
+        grid = np.array(self.THETAS[family])
+        batch = self.lanes(3 * grid.size)
+        margins = _margins(family, batch.u, batch.v)
+        work = np.empty((4, len(batch), batch.n))
+        # Every lane its own theta, then lanes sharing three thetas (Frank's
+        # theta = 0 among them), in and out of order.
+        thetas = (
+            np.concatenate([grid, grid / 2 + grid[::-1] / 2, grid[::-1]]),
+            grid[np.arange(3 * grid.size) % 3 + 2],
+        )
+        for theta in thetas:
+            got, want = self.both(family, theta[:, None], margins, work)
+            assert same_bits(got, want)
+        # The same buffers, now with the first few lanes only.
+        few = [m[:5] for m in margins]
+        got, want = self.both(family, thetas[0][:5, None], few, work[:, :5])
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("family", list(CopulaFamily))
+    def test_scalar_theta_allocates_its_own_buffers(self, family):
+        s = sample_from(CopulaFamily.FRANK, -3.0, 120, seed=2)
+        margins = _margins(family, s.u, s.v)
+        for theta in self.THETAS[family]:
+            got, want = self.both(family, theta, margins, None)
+            assert same_bits(got, want), theta
+
+
 class TestFitCopula:
     def test_clayton_recovery(self):
         s = sample_from(CopulaFamily.CLAYTON, 3.0, 2000, seed=100)
@@ -325,6 +383,40 @@ class TestFitFamilies:
         for sample, fits in zip(samples, fitted):
             assert fits == tuple(fit_copula(sample, family) for family in FAMILIES)
         assert any(fit.diagnostics for fits in fitted for fit in fits)
+
+    def test_one_search_whose_lanes_stop_apart_or_run_out(self, monkeypatch):
+        # These lanes' own searches converge after 14 to 46 evaluations,
+        # except Clayton on the Frank sample (58), which 50 cuts short.
+        monkeypatch.setattr(copula, "MAXITER", 50)
+        searched, evaluated = [], []
+        minimize, density = copula._minimize_bounded, copula._log_density
+
+        def search_spy(*args, **kwargs):
+            searched.append(len(args[1]))
+            return minimize(*args, **kwargs)
+
+        def density_spy(family, theta, *margins, work):
+            evaluated.append((family, theta.shape[0]))
+            return density(family, theta, *margins, work=work)
+
+        monkeypatch.setattr(copula, "_minimize_bounded", search_spy)
+        monkeypatch.setattr(copula, "_log_density", density_spy)
+        samples = self.samples()
+        fitted = fit_families(samples)
+        assert searched == [len(FAMILIES) * len(samples)]
+        for family in FAMILIES:
+            lane_counts = [count for f, count in evaluated if f is family]
+            assert lane_counts[0] == len(samples) and len(set(lane_counts)) > 1
+        monkeypatch.setattr(copula, "_log_density", density)
+        out_of_evaluations = []
+        for sample, fits in zip(samples, fitted):
+            assert fits == tuple(fit_copula(sample, family) for family in FAMILIES)
+            out_of_evaluations += [
+                (fit.family, not fit.converged)
+                for fit in fits
+                if any("Maximum number of function calls" in d for d in fit.diagnostics)
+            ]
+        assert out_of_evaluations == [(CopulaFamily.CLAYTON, True)]
 
     @pytest.mark.parametrize("margin", ["u", "v"])
     @pytest.mark.parametrize("edge", [0.0, 1.0])
@@ -461,6 +553,24 @@ class TestBlocks:
 
 
 class TestBootstrapCI:
+    def test_one_scratch_buffer_serves_every_chunk(self, monkeypatch):
+        # 2 legs x 150 replicates of 40 points in chunks of 64 lanes: five
+        # chunks, the last of 44 lanes.
+        monkeypatch.setattr(copula, "CHUNK_POINTS", 64 * 40)
+        buffers, lanes = [], []
+        real_fit = copula.fit_batch
+
+        def recording_fit(batch, family, *, work):
+            buffers.append(work)
+            lanes.append(len(batch))
+            return real_fit(batch, family, work=work)
+
+        monkeypatch.setattr(copula, "fit_batch", recording_fit)
+        samples = [sample_from(CopulaFamily.FRANK, 3.0, 40, seed=s) for s in (7, 8)]
+        block_bootstrap_ci(samples, "frank", seeds=[1, 2], replications=150)
+        assert lanes == [64, 64, 64, 64, 44]
+        assert all(b is buffers[0] for b in buffers) and buffers[0].shape == (4, 64, 40)
+
     def test_deterministic_under_fixed_seed(self):
         s = sample_from(CopulaFamily.CLAYTON, 2.0, 300, seed=111)
         family = CopulaFamily.CLAYTON

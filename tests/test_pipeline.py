@@ -85,8 +85,8 @@ def stall_replicates(monkeypatch, stalled):
     """
     real_fit, real_ci = copula.fit_batch, copula.block_bootstrap_ci
 
-    def stalling_fit(batch, family):
-        fit = real_fit(batch, family)
+    def stalling_fit(batch, family, **kwargs):
+        fit = real_fit(batch, family, **kwargs)
         return dataclasses.replace(fit, converged=fit.converged & ~stalled(batch.u))
 
     def stalling_ci(*args, **kwargs):

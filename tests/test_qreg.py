@@ -25,6 +25,7 @@ from crisishedge.qreg import (
     engineer_features,
     expanding_window_cv,
     fit_quantile,
+    fit_quantiles,
     lag_column_name,
     predict,
     pseudo_r2,
@@ -103,6 +104,15 @@ class TestCheckLoss:
     def test_tau_domain(self, tau):
         with pytest.raises(ValueError):
             check_loss(1.0, tau)
+        with pytest.raises(ValueError):
+            check_loss(np.ones(3), np.array([[0.5], [tau]]))
+
+    def test_levels_broadcast_against_residuals(self):
+        u = np.random.default_rng(1).normal(size=50)
+        taus = np.array([0.08, 0.5, 0.92])
+        out = check_loss(u, taus[:, None])
+        for t, tau in enumerate(taus):
+            assert np.array_equal(out[t], check_loss(u, float(tau)))
 
 
 class TestLagColumnName:
@@ -399,6 +409,24 @@ class TestFitQuantile:
     def test_tau_domain(self, tau):
         with pytest.raises(ValueError):
             fit_quantile(intercept_only(np.arange(10.0)), tau)
+        with pytest.raises(ValueError):
+            fit_quantiles(intercept_only(np.arange(10.0)), (0.5, tau))
+
+    def test_levels_fitted_together_equal_single_fits(self):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(80, 2))
+        y = 0.2 + x @ np.array([0.9, -0.4]) + rng.standard_t(3, size=80)
+        X = dm(x, y, columns=("a", "b"))
+        taus = (0.0104, 0.08, 0.5, 0.92)
+        together = fit_quantiles(X, taus)
+        assert len(together) == len(taus)
+        for tau, model in zip(taus, together):
+            alone = fit_quantile(X, tau)
+            assert model.tau == alone.tau
+            assert model.coef.tobytes() == alone.coef.tobytes()
+            assert model.objective_value == alone.objective_value
+            assert model.certificate == alone.certificate and len(model.certificate) == 1
+            assert model.columns == alone.columns
 
     def test_coef_of_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="coef must hold 4 entries"):
@@ -507,6 +535,29 @@ class TestSolveCheckLoss:
                 assert np.array_equal(alone[0, 0], batched[t, b])
                 i = t * len(designs) + b
                 assert fits == batched_fits[i:i + 1]
+
+    def test_all_levels_in_one_solve_equal_one_solve_per_level(self, monkeypatch):
+        # 12 designs at each of 4 levels in chunks of 8 members: chunks end
+        # inside a level (at 8, 16, ...) and where one does (at 24), and the
+        # chunk of members 8-15 holds two levels.
+        designs, targets, _ = padded_problems(66)
+        monkeypatch.setattr(qreg, "CHUNK_ROWS", 8 * designs.shape[1])
+        chunk_levels = []
+        frisch_newton = qreg._frisch_newton
+
+        def spy(chunk, chunk_targets, tau):
+            chunk_levels.append(tuple(np.unique(tau).tolist()))
+            return frisch_newton(chunk, chunk_targets, tau)
+
+        monkeypatch.setattr(qreg, "_frisch_newton", spy)
+        together, fits = solve_check_loss(designs, targets, LEVELS)
+        assert chunk_levels[:3] == [LEVELS[:1], LEVELS[:2], LEVELS[1:2]]
+        assert len(chunk_levels) == 6
+        count = len(designs)
+        for t, tau in enumerate(LEVELS):
+            alone, alone_fits = solve_check_loss(designs, targets, (tau,))
+            assert together[t].tobytes() == alone[0].tobytes()
+            assert fits[t * count: (t + 1) * count] == alone_fits
 
     def test_affine_step_is_never_taken_whole(self, monkeypatch):
         # Why every step takes Mehrotra's corrector: the predictor's dual step

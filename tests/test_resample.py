@@ -104,8 +104,8 @@ def batched(monkeypatch, case, chunk=None):
     fits = []
     real_fit = copula.fit_batch
 
-    def recording_fit(batch, family):
-        fit = real_fit(batch, family)
+    def recording_fit(batch, family, **kwargs):
+        fit = real_fit(batch, family, **kwargs)
         fits.append(fit)
         return fit
 
