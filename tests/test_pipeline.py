@@ -625,6 +625,28 @@ class TestForkedStability:
         assert forked == inline
 
     @needs_fork
+    def test_full_run_with_a_helper_equals_one_cpu_run_byte_for_byte(
+        self, fixture_root, workers, tmp_path, request
+    ):
+        # R = 1000: the lead waits before its first claim until the helper
+        # forked at the join has solved a chunk, so both workers solve chunks.
+        episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
+        workers.on_plan = lambda role: role == "lead" and workers.wait_for_other_worker()
+        run_pipeline(episode, out_dir=tmp_path / "forked")
+        assert_no_child_left()
+        lead, helper = workers.forks
+        solved = workers.solved()
+        assert sorted(index for _, index in solved) == list(range(len(solved)))
+        assert (helper, 0) in solved
+        assert {pid for pid, _ in solved} <= {lead, helper}
+
+        request.getfixturevalue("one_cpu")
+        run_pipeline(episode, out_dir=tmp_path / "one_cpu")
+        forked, inline = written_files(tmp_path / "forked"), written_files(tmp_path / "one_cpu")
+        assert len(forked) == 7
+        assert forked == inline
+
+    @needs_fork
     @pytest.mark.parametrize("lowest", ["lead", "helper"])
     def test_the_lowest_failing_chunk_is_raised_whichever_worker_solved_it(
         self, episode, workers, lowest, tmp_path, monkeypatch
