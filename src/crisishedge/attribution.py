@@ -27,7 +27,6 @@ from .qreg import (
     FitCertificates,
     MIN_FIT_ROWS,
     QuantileModel,
-    _with_intercept,
     require_design,
     require_varying,
     restandardized_values,
@@ -229,13 +228,37 @@ def stability_kendall(orders: np.ndarray) -> float:
 ChunkRankings = tuple[np.ndarray, list[str | None], FitCertificates]
 
 
+def _distinct_designs(
+    values: np.ndarray, targets: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted designs and targets of sorted row sets, one row per distinct row.
+
+    Each distinct row keeps its first place and takes its count of copies as
+    its weight (``solve_check_loss``'s column 0); the later copies become
+    zero padding.
+    """
+    first = np.ones(rows.shape, dtype=bool)
+    first[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    starts = np.flatnonzero(first)
+    copies = np.zeros(rows.size)
+    copies[starts] = np.diff(starts, append=rows.size)
+    designs = np.where(
+        first[:, :, None],
+        np.concatenate([copies.reshape(rows.shape)[:, :, None], values], axis=-1),
+        0.0,
+    )
+    return designs, np.where(first, targets, 0.0)
+
+
 def _chunk_rankings(
     X: DesignMatrix, tau: float, rows: np.ndarray, pairs: Sequence[tuple[int, int]]
 ) -> ChunkRankings:
-    """Rank features for each of a chunk of bootstrap row sets, fitted as one batch.
+    """Rank features for each of a chunk of sorted bootstrap row sets, fitted as one batch.
 
-    Returns the (B, M) orders of ``_shares`` and, per replicate, the reason
-    it was skipped or None; a skipped replicate's order row is meaningless.
+    Each replicate is fitted on its ``_distinct_designs`` and attributed on
+    all its rows.  Returns the (B, M) orders of ``_shares`` and, per
+    replicate, the reason it was skipped or None; a skipped replicate's
+    order row is meaningless.
     """
     values = restandardized_values(X, rows, rows)
     targets = X.target[rows]
@@ -248,7 +271,9 @@ def _chunk_rankings(
             reasons.append(str(exc))
     fitted = [b for b, reason in enumerate(reasons) if reason is None]
     values = values[fitted]
-    coefs, fits = solve_check_loss(_with_intercept(values), targets[fitted], (tau,))
+    coefs, fits = solve_check_loss(
+        *_distinct_designs(values, targets[fitted], rows[fitted]), (tau,)
+    )
     linear = values[:, :, : X.n_linear]
     _, phi = _shapley_batch(coefs[0], linear, np.mean(linear, axis=1), pairs)
     _, order, zero = _shares(X.linear_column_names, phi)
@@ -326,8 +351,12 @@ def bootstrap_stability(
     a time: one batched fit, one (B x M x n) stack of Shapley values, one
     batched ranking that equals ``importance_summary`` on each replicate's
     own values, kept as a row of integer orders for ``stability_kendall``.
-    Row sets filled replicate by replicate and a batch-independent solver
-    keep every replicate's ranking independent of the chunking.  Columns that
+    A replicate is fitted on its distinct rows, about 63% of them, each
+    weighted by its count of copies, which is the fit of all its drawn rows
+    up to rounding; its scaling, Shapley values and shares use all drawn
+    rows.  Row sets filled replicate by replicate and a solver that fits each
+    replicate at a width of its own keep every replicate's ranking
+    independent of the replications and the chunking.  Columns that
     degenerate inside a replicate simply attract zero attributions, so
     rankings stay comparable; a replicate with a constant target
     (``require_varying``) or all-zero attributions is skipped, logged in

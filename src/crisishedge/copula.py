@@ -83,7 +83,7 @@ _BOUNDARY_REL = 1e-4
 
 XATOL = 1e-10  # absolute theta tolerance of the bounded search
 MAXITER = 500  # log-likelihood evaluations per lane before a search gives up
-CHUNK_POINTS = 16_384  # replicate observations ranked and fitted together; bounds memory
+CHUNK_POINTS = 32_768  # replicate observations ranked and fitted together; bounds memory
 CI_LEVEL = 0.95  # coverage of the bootstrap percentile interval
 _SEARCH_MESSAGES = {1: "Maximum number of function calls reached.",
                     2: "NaN result encountered."}

@@ -20,7 +20,7 @@ import numpy as np
 from . import months as mo
 from .dataio import MacroSeries
 from .errors import ConfigError, DataError, DegenerateSampleError, EndogeneityError, FitError
-from .quantiles import empirical_quantile
+from .quantiles import empirical_quantile, order_statistic_rank
 from .resample import chunks
 
 logger = logging.getLogger(__name__)
@@ -353,7 +353,7 @@ def engineer_features(
 
 # Batched Frisch-Newton interior-point method for check-loss fits.
 GAP_TOL = 1e-9  # a fit stops once its duality gap <= GAP_TOL * (1 + check loss)
-CHUNK_ROWS = 6000  # design rows solved together; bounds the solver's memory
+CHUNK_ROWS = 12_000  # design rows solved together; bounds the solver's memory
 _MAX_ITER = 50  # iterations before a fit falls back to HiGHS
 _STEP = 0.99995  # fraction of the distance to the boundary a step may cover
 _RIDGE = 1e-14  # diagonal ridge on the normal equations, relative to their trace
@@ -365,9 +365,9 @@ def require_varying(target: np.ndarray) -> None:
         raise DegenerateSampleError("target is constant; quantile fit undefined")
 
 
-def _normal_matrix(weighted_t: np.ndarray, X: np.ndarray, usable: np.ndarray) -> np.ndarray:
-    """X' W X per member, ridged, with each unused column pinned to 0 by a unit diagonal."""
-    M = weighted_t @ X
+def _normal_matrix(left: np.ndarray, right: np.ndarray, usable: np.ndarray) -> np.ndarray:
+    """X' W X as ``left @ right`` per member, ridged, unused columns pinned by a unit diagonal."""
+    M = left @ right
     k = np.arange(M.shape[-1])
     diag = M[:, k, k]
     M[:, k, k] = np.where(usable, diag + _RIDGE * diag.sum(axis=1, keepdims=True), 1.0)
@@ -390,7 +390,8 @@ def _step_lengths(
     which equals -v / dv exactly; every other entry divides inf and allows
     any step, so no finite number is ever divided by zero.  The primal pair
     x, s = 1 - x moves by dx and -dx, so one pass covers both: x bounds a
-    falling dx and s a rising one.
+    falling dx and s a rising one.  A zero-weight row comes with zero
+    directions (``_newton_step``), so it never bounds a step.
     """
     primal = np.where(dx > 0.0, s, np.where(dx < 0.0, x, np.inf)) / np.abs(dx)
     dual = np.minimum(
@@ -405,6 +406,7 @@ def _step_lengths(
 
 def _newton_step(
     X: np.ndarray,
+    weight: np.ndarray,
     usable: np.ndarray,
     x: np.ndarray,
     s: np.ndarray,
@@ -415,27 +417,33 @@ def _newton_step(
 ) -> tuple[np.ndarray, ...]:
     """One Mehrotra predictor-corrector step for every member of a batch.
 
-    The bounded dual LP is min c'x subject to X'x = (1 - tau) X'1 and
-    0 <= x <= 1, with slack s = 1 - x; its dual has X dual + z - w = c with
-    z, w >= 0.  Both feasibilities are kept, so the step only drives the
-    complementarity products x*z and s*w towards 0; ``mu`` is their current
-    sum per member, the duality gap.
+    The bounded dual LP is min c'Wx subject to X'Wx = (1 - tau) X'W1 and
+    0 <= x <= 1, with slack s = 1 - x and W the diagonal of the row weights;
+    its dual has X dual + z - w = c with z, w >= 0.  Both feasibilities are
+    kept, so the step only drives the complementarity products x*z and s*w
+    towards 0; ``mu`` is their current weighted sum per member, the duality
+    gap.  A row of weight k takes the step that each of k copies of it would
+    take, and a zero-weight row's directions are zero: it never moves and
+    never bounds a step.
     """
     Xt = np.swapaxes(X, 1, 2)
+    on = np.sign(weight)
     q = 1.0 / (z / x + w / s)
     r = z - w
-    M = _normal_matrix(Xt * q[:, None, :], X, usable)
+    qw = q * weight
+    M = _normal_matrix(Xt * qw[:, None, :], X, usable)
+    q *= on
 
     def direction(v):
         # The Newton system reduced to the normal equations; v = 0 is the
         # affine (predictor) step.
-        dy = np.linalg.solve(M, Xt @ (q * (r - v))[:, :, None])[:, :, 0]
+        dy = np.linalg.solve(M, Xt @ (qw * (r - v))[:, :, None])[:, :, 0]
         return dy, q * ((X @ dy[:, :, None])[:, :, 0] + v - r)
 
-    dy, dx = direction(np.zeros_like(x))
+    dy, dx = direction(0.0)
     ds = -dx
-    dz = -z * (dx / x + 1.0)
-    dw = -w * (ds / s + 1.0)
+    dz = -z * (dx / x + 1.0) * on
+    dw = -w * (ds / s + 1.0) * on
     fp, fd = _step_lengths(x, s, z, w, dx, dz, dw)
     # Corrector, taken on every step: the affine step can never be taken
     # whole, since in each row z + dz = -z dx/x and w + dw = w dx/s cannot
@@ -443,34 +451,57 @@ def _newton_step(
     # picks from how far the affine step got, less the affine second-order
     # term.
     step = fp * dx
-    reach = np.sum((x + step) * (z + fd * dz), axis=1) + np.sum(
-        (s - step) * (w + fd * dw), axis=1
-    )
+    reach = ((x + step) * (z + fd * dz) * weight).sum(axis=1) + (
+        (s - step) * (w + fd * dw) * weight
+    ).sum(axis=1)
     ratio = reach / mu
-    target = (mu * ratio * ratio * ratio / (2 * x.shape[1]))[:, None]
+    target = (mu * ratio * ratio * ratio / (2 * weight.sum(axis=1)))[:, None]
     dxdz = dx * dz
     dsdw = ds * dw
     xinv = 1.0 / x
     sinv = 1.0 / s
     dy, dx = direction(target * (xinv - sinv) - xinv * dxdz + sinv * dsdw)
-    dz = xinv * (target - dxdz - z * dx) - z
-    dw = sinv * (target - dsdw + w * dx) - w
+    dz = (xinv * (target - dxdz - z * dx) - z) * on
+    dw = (sinv * (target - dsdw + w * dx) - w) * on
     fp, fd = _step_lengths(x, s, z, w, dx, dz, dw)
     step = fp * dx
     return x + step, s - step, z + fd * dz, w + fd * dw, dual + fd * dy
 
 
+def _order_statistic(target: np.ndarray, weight: np.ndarray, tau: float) -> float:
+    """The type-1 ``tau``-quantile of ``target`` with row i counted ``weight[i]`` times.
+
+    With integer weights it is ``empirical_quantile`` of the target with each
+    row repeated that many times; zero-weight rows never count.
+    """
+    order = np.argsort(target, kind="stable")
+    counted = np.cumsum(weight[order])
+    k = order_statistic_rank(tau, float(counted[-1]))
+    return float(target[order[np.searchsorted(counted, k)]])
+
+
 def _frisch_newton(
-    designs: np.ndarray, targets: np.ndarray, tau: np.ndarray
+    designs: np.ndarray, targets: np.ndarray, tau: np.ndarray, weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(coefficients, gaps, converged) for one chunk of problems, ``tau`` the level of each.
 
-    ``designs`` is the chunk's own copy: its unusable columns are zeroed in
-    place.  The iterates of the members still running are kept compacted: a
-    member that stops is dropped from every state array once, when it stops.
+    ``designs`` (intercept 1 on every positive-weight row) is the chunk's own
+    copy: its unusable columns are zeroed in place.  ``weight`` holds the
+    (B, n) row weights, and a zero-weight row must be 0 throughout, target
+    included.  A row of weight k stands for k copies of it: it enters the
+    least-squares start, the normal matrix and its right-hand side, the gap
+    mu, Mehrotra's reach, the centring target's row count (the sum of the
+    weights) and the stopping test's check loss k times, so in exact
+    arithmetic the iterates are those of the problem with the row repeated.
+    A zero-weight row adds nothing to any of them, never moves and stays out
+    of the step lengths and the usable-column test, so padding is inert; a
+    weight of 1 multiplies exactly, so an unweighted fit takes the same
+    steps bit for bit.  The iterates of the members still running are kept
+    compacted: a member that stops is dropped from every state array once,
+    when it stops.
     """
     batch, n, p = designs.shape
-    real = designs[:, :, 0] != 0.0
+    real = weight > 0.0
     lo = np.min(designs, axis=1, where=real[:, :, None], initial=np.inf)
     hi = np.max(designs, axis=1, where=real[:, :, None], initial=-np.inf)
     usable = hi > lo
@@ -479,12 +510,15 @@ def _frisch_newton(
     c = -targets
     tau = tau[:, None]
 
-    # Least-squares start.  x = 1 - tau is feasible for the bounded dual; z
-    # and w split the residual exactly, with a small floor on both sides of a
-    # near-zero residual so that neither complementarity pair starts stuck.
+    # Weighted least-squares start, its normal matrix the Gram matrix of the
+    # rows scaled by root weights.  x = 1 - tau is feasible for the bounded
+    # dual; z and w split the residual exactly, with a small floor on both
+    # sides of a near-zero residual so that neither complementarity pair
+    # starts stuck.
+    root = X * np.sqrt(weight)[:, :, None]
     dual = np.linalg.solve(
-        _normal_matrix(np.swapaxes(X, 1, 2), X, usable),
-        np.swapaxes(X, 1, 2) @ c[:, :, None],
+        _normal_matrix(np.swapaxes(root, 1, 2), root, usable),
+        np.swapaxes(X, 1, 2) @ (weight * c)[:, :, None],
     )[:, :, 0]
     r = c - (X @ dual[:, :, None])[:, :, 0]
     floor = 0.001 * (np.abs(r) < 1e-9 * (1.0 + np.abs(targets)))
@@ -500,18 +534,18 @@ def _frisch_newton(
     # order-statistic solution.
     exact = ~usable[:, 1:].any(axis=1)
     for b in np.flatnonzero(exact):
-        coef[b, 0] = empirical_quantile(targets[b][real[b]], float(tau[b, 0]))
+        coef[b, 0] = _order_statistic(targets[b], weight[b], float(tau[b, 0]))
     gap[exact] = 0.0
     converged[exact] = True
     live = np.flatnonzero(~exact)
     if exact.any():
-        X, usable, targets, tau, x, s, z, w, dual = (
-            a[live] for a in (X, usable, targets, tau, x, s, z, w, dual)
+        X, weight, usable, targets, tau, x, s, z, w, dual = (
+            a[live] for a in (X, weight, usable, targets, tau, x, s, z, w, dual)
         )
     for it in range(_MAX_ITER + 1):
         resid = targets + (X @ dual[:, :, None])[:, :, 0]
-        loss = np.sum(check_loss(resid, tau), axis=1)
-        mu = np.sum(x * z, axis=1) + np.sum(s * w, axis=1)
+        loss = (resid * (tau - (resid < 0.0)) * weight).sum(axis=1)  # check loss
+        mu = (x * z * weight).sum(axis=1) + (s * w * weight).sum(axis=1)
         gap[live] = mu
         done = mu <= GAP_TOL * (1.0 + loss)
         converged[live[done]] = True
@@ -521,30 +555,32 @@ def _frisch_newton(
             break
         if not running.all():
             live = live[running]
-            X, usable, targets, tau, x, s, z, w, dual, mu = (
-                a[running] for a in (X, usable, targets, tau, x, s, z, w, dual, mu)
+            X, weight, usable, targets, tau, x, s, z, w, dual, mu = (
+                a[running] for a in (X, weight, usable, targets, tau, x, s, z, w, dual, mu)
             )
-        x, s, z, w, dual = _newton_step(X, usable, x, s, z, w, dual, mu)
+        x, s, z, w, dual = _newton_step(X, weight, usable, x, s, z, w, dual, mu)
     return coef, gap, converged
 
 
-def _highs_fit(design: np.ndarray, target: np.ndarray, tau: float) -> np.ndarray:
-    """One check-loss fit as the primal LP over split residuals, by HiGHS.
+def _highs_fit(
+    design: np.ndarray, target: np.ndarray, tau: float, weight: np.ndarray
+) -> np.ndarray:
+    """One weighted check-loss fit as the primal LP over split residuals, by HiGHS.
 
     Residuals split into u, v >= 0 with design @ b + u - v = y, minimizing
-    tau * sum(u) + (1 - tau) * sum(v).  Padding rows and constant columns
-    (other than the intercept) are dropped; dropped columns get 0.  scipy is
-    imported here, so only a run that falls back pays for it.
+    tau * w'u + (1 - tau) * w'v.  Zero-weight rows and columns constant over
+    the other rows (except the intercept) are dropped; dropped columns get
+    0.  scipy is imported here, so only a run that falls back pays for it.
     """
     from scipy import optimize, sparse
 
-    rows = design[:, 0] != 0.0
-    mat, y = design[rows], target[rows]
+    rows = weight > 0.0
+    mat, y, wt = design[rows], target[rows], weight[rows]
     keep = np.ptp(mat, axis=0) > 0.0
     keep[0] = True
     mat = mat[:, keep]
     n, p = mat.shape
-    c = np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)])
+    c = np.concatenate([np.zeros(p), tau * wt, (1.0 - tau) * wt])
     identity = sparse.identity(n, format="csr")
     A = sparse.hstack([sparse.csr_matrix(mat), identity, -identity])
     bounds = [(None, None)] * p + [(0.0, None)] * (2 * n)
@@ -556,57 +592,98 @@ def _highs_fit(design: np.ndarray, target: np.ndarray, tau: float) -> np.ndarray
     return coef
 
 
+def _widths(counts: np.ndarray, n: int) -> np.ndarray:
+    """The width each positive-weight row count is solved at, for a row axis of n.
+
+    The ladder's top rung is n; each rung below is three quarters of the
+    one above, rounded up, down to the first rung under 64 rows.  A count
+    takes the lowest rung that holds it.
+    """
+    ladder = [n]
+    while ladder[-1] >= 64:
+        ladder.append(-(-3 * ladder[-1] // 4))
+    ladder.reverse()
+    return np.asarray(ladder)[np.searchsorted(ladder, counts)]
+
+
 def solve_check_loss(
     designs: np.ndarray, targets: np.ndarray, taus: Sequence[float]
 ) -> tuple[np.ndarray, FitCertificates]:
     """Fit every design at every level; returns (T, B, p) coefficients.
 
-    ``designs`` is (B, n, p) with the intercept in column 0, ``targets`` is
-    (B, n) and ``taus`` holds the T levels.  A row whose intercept entry is 0
-    is padding: it must be 0 throughout, target included, so problems of
-    unequal length share one batch.  Padding leaves the optimal check loss
-    alone but not the coefficients: padding rows take part in the
-    interior-point iteration, so where the optimum is not unique the fit
-    stops at a different point of the optimal face for each padded width.
-    On the clayton_coupled fixture, CV fold 22 at tau = 0.0104 (276 rows
-    padded to 588) differs from its unpadded fit by 8.8e-3 relative in the
-    coefficients and 5e-13 in the loss.  Columns constant over a design's
+    ``designs`` is (B, n, p), ``targets`` is (B, n) and ``taus`` holds the T
+    levels.  Column 0 of a design holds each row's nonnegative weight: a row
+    of weight w counts as w copies of the row with intercept 1, so the fit
+    minimizes sum_i w_i rho_tau(y_i - b0 - x_i'b).  Weight 1 is a plain row.
+    Weight 0 is padding, and a zero-weight row must be 0 throughout, target
+    included, so problems of unequal length share one array.  Padding is
+    inert (``_frisch_newton``): up to rounding, a member's iterates are
+    those of its positive-weight rows alone, and a weight-k row's are those
+    of k copies of it.  Columns constant over a design's positive-weight
     rows get coefficient 0, and a design with no other usable column takes
-    the exact order-statistic intercept.
+    the exact order-statistic intercept of its target, each row counted as
+    often as its weight.
 
-    Every (level, design) pair is one member of a single batch, level by
-    level in design order, solved in chunks of about ``CHUNK_ROWS`` design
-    rows by the Frisch-Newton method of ``fit_quantile``; a chunk may span
-    two levels.  Each fit stops on its own duality gap and is then frozen,
-    so at a given padded width a fit's coefficients do not depend on the
-    batch, the chunk or the other levels it is solved with.  A fit that does
-    not reach its gap within the iteration cap is re-solved by HiGHS and
-    flagged in the certificates, which list the fits in member order.
+    Each member is solved on its positive-weight rows, in order, followed by
+    zero rows up to its width: the lowest rung of ``_widths``'s ladder (n,
+    then three quarters of the rung above, down to the first rung under 64
+    rows) that holds its count of positive-weight rows.  The width depends
+    on nothing else, and an unpadded member keeps the width n.  The ladder
+    was picked by timing the clayton_coupled CV (48 folds at 3 levels) and
+    the stability bootstraps of clayton_coupled (200 replicates of 600 rows)
+    and perfect_hedge (1000 of 120), whose replicates have 63% distinct rows
+    (standard deviation 3% at 600 rows, 5% at 120): rungs three quarters
+    apart keep most of a chunk's replicates on one rung, where fixed steps
+    of 64 or 128 rows split them or leave 120 rows unshrunk (perfect_hedge
+    178 to 189 ms against 163 ms), and rungs under 64 rows cost more solves
+    than their padding saves (anti_hedge CV 8.9 ms with rungs down to 3
+    rows, 7.1 ms without; medians on a 2-vCPU Linux machine, numpy 2.4).
+
+    Every (level, design) pair is one member, level by level in design
+    order; the members of one width are solved together, in that order, in
+    chunks of about ``CHUNK_ROWS`` rows by the Frisch-Newton method of
+    ``fit_quantile``, so a chunk may span two levels.  Each fit stops on its
+    own duality gap and is then frozen, and its width is its own, so its
+    coefficients do not depend on the batch, the chunk, the other designs
+    or the other levels it is solved with.  A fit that does not reach its
+    gap within the iteration cap is re-solved by HiGHS and flagged in the
+    certificates, which list the fits in member order with their weighted
+    check losses.
     """
     designs = np.asarray(designs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     batch, n, p = designs.shape
     levels = np.repeat(np.asarray(taus, dtype=float), batch)
+    positive = designs[:, :, 0] > 0.0
+    order = np.argsort(~positive, axis=1, kind="stable")
+    counts = np.count_nonzero(positive, axis=1)
+    widths = _widths(counts, n)
+    member_widths = np.tile(widths, len(taus))
     coef = np.empty((levels.size, p))
     gap = np.empty(levels.size)
     fallback = np.empty(levels.size, dtype=bool)
-    for part in chunks(levels.size, n, CHUNK_ROWS):
-        rows = np.arange(part.start, part.stop) % batch
-        coef[part], gap[part], converged = _frisch_newton(
-            designs[rows], targets[rows], levels[part]
-        )
-        fallback[part] = ~converged
-    for m in np.flatnonzero(fallback):
-        coef[m] = _highs_fit(designs[m % batch], targets[m % batch], float(levels[m]))
-    coef = coef.reshape(len(taus), batch, p)
-    loss = np.empty((len(taus), batch))
-    for t, tau in enumerate(taus):
-        resid = targets - (designs @ coef[t, :, :, None])[:, :, 0]
-        loss[t] = np.sum(check_loss(resid, tau), axis=1)
-    return coef, FitCertificates(
-        tuple(loss.ravel().tolist()),
-        tuple(np.where(np.isfinite(gap), gap, np.inf).ravel().tolist()),
-        tuple(fallback.ravel().tolist()),
+    loss = np.empty(levels.size)
+    for width in np.unique(widths):
+        group = np.flatnonzero(member_widths == width)
+        for part in chunks(group.size, int(width), CHUNK_ROWS):
+            members = group[part]
+            rows = members % batch
+            kept = order[rows, :width]
+            chunk = designs[rows[:, None], kept]
+            y = targets[rows[:, None], kept]
+            weight = chunk[:, :, 0].copy()
+            chunk[:, :, 0] = weight > 0.0
+            tau = levels[members]
+            coef[members], gap[members], converged = _frisch_newton(chunk, y, tau, weight)
+            fallback[members] = ~converged
+            for j in np.flatnonzero(~converged):
+                coef[members[j]] = _highs_fit(chunk[j], y[j], float(tau[j]), weight[j])
+            resid = y - (chunk @ coef[members, :, None])[:, :, 0]
+            loss[members] = np.sum(check_loss(resid, tau[:, None]) * weight, axis=1)
+    return coef.reshape(len(taus), batch, p), FitCertificates(
+        tuple(loss.tolist()),
+        tuple(np.where(np.isfinite(gap), gap, np.inf).tolist()),
+        tuple(fallback.tolist()),
     )
 
 
@@ -765,13 +842,13 @@ def expanding_window_cv(
     falls in a test region; every fold's ordering is re-checked so no test row
     can precede a training row.
 
-    The folds' designs are built once, zero-padded to the longest training
-    window, and every (tau, fold) pair is one member of a single
-    ``solve_check_loss`` batch.  Each fold reaches the optimal check loss of
-    its unpadded fit, but where that optimum is not unique its coefficients
-    depend on the padded width (see ``solve_check_loss``), so a fold's
-    coefficients can differ from a fit of the fold alone.  The folds do not
-    depend on tau, and neither does any way they can fail (too few folds, a
+    The folds' designs are built once, each fold's rows followed by zero
+    padding up to the longest training window, and every (tau, fold) pair
+    is one member of a single ``solve_check_loss`` call, which solves each
+    fold at its own width.  Padding is inert, so a fold's fit is its fit
+    alone up to rounding: on the shipped fixtures every coefficient is
+    within 1e-6 of it, relative to 1 plus its size.  The folds do not depend
+    on tau, and neither does any way they can fail (too few folds, a
     constant training or test target), so a failure raises once for all
     levels.
     """

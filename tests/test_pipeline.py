@@ -38,6 +38,8 @@ from crisishedge.pipeline import (
     sensitivity_sweep,
 )
 
+from oracles import restandardized_subset
+
 # Small but non-degenerate bundle: 60 months keeps the LP and bootstrap fast
 # while leaving a 48-month post-collapse window for the tail machinery.
 BUNDLE_N = 60
@@ -409,6 +411,33 @@ class TestQuantileFitCertificates:
         assert expected in doc["diagnostics"]
 
 
+class TestCVFoldsAtTheirOwnWidths:
+    """Every CV fold of a shipped run, solved among all (level, fold) pairs,
+    matches the fold fitted alone.
+
+    The coefficients multiply standardized features and are of order 1e-2,
+    so the bound is on each coefficient's error against 1 + its size.  Where
+    a fold's optimum is flat along a direction (clayton_coupled's
+    ``regime_break`` and its lag at tau = 0.5, fold 34, where the two
+    coefficients trade 3.3e-8 at equal loss) rounding chooses the point.
+    """
+
+    @pytest.mark.parametrize("kind", ["clayton_coupled", "independent", "perfect_hedge"])
+    def test_every_fold_matches_its_fit_alone(self, fixture_root, kind):
+        episode = load_episode(fixture_root / kind / "episode.yaml")
+        result = run_pipeline(episode, fast=True, write_outputs=False)
+        X = result.design
+        for tau, report in result.cv.items():
+            paths = np.array(list(report.coefficient_paths.values()))
+            for k, fold in enumerate(report.folds):
+                rows = np.arange(fold.train_rows)
+                alone = qreg.fit_quantile(restandardized_subset(X, rows, rows), tau)
+                loss = alone.objective_value
+                assert abs(report.certificates.loss[k] - loss) <= 1e-9 * (1.0 + loss)
+                error = np.abs(paths[:, k] - alone.coef) / (1.0 + np.abs(alone.coef))
+                assert error.max() <= 1e-6, (tau, k + 1)
+
+
 class TestColdPath:
     """A run imports numpy and PyYAML, not scipy's heavy subpackages."""
 
@@ -590,8 +619,10 @@ class TestForkedStability:
         self, fixture_root, workers, tokens, tmp_path, monkeypatch, caplog
     ):
         # The lead waits before its first claim until the helper has solved a
-        # chunk, so the helper runs and takes chunk 0 on.  With 3 tokens for
-        # the 4 chunks, the last token stands for chunks 2 and 3.
+        # chunk, so the helper runs and takes chunk 0 on.  The 200 replicates
+        # of 120 rows are cut into 4 chunks of 50; with 3 tokens for the 4
+        # chunks, the last token stands for chunks 2 and 3.
+        monkeypatch.setattr(attribution, "CHUNK_ROWS", 50 * 120)
         if tokens == "runs of chunks":
             monkeypatch.setattr(pipeline, "_MAX_TOKENS", 3)
         episode = load_episode(fixture_root / "perfect_hedge" / "episode.yaml")
@@ -629,7 +660,8 @@ class TestForkedStability:
         self, fixture_root, workers, tmp_path, request
     ):
         # R = 1000: the lead waits before its first claim until the helper
-        # forked at the join has solved a chunk, so both workers solve chunks.
+        # forked at the join has solved a chunk, so both workers fit
+        # replicates on their distinct rows.
         episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
         workers.on_plan = lambda role: role == "lead" and workers.wait_for_other_worker()
         run_pipeline(episode, out_dir=tmp_path / "forked")

@@ -480,10 +480,10 @@ def highs_loss(design: np.ndarray, y: np.ndarray, tau: float) -> float:
 LEVELS = (0.0104, 0.08, 0.5, 0.92)
 
 
-def padded_problems(seed: int, count: int = 12, p: int = 4):
+def padded_problems(seed: int, count: int = 12, p: int = 4, shortest: int = 20):
     """Problems of unequal length, zero-padded to the longest."""
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(20, 90, size=count)
+    lengths = rng.integers(shortest, 90, size=count)
     designs = np.zeros((count, lengths.max(), 1 + p))
     targets = np.zeros((count, lengths.max()))
     for b, n in enumerate(lengths):
@@ -518,10 +518,12 @@ class TestSolveCheckLoss:
         batch_sizes = []
         newton_step = qreg._newton_step
 
-        def spy(X, usable, x, s, z, w, dual, mu):
-            assert np.array_equal(mu, np.sum(x * z, axis=1) + np.sum(s * w, axis=1))
+        def spy(X, weight, usable, x, s, z, w, dual, mu):
+            assert np.array_equal(
+                mu, np.sum(x * z * weight, axis=1) + np.sum(s * w * weight, axis=1)
+            )
             batch_sizes.append(len(X))
-            return newton_step(X, usable, x, s, z, w, dual, mu)
+            return newton_step(X, weight, usable, x, s, z, w, dual, mu)
 
         monkeypatch.setattr(qreg, "_newton_step", spy)
         batched, batched_fits = solve_check_loss(designs, targets, LEVELS)
@@ -539,15 +541,18 @@ class TestSolveCheckLoss:
     def test_all_levels_in_one_solve_equal_one_solve_per_level(self, monkeypatch):
         # 12 designs at each of 4 levels in chunks of 8 members: chunks end
         # inside a level (at 8, 16, ...) and where one does (at 24), and the
-        # chunk of members 8-15 holds two levels.
-        designs, targets, _ = padded_problems(66)
+        # chunk of members 8-15 holds two levels.  Every design is longer
+        # than the width ladder's second rung, so all are solved at the row
+        # axis's width.
+        designs, targets, lengths = padded_problems(66, shortest=70)
+        assert np.all(qreg._widths(lengths, designs.shape[1]) == designs.shape[1])
         monkeypatch.setattr(qreg, "CHUNK_ROWS", 8 * designs.shape[1])
         chunk_levels = []
         frisch_newton = qreg._frisch_newton
 
-        def spy(chunk, chunk_targets, tau):
+        def spy(chunk, chunk_targets, tau, weight):
             chunk_levels.append(tuple(np.unique(tau).tolist()))
-            return frisch_newton(chunk, chunk_targets, tau)
+            return frisch_newton(chunk, chunk_targets, tau, weight)
 
         monkeypatch.setattr(qreg, "_frisch_newton", spy)
         together, fits = solve_check_loss(designs, targets, LEVELS)
@@ -626,6 +631,139 @@ class TestSolveCheckLoss:
     def test_empty_batch(self):
         coef, fits = solve_check_loss(np.zeros((0, 10, 3)), np.zeros((0, 10)), (0.5,))
         assert coef.shape == (1, 0, 3) and len(fits) == 0
+
+
+def weighted_problem(seed: int, n: int = 40, p: int = 3):
+    """A weighted design (column 0 the weights, 1 to 3 copies a row) with
+    zero rows of weight 0 spread among its rows, and the same problem with
+    each row repeated as often as its weight."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    y = x @ rng.normal(size=p) + rng.standard_t(3, size=n)
+    copies = rng.integers(1, 4, size=n)
+    design = np.column_stack([copies, x]).astype(float)
+    gaps = rng.choice(n + 1, size=n // 4)
+    design = np.insert(design, gaps, 0.0, axis=0)
+    target = np.insert(y, gaps, 0.0)
+    repeated = np.column_stack([np.ones(copies.sum()), np.repeat(x, copies, axis=0)])
+    return design, target, repeated, np.repeat(y, copies)
+
+
+class TestRowWeights:
+    """Column 0 of a design weighs its row: weight k stands for k copies."""
+
+    GAP_TOL = 1e-9
+
+    def test_k_copies_equal_weight_k(self):
+        # The optimum of continuous random data is unique, so the weighted
+        # and the repeated fit reach one point, not only one loss.
+        for seed in (70, 71, 72):
+            design, target, repeated, y = weighted_problem(seed)
+            weighted, fits = solve_check_loss(design[None], target[None], LEVELS)
+            copied, copied_fits = solve_check_loss(repeated[None], y[None], LEVELS)
+            assert fits.fallbacks == copied_fits.fallbacks == 0
+            for t in range(len(LEVELS)):
+                loss = copied_fits.loss[t]
+                assert abs(fits.loss[t] - loss) <= self.GAP_TOL * (1.0 + loss)
+                assert np.max(np.abs(weighted[t, 0] - copied[t, 0])) <= 1e-8
+
+    def test_weighted_iterates_are_the_repeated_rows_iterates(self, monkeypatch):
+        # In exact arithmetic a weighted solve takes the repeated problem's
+        # steps: the same count, each at the same duality gap.
+        newton_step = qreg._newton_step
+        gaps = []
+
+        def spy(X, weight, usable, x, s, z, w, dual, mu):
+            gaps.append(float(mu[0]))
+            return newton_step(X, weight, usable, x, s, z, w, dual, mu)
+
+        monkeypatch.setattr(qreg, "_newton_step", spy)
+        for seed in (70, 71, 72):
+            design, target, repeated, y = weighted_problem(seed)
+            for tau in LEVELS:
+                gaps.clear()
+                _, fits = solve_check_loss(design[None], target[None], (tau,))
+                weighted = np.array(gaps + list(fits.gap))
+                gaps.clear()
+                _, fits = solve_check_loss(repeated[None], y[None], (tau,))
+                copied = np.array(gaps + list(fits.gap))
+                assert len(weighted) == len(copied)
+                assert np.max(np.abs(weighted - copied) / copied) <= 1e-8
+
+    def test_member_fit_depends_only_on_its_own_rows(self):
+        # A member is solved on its positive-weight rows, in order, at a
+        # width set by their count and the row axis, so where its zero rows
+        # sit and which members share its batch change no bit.
+        design, target, _, _ = weighted_problem(73)
+        real = design[:, 0] > 0.0
+        packed = np.zeros_like(design)
+        packed_target = np.zeros_like(target)
+        packed[: real.sum()], packed_target[: real.sum()] = design[real], target[real]
+        other, other_target, _, _ = weighted_problem(74)
+        together, fits = solve_check_loss(
+            np.stack([other, design, packed]), np.stack([other_target, target, packed_target]),
+            LEVELS,
+        )
+        for t in range(len(LEVELS)):
+            assert together[t, 1].tobytes() == together[t, 2].tobytes()
+            alone, alone_fits = solve_check_loss(design[None], target[None], LEVELS[t: t + 1])
+            assert alone[0, 0].tobytes() == together[t, 1].tobytes()
+            assert alone_fits == fits[3 * t + 1: 3 * t + 2]
+
+    def test_zero_weight_rows_never_move(self, monkeypatch):
+        # Their directions are zero, so they also never bound a step.
+        newton_step = qreg._newton_step
+        padded = []
+
+        def spy(X, weight, usable, x, s, z, w, dual, mu):
+            out = newton_step(X, weight, usable, x, s, z, w, dual, mu)
+            zero = weight == 0.0
+            padded.append(zero.any())
+            for before, after in zip((x, s, z, w), out):
+                assert np.array_equal(after[zero], before[zero])
+            return out
+
+        monkeypatch.setattr(qreg, "_newton_step", spy)
+        design, target, _, _ = weighted_problem(78)
+        solve_check_loss(design[None], target[None], LEVELS)
+        assert padded and all(padded)
+
+    @pytest.mark.parametrize("tau", [0.0104, 0.08, 0.25, 0.5, 0.92])
+    def test_order_statistic_intercept_of_the_repeated_target(self, tau):
+        # No usable column besides the intercept: the exact order statistic.
+        # The second column is constant over the positive-weight rows; the
+        # zero rows alone would make it vary.
+        rng = np.random.default_rng(75)
+        y = rng.normal(size=30)
+        copies = rng.integers(0, 4, size=30)
+        copies[:2] = 1
+        design = np.column_stack([copies, np.full(30, 2.5)]).astype(float)
+        design[copies == 0] = 0.0
+        target = np.where(copies > 0, y, 0.0)
+        coef, fits = solve_check_loss(design[None], target[None], (tau,))
+        assert coef[0, 0, 0] == empirical_quantile(np.repeat(y, copies), tau)
+        assert coef[0, 0, 1] == 0.0
+        assert fits.gap == (0.0,) and fits.fallbacks == 0
+
+    def test_usable_columns_are_judged_on_positive_weight_rows(self):
+        rng = np.random.default_rng(76)
+        x = rng.normal(size=40)
+        design = np.column_stack([rng.integers(1, 3, size=40), x, np.full(40, 3.0)])
+        padded = np.vstack([design, np.zeros((10, 3))])
+        target = np.concatenate([1.0 + x + rng.normal(0, 0.1, 40), np.zeros(10)])
+        coef, fits = solve_check_loss(padded[None], target[None], (0.3,))
+        assert coef[0, 0, 2] == 0.0 and not np.signbit(coef[0, 0, 2])
+        _, unpadded = solve_check_loss(design[None], target[None, :40], (0.3,))
+        assert abs(fits.loss[0] - unpadded.loss[0]) <= self.GAP_TOL * (1.0 + unpadded.loss[0])
+
+    def test_weighted_fit_that_falls_back_matches_highs_on_repeated_rows(self, monkeypatch):
+        monkeypatch.setattr(qreg, "_MAX_ITER", 0)
+        design, target, repeated, y = weighted_problem(77)
+        _, fits = solve_check_loss(design[None], target[None], LEVELS)
+        assert fits.fallback == (True,) * len(LEVELS)
+        for t, tau in enumerate(LEVELS):
+            oracle = highs_loss(repeated, y, tau)
+            assert abs(fits.loss[t] - oracle) <= self.GAP_TOL * (1.0 + oracle)
 
 
 class TestPredict:
@@ -800,14 +938,17 @@ class TestExpandingWindowCV:
         assert report.pooled_mae == pytest.approx(weighted / total)
 
     def test_folds_reach_the_unpadded_optimum(self):
+        # Each fold is solved at its own rung of the width ladder, with zero
+        # rows after its own, and matches its fit alone in loss and point.
         X = noise_matrix(70, seed=55, p=3)
         report = cv_at(X, 0.25, initial_window=20, step=10)
+        paths = np.array(list(report.coefficient_paths.values()))
         for k, fold in enumerate(report.folds):
             rows = np.arange(fold.train_rows)
-            train = restandardized_subset(X, rows, rows)
-            alone = fit_quantile(train, 0.25).objective_value
+            alone = fit_quantile(restandardized_subset(X, rows, rows), 0.25)
             batched = report.certificates.loss[k]
-            assert abs(batched - alone) <= 1e-9 * (1.0 + alone)
+            assert abs(batched - alone.objective_value) <= 1e-9 * (1.0 + alone.objective_value)
+            assert np.max(np.abs(paths[:, k] - alone.coef) / (1.0 + np.abs(alone.coef))) <= 1e-6
 
     def test_levels_match_single_level_runs(self):
         X = noise_matrix(60, seed=52, p=3)

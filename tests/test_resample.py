@@ -23,7 +23,12 @@ from crisishedge.copula import (
     block_bootstrap_ci,
 )
 from crisishedge.errors import BootstrapUnstableError, DataError, NumericalError
-from crisishedge.qreg import FitCertificates, expanding_window_cv, fit_quantile
+from crisishedge.qreg import (
+    FitCertificates,
+    expanding_window_cv,
+    fit_quantile,
+    restandardized_values,
+)
 from crisishedge.resample import block_resamples, chunks, stacked_resamples
 
 from oracles import (
@@ -242,17 +247,30 @@ def crowded_design(n=48, seed=68):
 
 class TestBatchedEqualsOneAtATime:
     def test_bootstrap_stability(self):
+        # Each replicate is fitted alone on its distinct rows, weighted by
+        # their counts and zero-padded to its length; its Shapley values are
+        # taken over all its drawn rows.
         X = crowded_design()
         batched = bootstrap_stability(X, 0.25, replications=24, seed=9)
         rankings = []
         certificates = FitCertificates()
         for rows in np.sort(block_resamples(len(X), replications=24, seed=9), axis=1):
             replicate = restandardized_subset(X, rows, rows)
-            model = fit_quantile(replicate, 0.25)
+            distinct, counts = np.unique(rows, return_counts=True)
+            assert len(distinct) < len(rows)
+            design = np.zeros((1, len(rows), 1 + len(X.columns)))
+            target = np.zeros((1, len(rows)))
+            design[0, : len(distinct), 0] = counts
+            design[0, : len(distinct), 1:] = restandardized_values(X, rows, distinct)
+            target[0, : len(distinct)] = X.target[distinct]
+            coef, fits = qreg.solve_check_loss(design, target, (0.25,))
+            duplicated = fit_quantile(replicate, 0.25).objective_value
+            assert abs(fits.loss[0] - duplicated) <= qreg.GAP_TOL * (1.0 + duplicated)
+            model = qreg._quantile_model(replicate, 0.25, coef[0, 0], fits.loss[0])
             linear = replicate.values[:, : replicate.n_linear]
             phi = window_phi(model, linear, np.mean(linear, axis=0))
             rankings.append(summary_oracle(model.columns, phi)[0])
-            certificates += model.certificate
+            certificates += fits
         assert batched.kendall_tau == kendall_oracle(rankings)
         assert batched.skipped == 0
         assert batched.certificates == certificates
