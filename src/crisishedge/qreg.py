@@ -480,6 +480,28 @@ def _order_statistic(target: np.ndarray, weight: np.ndarray, tau: float) -> floa
     return float(target[order[np.searchsorted(counted, k)]])
 
 
+def _start(
+    X: np.ndarray, targets: np.ndarray, weight: np.ndarray, usable: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weighted least-squares dual start and its residual split into z and w.
+
+    The normal matrix is the Gram matrix of the rows scaled by root weights.
+    x = 1 - tau is feasible for the bounded dual; z and w split the residual
+    exactly, with a small floor on both sides of a near-zero residual so
+    that neither complementarity pair starts stuck.
+    """
+    c = -targets
+    root = X * np.sqrt(weight)[:, :, None]
+    dual = np.linalg.solve(
+        _normal_matrix(np.swapaxes(root, 1, 2), root, usable),
+        np.swapaxes(X, 1, 2) @ (weight * c)[:, :, None],
+    )[:, :, 0]
+    r = c - (X @ dual[:, :, None])[:, :, 0]
+    floor = 0.001 * (np.abs(r) < 1e-9 * (1.0 + np.abs(targets)))
+    z = np.maximum(r, 0.0) + floor
+    return dual, z, z - r
+
+
 def _frisch_newton(
     designs: np.ndarray, targets: np.ndarray, tau: np.ndarray, weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -507,23 +529,8 @@ def _frisch_newton(
     usable = hi > lo
     usable[:, 0] = True
     X = np.multiply(designs, usable[:, None, :], out=designs)
-    c = -targets
     tau = tau[:, None]
-
-    # Weighted least-squares start, its normal matrix the Gram matrix of the
-    # rows scaled by root weights.  x = 1 - tau is feasible for the bounded
-    # dual; z and w split the residual exactly, with a small floor on both
-    # sides of a near-zero residual so that neither complementarity pair
-    # starts stuck.
-    root = X * np.sqrt(weight)[:, :, None]
-    dual = np.linalg.solve(
-        _normal_matrix(np.swapaxes(root, 1, 2), root, usable),
-        np.swapaxes(X, 1, 2) @ (weight * c)[:, :, None],
-    )[:, :, 0]
-    r = c - (X @ dual[:, :, None])[:, :, 0]
-    floor = 0.001 * (np.abs(r) < 1e-9 * (1.0 + np.abs(targets)))
-    z = np.maximum(r, 0.0) + floor
-    w = z - r
+    dual, z, w = _start(X, targets, weight, usable)
     x = np.full((batch, n), 1.0 - tau)
     s = 1.0 - x
 
