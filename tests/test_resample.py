@@ -265,7 +265,7 @@ class TestBatchedEqualsOneAtATime:
             target[0, : len(distinct)] = X.target[distinct]
             coef, fits = qreg.solve_check_loss(design, target, (0.25,))
             duplicated = fit_quantile(replicate, 0.25).objective_value
-            assert abs(fits.loss[0] - duplicated) <= qreg.GAP_TOL * (1.0 + duplicated)
+            assert abs(fits.loss[0] - duplicated) <= 1e-9 * (1.0 + duplicated)
             model = qreg._quantile_model(replicate, 0.25, coef[0, 0], fits.loss[0])
             linear = replicate.values[:, : replicate.n_linear]
             phi = window_phi(model, linear, np.mean(linear, axis=0))
