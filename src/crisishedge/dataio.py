@@ -8,13 +8,15 @@ proxy series into hybrid ones.  A YAML manifest describes a whole panel.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from itertools import compress
+from itertools import compress, zip_longest
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,6 +26,7 @@ from . import months as mo
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
+_stamp = itemgetter(0)  # an observation's stamp
 
 
 class SourceKind(str, Enum):
@@ -59,29 +62,29 @@ class MacroSeries:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("series name must be non-empty")
-        cleaned = []
-        monthly_flags = set()
-        for stamp, value in self.observations:
-            stamp = mo.parse_stamp(stamp)
-            value = float(value)
-            if not np.isfinite(value):
-                raise ValueError(f"non-finite value at {stamp} in series {self.name!r}")
-            monthly_flags.add(mo.is_month(stamp))
-            cleaned.append((stamp, value))
-        if len(monthly_flags) > 1:
+        stamps, values = zip(*self.observations) if self.observations else ((), ())
+        stamps = tuple(map(str.strip, stamps))
+        index, day = mo.stamp_indexes(stamps)
+        values = np.asarray(values, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"non-finite value at {stamps[bad[0]]} in series {self.name!r}")
+        monthly = day == 0
+        if monthly.any() and not monthly.all():
             raise ValueError(f"series {self.name!r} mixes month and day stamps")
-        for a, b in zip(cleaned, cleaned[1:]):
-            if a[0] >= b[0]:
-                raise ValueError(
-                    f"stamps not strictly increasing in series {self.name!r}: "
-                    f"{a[0]} then {b[0]}"
-                )
+        bad = np.flatnonzero(np.diff(index * 32 + day) <= 0)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"stamps not strictly increasing in series {self.name!r}: "
+                f"{stamps[k]} then {stamps[k + 1]}"
+            )
         if self.reliability is not None and not 0.0 <= self.reliability <= 1.0:
             raise ValueError(f"reliability must lie in [0, 1], got {self.reliability}")
-        object.__setattr__(self, "observations", tuple(cleaned))
+        object.__setattr__(self, "observations", tuple(zip(stamps, values.tolist())))
         object.__setattr__(self, "source_kind", SourceKind(self.source_kind))
-        object.__setattr__(self, "is_monthly", False not in monthly_flags)
-        object.__setattr__(self, "_values", np.array([v for _, v in cleaned], dtype=float))
+        object.__setattr__(self, "is_monthly", bool(monthly.all()))
+        object.__setattr__(self, "_values", values)
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -89,11 +92,11 @@ class MacroSeries:
     @cached_property
     def _month_index(self) -> np.ndarray:
         """Each stamp's flat month index, computed on the first lookup."""
-        return np.array([mo.month_index(s) for s, _ in self.observations], dtype=np.int64)
+        return mo.month_indexes(self.stamps)
 
     @property
     def stamps(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.observations)
+        return tuple(map(_stamp, self.observations))
 
     @property
     def values(self) -> np.ndarray:
@@ -111,7 +114,7 @@ class MacroSeries:
         if not self.is_monthly:
             raise DataError(f"series {self.name!r} is day-stamped; lookups need months")
         have = self._month_index
-        want = np.array([mo.month_index(m) for m in months], dtype=np.int64) - lag
+        want = mo.month_indexes(months) - lag
         out = np.full(want.shape, np.nan)
         if have.size:
             pos = np.minimum(np.searchsorted(have, want), have.size - 1)
@@ -120,9 +123,16 @@ class MacroSeries:
         return out
 
     def window(self, start: str | None = None, end: str | None = None) -> "MacroSeries":
-        """Restrict to stamps within ``[start, end]`` (inclusive, either side optional)."""
-        kept = tuple((s, v) for s, v in self.observations if mo.within(s, start, end))
-        return replace(self, observations=kept)
+        """Restrict to stamps within ``[start, end]`` (inclusive, either side optional).
+
+        Stamps sort as strings, so the bounds compare with them as strings:
+        a month bound keeps a day-stamped series' whole month at the start and
+        none of it at the end.
+        """
+        obs = self.observations
+        lo = 0 if start is None else bisect.bisect_left(obs, start, key=_stamp)
+        hi = len(obs) if end is None else bisect.bisect_right(obs, end, key=_stamp)
+        return replace(self, observations=obs[lo:hi])
 
 
 def load_series(
@@ -144,41 +154,75 @@ def load_series(
     path = Path(path)
     if not path.exists():
         raise DataError(f"series file not found: {path}")
-    rows: list[tuple[str, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for col in (date_column, value_column):
             if col not in header:
                 raise DataError(f"{path}: missing column {col!r} (header was {header})")
-        for lineno, row in enumerate(reader, start=2):
-            raw_date = (row.get(date_column) or "").strip()
-            raw_value = (row.get(value_column) or "").strip()
-            if not raw_date and not raw_value:
-                continue
-            if not raw_date or not raw_value:
-                raise DataError(f"{path}: malformed row {lineno}: {row}")
-            try:
-                stamp = mo.parse_stamp(raw_date)
-                value = float(raw_value)
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from exc
-            if not np.isfinite(value):
-                raise DataError(f"{path}: row {lineno}: non-finite value {raw_value!r}")
-            rows.append((stamp, value))
-    rows.sort(key=lambda r: r[0])
-    for a, b in zip(rows, rows[1:]):
-        if a[0] == b[0]:
-            raise DataError(f"{path}: duplicate stamp {a[0]!r}")
+        # Rows are numbered as csv.DictReader numbers them: after blank lines.
+        rows = [row for row in reader if row]
+    position = {col: i for i, col in enumerate(header)}  # a repeated name: its last column
+    columns = list(zip_longest(*rows, fillvalue=""))
+    columns += [("",) * len(rows)] * (len(header) - len(columns))
+    dates = list(map(str.strip, columns[position[date_column]]))
+    cells = list(map(str.strip, columns[position[value_column]]))
+    if "" in dates or "" in cells:
+        filled = [k for k, pair in enumerate(zip(dates, cells)) if any(pair)]
+        dates, cells = [dates[k] for k in filled], [cells[k] for k in filled]
+    try:
+        index, day = mo.stamp_indexes(dates)
+        values = np.asarray(cells, dtype=float)
+        clean = bool(np.isfinite(values).all())
+    except ValueError:
+        clean = False
+    if not clean:
+        _raise_first_bad_row(path, header, rows, date_column, value_column)
+    keys = index * 32 + day
+    order = np.argsort(keys, kind="stable")
+    duplicate = np.flatnonzero(np.diff(keys[order]) == 0)
+    if duplicate.size:
+        raise DataError(f"{path}: duplicate stamp {dates[order[duplicate[0]]]!r}")
     try:
         return MacroSeries(
             name=name or path.stem,
-            observations=tuple(rows),
+            observations=tuple(
+                zip(map(dates.__getitem__, order.tolist()), values[order].tolist())
+            ),
             unit=unit,
             source_kind=SourceKind(source_kind),
         )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _raise_first_bad_row(
+    path: Path, header: list[str], rows: list[list[str]], date_column: str, value_column: str
+) -> None:
+    """Raise the error of the first bad row, checking one row at a time.
+
+    Runs only once :func:`load_series`'s column checks have failed, to name
+    the row; a row is shown as the dict ``csv.DictReader`` makes of it.
+    """
+    for lineno, cells in enumerate(rows, start=2):
+        row = dict(zip(header, cells))
+        if len(cells) > len(header):
+            row[None] = cells[len(header):]
+        row.update(dict.fromkeys(header[len(cells):]))
+        raw_date = (row.get(date_column) or "").strip()
+        raw_value = (row.get(value_column) or "").strip()
+        if not raw_date and not raw_value:
+            continue
+        if not raw_date or not raw_value:
+            raise DataError(f"{path}: malformed row {lineno}: {row}")
+        try:
+            mo.parse_stamp(raw_date)
+            value = float(raw_value)
+        except ValueError as exc:
+            raise DataError(f"{path}: row {lineno}: {exc}") from exc
+        if not np.isfinite(value):
+            raise DataError(f"{path}: row {lineno}: non-finite value {raw_value!r}")
+    raise AssertionError(f"{path}: column checks failed but no row is bad")
 
 
 def save_series(series: MacroSeries, path: str | Path) -> Path:
@@ -194,7 +238,7 @@ def save_series(series: MacroSeries, path: str | Path) -> Path:
 
 
 def _interp_monthly(collapsed: list[tuple[str, float]]) -> list[tuple[str, float]]:
-    idx = np.array([mo.month_index(s) for s, _ in collapsed], dtype=float)
+    idx = mo.month_indexes([s for s, _ in collapsed]).astype(float)
     vals = np.array([v for _, v in collapsed], dtype=float)
     full = np.arange(idx[0], idx[-1] + 1)
     filled = np.interp(full, idx, vals)

@@ -60,9 +60,8 @@ class LossSeries:
             object.__setattr__(self, label, arr)
         if self.residency is Residency.LOCAL and np.any(self.fx_ret != 0.0):
             raise ValueError("local residency cannot carry FX returns")
-        for a, b in zip(self.months, self.months[1:]):
-            if mo.month_index(b) <= mo.month_index(a):
-                raise ValueError("months must be strictly increasing")
+        if np.any(np.diff(mo.month_indexes(self.months)) <= 0):
+            raise ValueError("months must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.months)

@@ -313,7 +313,7 @@ def engineer_features(
         raise DataError(f"schema references absent series: {', '.join(missing)}")
 
     start, end = window
-    months = [m for m in target_series.stamps if mo.within(m, start, end)]
+    months = target_series.window(start, end).stamps
     if not months:
         raise DataError("no target months inside the requested window")
 

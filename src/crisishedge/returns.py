@@ -8,6 +8,7 @@ through the FX rate, quoted as local currency per unit of reference currency.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass
 from itertools import compress
@@ -41,20 +42,21 @@ class ReturnSeries:
             if np.any(arr <= -1.0):
                 raise ValueError(f"{label} contains returns at or below -100%")
             object.__setattr__(self, label, arr)
-        for a, b in zip(self.months, self.months[1:]):
-            if mo.month_index(b) <= mo.month_index(a):
-                raise ValueError("months must be strictly increasing")
+        if np.any(np.diff(mo.month_indexes(self.months)) <= 0):
+            raise ValueError("months must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.months)
 
     def window(self, start: str | None = None, end: str | None = None) -> "ReturnSeries":
-        keep = [i for i, m in enumerate(self.months) if mo.within(m, start, end)]
+        """The months within ``[start, end]`` (inclusive, either side optional)."""
+        lo = 0 if start is None else bisect.bisect_left(self.months, start)
+        hi = len(self) if end is None else bisect.bisect_right(self.months, end)
         return ReturnSeries(
-            months=tuple(self.months[i] for i in keep),
-            nominal=self.nominal[keep],
-            real_domestic=self.real_domestic[keep],
-            real_foreign=self.real_foreign[keep],
+            months=tuple(self.months[lo:hi]),
+            nominal=self.nominal[lo:hi].copy(),
+            real_domestic=self.real_domestic[lo:hi].copy(),
+            real_foreign=self.real_foreign[lo:hi].copy(),
         )
 
 

@@ -14,6 +14,11 @@ Nothing here is on a run's path.  Each oracle is one of four kinds:
   operation, against ``copula._log_density``'s buffered steps, bit for bit;
 * a one-at-a-time input for a batched path: a row subset of a design as a
   design of its own;
+* a row-at-a-time copy of a columnar path a run takes: ``load_series_rows``,
+  CSV ingestion through ``csv.DictReader`` with one ``parse_stamp`` and one
+  ``float`` per row, against ``dataio.load_series``; ``within``, the window
+  predicate, against the ``bisect`` windows of ``MacroSeries`` and
+  ``ReturnSeries``;
 * a checked per-call entry point to a private kernel.  These call the
   shipped kernel itself and carry no formula of their own, so what they
   certify is the kernel a run uses: ``shapley_values`` and ``window_phi``
@@ -23,8 +28,10 @@ Nothing here is on a run's path.  Each oracle is one of four kinds:
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -37,6 +44,7 @@ from crisishedge.copula import (
     _validate_theta,
 )
 from crisishedge.errors import DataError, DegenerateSampleError
+from crisishedge.months import is_month, parse_stamp
 from crisishedge.qreg import DesignMatrix, QuantileModel, restandardized_values
 
 _ENUMERATION_LIMIT = 12
@@ -359,3 +367,48 @@ def log_density_expression(family: CopulaFamily, theta, *margins: np.ndarray) ->
             (np.exp(a) * np.expm1(b) + np.exp(b) * np.expm1(-theta * w)) / -theta
         )
     return np.where(theta == 0, 0.0, log_c)
+
+
+def within(stamp: str, start: str | None, end: str | None) -> bool:
+    """Whether ``stamp`` lies in ``[start, end]``; a None bound is open."""
+    return (start is None or stamp >= start) and (end is None or stamp <= end)
+
+
+def load_series_rows(path, *, date_column="date", value_column="value", name=None):
+    """One CSV series, a row at a time: its (stamps, values, is_monthly).
+
+    Each row is checked as it is read, so a rejection names the first bad row
+    with the message ``dataio.load_series`` gives; rows are then sorted by
+    stamp, and a duplicate stamp or a mix of month and day stamps raises.
+    """
+    path = Path(path)
+    rows: list[tuple[str, float]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in (date_column, value_column):
+            if col not in header:
+                raise DataError(f"{path}: missing column {col!r} (header was {header})")
+        for lineno, row in enumerate(reader, start=2):
+            raw_date = (row.get(date_column) or "").strip()
+            raw_value = (row.get(value_column) or "").strip()
+            if not raw_date and not raw_value:
+                continue
+            if not raw_date or not raw_value:
+                raise DataError(f"{path}: malformed row {lineno}: {row}")
+            try:
+                stamp = parse_stamp(raw_date)
+                value = float(raw_value)
+            except ValueError as exc:
+                raise DataError(f"{path}: row {lineno}: {exc}") from exc
+            if not np.isfinite(value):
+                raise DataError(f"{path}: row {lineno}: non-finite value {raw_value!r}")
+            rows.append((stamp, value))
+    rows.sort(key=lambda r: r[0])
+    for a, b in zip(rows, rows[1:]):
+        if a[0] == b[0]:
+            raise DataError(f"{path}: duplicate stamp {a[0]!r}")
+    flags = {is_month(stamp) for stamp, _ in rows}
+    if len(flags) > 1:
+        raise DataError(f"{path}: series {name or path.stem!r} mixes month and day stamps")
+    return tuple(s for s, _ in rows), [v for _, v in rows], False not in flags

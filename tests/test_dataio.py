@@ -1,4 +1,6 @@
+import csv
 import logging
+import random
 
 import numpy as np
 import pytest
@@ -18,8 +20,11 @@ from crisishedge.dataio import (
     to_monthly,
 )
 from crisishedge.errors import ConfigError, DataError
+from crisishedge.months import shift_month
+from crisishedge.returns import ReturnSeries
 
-from conftest import make_series
+from conftest import FIXTURE_ROOT, make_series
+from oracles import load_series_rows, within
 
 
 class TestMacroSeries:
@@ -38,6 +43,15 @@ class TestMacroSeries:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             MacroSeries("x", (("2020-01", float("nan")),))
+
+    def test_rejects_non_ascii_digits(self):
+        # Full-width digits once passed as a stamp sorting after 2011-08.
+        with pytest.raises(ValueError, match="bad date stamp"):
+            MacroSeries("x", (("2011-08", 1.0), ("\uff12\uff10\uff11\uff11-07", 2.0)))
+
+    def test_rejects_a_day_the_month_lacks(self):
+        with pytest.raises(ValueError, match="bad day"):
+            MacroSeries("x", (("2011-02-28", 1.0), ("2011-02-29", 2.0)))
 
     def test_rejects_reliability_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -278,3 +292,149 @@ def test_mutating_returned_values_leaves_series_intact():
     arr = s.values
     arr[0] = 9.0
     assert list(s.values) == [1.0, 2.0]
+
+
+def _oracle_view(series):
+    return series.stamps, np.asarray(series.values).tobytes(), series.is_monthly
+
+
+def _rows_view(rows):
+    stamps, values, is_monthly = rows
+    return stamps, np.asarray(values, dtype=float).tobytes(), is_monthly
+
+
+def _write(path, header, rows, *, newline="\n", pad=False):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=newline)
+        writer.writerow(header)
+        writer.writerows([f"  {c}\t" if pad and c else c for c in row] for row in rows)
+    return path
+
+
+def _random_rows(rng, *, days=False, n=40):
+    start = rng.randrange(1990 * 12, 2030 * 12)
+    months = sorted(rng.sample(range(start, start + 3 * n), n))  # with gaps
+    stamps = []
+    for m in months:
+        stamp = f"{m // 12:04d}-{m % 12 + 1:02d}"
+        stamps.append(f"{stamp}-{rng.randrange(1, 29):02d}" if days else stamp)
+    rows = [[s, repr(rng.uniform(-1e3, 1e3) * 10.0 ** rng.randrange(-12, 12))] for s in stamps]
+    rng.shuffle(rows)
+    return rows
+
+
+class TestLoaderMatchesRowOracle:
+    """``load_series`` against the row-at-a-time reference in ``oracles``."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(FIXTURE_ROOT.glob("*/*.csv")), ids=lambda p: f"{p.parent.name}/{p.name}"
+    )
+    def test_fixture_series(self, path):
+        assert _oracle_view(load_series(path)) == _rows_view(load_series_rows(path))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated_series(self, tmp_path, seed):
+        rng = random.Random(seed)
+        days = seed % 2 == 1
+        rows, header = _random_rows(rng, days=days), ["date", "value"]
+        if seed > 2:
+            rows, header = [[v, d, "n"] for d, v in rows], ["value", "date", "note"]
+            rows[-1].pop()  # a short row
+        rows[0].append("extra")
+        for k in sorted(rng.sample(range(len(rows)), 3), reverse=True):
+            rows.insert(k, ["", ""] if k % 2 else [])  # empty cells, blank lines
+        path = _write(
+            tmp_path / "g.csv", header, rows,
+            newline="\r\n" if seed % 3 == 0 else "\n", pad=seed % 2 == 0,
+        )
+        got = load_series(path)
+        assert _oracle_view(got) == _rows_view(load_series_rows(path))
+        if days:
+            want = MacroSeries("g", tuple(zip(*load_series_rows(path)[:2])))
+            for method in ConversionMethod:
+                assert to_monthly(got, method) == to_monthly(want, method)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["2020-01", "1.0"], ["2020-02", ""]],
+            [["2020-01", "1.0"], ["", "2.0"]],
+            [["2020-01", "1.0"], ["2020-02"]],
+            [["2020-03", "1.0"], ["2020-01", "2.0"], ["2020-03", "3.0"]],
+            [["2020-01", "1.0"], ["2020-02", "nan"]],
+            [["2020-01", "1.0"], ["2020-02", "-inf"]],
+            [["2020-01", "1.0"], ["2020-02", "1e999"]],
+            [["2020-01", "1.0"], ["2020-02", "1,5"]],
+            [["2020-01", "1.0"], ["2020-13", "2.0"]],
+            [["2020-01", "1.0"], ["2020/02", "2.0"]],
+            [["2020-01", "1.0"], ["\uff12\uff10\uff12\uff10-02", "2.0"]],
+            [["2020-01-31", "1.0"], ["2020-02-30", "2.0"]],
+            [["2020-01", "1.0"], ["2020-02-03", "2.0"]],
+            [["2020-01-01", "1.0"], ["2020-01", "2.0"], ["2020-01-01", "3.0"]],
+            [["2020-01", "1.0"], [], ["2020-02", "x"], ["2020-0", "inf"]],
+            [["2020-01", "nan"], [], ["2020-0", "1.0"]],
+        ],
+    )
+    def test_rejections_match(self, tmp_path, rows):
+        path = _write(tmp_path / "bad.csv", ["date", "value"], rows)
+        with pytest.raises(DataError) as want:
+            load_series_rows(path)
+        with pytest.raises(DataError) as got:
+            load_series(path)
+        assert str(got.value) == str(want.value)
+
+    def test_repeated_column_name_reads_its_last_column(self, tmp_path):
+        rows = [["2020-02", "9.0", "2.0"], ["2020-01", "8.0", "1.0"], ["2020-03", "7.0"]]
+        path = _write(tmp_path / "rep.csv", ["date", "value", "value"], rows)
+        with pytest.raises(DataError) as want:
+            load_series_rows(path)
+        with pytest.raises(DataError) as got:
+            load_series(path)
+        assert str(got.value) == str(want.value)
+        path = _write(tmp_path / "rep.csv", ["date", "value", "value"], rows[:2])
+        assert _oracle_view(load_series(path)) == _rows_view(load_series_rows(path))
+
+    def test_missing_column_matches(self, tmp_path):
+        path = _write(tmp_path / "cols.csv", ["month", "value"], [["2020-01", "1.0"]])
+        with pytest.raises(DataError) as want:
+            load_series_rows(path)
+        with pytest.raises(DataError) as got:
+            load_series(path)
+        assert str(got.value) == str(want.value)
+
+
+class TestBisectWindows:
+    """``window`` slices by ``bisect``; the reference filters by ``within``."""
+
+    def series(self, rng, days):
+        rows = sorted(_random_rows(rng, days=days, n=30))
+        return MacroSeries("s", tuple((d, float(v)) for d, v in rows))
+
+    def bounds(self, rng, stamps):
+        """Two of: None, a stamp, a month beside one (gap months among them), far bounds."""
+        months = {s[:7] for s in stamps}
+        beside = {shift_month(m, k) for m in months for k in (-1, 1)}
+        pool = [None, "0000-01", "9999-12", *stamps, *sorted(months | beside)]
+        return rng.choice(pool), rng.choice(pool)
+
+    @pytest.mark.parametrize("days", [False, True])
+    def test_macro_series(self, days):
+        rng = random.Random(7 + days)
+        for _ in range(60):
+            s = self.series(rng, days)
+            start, end = self.bounds(rng, s.stamps)
+            want = tuple(o for o in s.observations if within(o[0], start, end))
+            assert s.window(start, end).observations == want
+
+    def test_return_series(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            s = self.series(rng, False)
+            values = np.abs(s.values) / (1.0 + np.abs(s.values))
+            r = ReturnSeries(s.stamps, values, values / 2, values / 3)
+            start, end = self.bounds(rng, s.stamps)
+            keep = [i for i, m in enumerate(r.months) if within(m, start, end)]
+            w = r.window(start, end)
+            assert w.months == tuple(r.months[i] for i in keep)
+            for label in ("nominal", "real_domestic", "real_foreign"):
+                np.testing.assert_array_equal(getattr(w, label), getattr(r, label)[keep])
