@@ -227,7 +227,7 @@ def test_copula_mle_recovery_and_family_selection():
     _gate("A04 copula MLE recovery", ok, "; ".join(details) + f", {elapsed:.1f} s")
 
 
-def test_bootstrap_ci_determinism_and_coverage(fixture_root):
+def test_bootstrap_ci_determinism_and_coverage(fixture_root, golden_root, tmp_path):
     rng = np.random.default_rng(42)
     small = PseudoSample.from_data(*simulate_copula(CopulaFamily.CLAYTON, 2.0, 500, rng))
     big = PseudoSample.from_data(*simulate_copula(CopulaFamily.CLAYTON, 2.0, 2000, rng))
@@ -236,21 +236,30 @@ def test_bootstrap_ci_determinism_and_coverage(fixture_root):
     ci_b = block_bootstrap_ci([small], family, seeds=[7], replications=1000)[0].interval
     ci_big = block_bootstrap_ci([big], family, seeds=[7], replications=1000)[0].interval
 
+    # The full clayton_coupled run (R = 1000) is pinned like A10's --fast runs.
     episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
-    result = run_pipeline(episode, write_outputs=False)
+    result = run_pipeline(episode, out_dir=tmp_path)
     brackets = []
     for residency, fit in sorted(result.copula_fits.items(), key=lambda kv: kv[0].value):
         lo, hi = fit.lambda_lower_ci
         brackets.append(lo <= fit.lambda_lower <= hi)
+    golden_full = json.loads(
+        (golden_root / "clayton_coupled_full_report_full.json").read_text(encoding="utf-8")
+    )
+    mismatches = _golden_mismatches(
+        tmp_path, golden_root, "clayton_coupled_full",
+        golden_full["attribution"]["stability_kendall_tau"],
+    )
 
     width_small = ci_a[1] - ci_a[0]
     width_big = ci_big[1] - ci_big[0]
-    ok = ci_a == ci_b and all(brackets) and width_big < width_small
+    ok = ci_a == ci_b and all(brackets) and width_big < width_small and not mismatches
     _gate(
         "A05 bootstrap determinism",
         ok,
         f"identical={ci_a == ci_b}, bracketing={brackets}, "
-        f"width n=2000 {width_big:.4f} < n=500 {width_small:.4f}",
+        f"width n=2000 {width_big:.4f} < n=500 {width_small:.4f}, "
+        f"full run against goldens: {'; '.join(mismatches) or 'equal'}",
     )
 
 
@@ -526,6 +535,35 @@ def _golden_json_mismatch(produced, golden, path: str = "") -> str | None:
     return f"{path}: {produced!r} vs golden {golden!r}"
 
 
+def _golden_mismatches(out, golden_root, prefix: str, stability: float) -> list[str]:
+    """How a run's files in ``out`` differ from the ``<prefix>_*`` goldens.
+
+    ``report.csv`` must match byte for byte and the stability value exactly;
+    the other files are compared within the tolerances above.
+    """
+    mismatches = []
+    if (out / "report.csv").read_bytes() != (golden_root / f"{prefix}_report.csv").read_bytes():
+        mismatches.append(f"{prefix}: report.csv differs from golden")
+    for name, suffix in GOLDEN_CSVS:
+        problem = _golden_csv_mismatch(
+            (out / name).read_text(encoding="utf-8"),
+            (golden_root / f"{prefix}_{suffix}").read_text(encoding="utf-8"),
+        )
+        if problem is not None:
+            mismatches.append(f"{prefix}: {name} {problem}")
+    full = json.loads((out / "report.full").read_text(encoding="utf-8"))
+    problem = _golden_json_mismatch(
+        full,
+        json.loads((golden_root / f"{prefix}_report_full.json").read_text(encoding="utf-8")),
+    )
+    if problem is not None:
+        mismatches.append(f"{prefix}: report.full {problem}")
+    got = full["attribution"]["stability_kendall_tau"]
+    if got != stability:
+        mismatches.append(f"{prefix}: stability_kendall_tau {got!r} != {stability!r}")
+    return mismatches
+
+
 def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
     stability_golden = json.loads(
         (golden_root / "stability_kendall_tau.json").read_text(encoding="utf-8")
@@ -550,29 +588,7 @@ def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
         if proc.returncode != 0:
             mismatches.append(f"{kind}: exit {proc.returncode} ({proc.stderr.strip()})")
             continue
-        produced = (out / "report.csv").read_bytes()
-        golden = (golden_root / f"{kind}_report.csv").read_bytes()
-        if produced != golden:
-            mismatches.append(f"{kind}: report.csv differs from golden")
-        for name, suffix in GOLDEN_CSVS:
-            problem = _golden_csv_mismatch(
-                (out / name).read_text(encoding="utf-8"),
-                (golden_root / f"{kind}_{suffix}").read_text(encoding="utf-8"),
-            )
-            if problem is not None:
-                mismatches.append(f"{kind}: {name} {problem}")
-        full = json.loads((out / "report.full").read_text(encoding="utf-8"))
-        problem = _golden_json_mismatch(
-            full,
-            json.loads((golden_root / f"{kind}_report_full.json").read_text(encoding="utf-8")),
-        )
-        if problem is not None:
-            mismatches.append(f"{kind}: report.full {problem}")
-        stability = full["attribution"]["stability_kendall_tau"]
-        if stability != stability_golden[kind]:
-            mismatches.append(
-                f"{kind}: stability_kendall_tau {stability!r} != {stability_golden[kind]!r}"
-            )
+        mismatches += _golden_mismatches(out, golden_root, kind, stability_golden[kind])
     ok = not mismatches
     _gate(
         "A10 golden end-to-end",
