@@ -13,10 +13,8 @@ import csv
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from itertools import compress, zip_longest
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,7 +24,6 @@ from . import months as mo
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
-_stamp = itemgetter(0)  # an observation's stamp
 
 
 class SourceKind(str, Enum):
@@ -55,8 +52,10 @@ class MacroSeries:
     unit: str = ""
     source_kind: SourceKind = SourceKind.OFFICIAL
     reliability: float | None = None
-    # Derived once from ``observations``.
+    # Derived once from ``observations``; a day stamp's month index is its month's.
     is_monthly: bool = field(init=False, repr=False, compare=False)
+    stamps: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _month_index: np.ndarray = field(init=False, repr=False, compare=False)
     _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -84,19 +83,12 @@ class MacroSeries:
         object.__setattr__(self, "observations", tuple(zip(stamps, values.tolist())))
         object.__setattr__(self, "source_kind", SourceKind(self.source_kind))
         object.__setattr__(self, "is_monthly", bool(monthly.all()))
+        object.__setattr__(self, "stamps", stamps)
+        object.__setattr__(self, "_month_index", index)
         object.__setattr__(self, "_values", values)
 
     def __len__(self) -> int:
         return len(self.observations)
-
-    @cached_property
-    def _month_index(self) -> np.ndarray:
-        """Each stamp's flat month index, computed on the first lookup."""
-        return mo.month_indexes(self.stamps)
-
-    @property
-    def stamps(self) -> tuple[str, ...]:
-        return tuple(map(_stamp, self.observations))
 
     @property
     def values(self) -> np.ndarray:
@@ -129,10 +121,9 @@ class MacroSeries:
         a month bound keeps a day-stamped series' whole month at the start and
         none of it at the end.
         """
-        obs = self.observations
-        lo = 0 if start is None else bisect.bisect_left(obs, start, key=_stamp)
-        hi = len(obs) if end is None else bisect.bisect_right(obs, end, key=_stamp)
-        return replace(self, observations=obs[lo:hi])
+        lo = 0 if start is None else bisect.bisect_left(self.stamps, start)
+        hi = len(self) if end is None else bisect.bisect_right(self.stamps, end)
+        return replace(self, observations=self.observations[lo:hi])
 
 
 def load_series(
@@ -237,14 +228,6 @@ def save_series(series: MacroSeries, path: str | Path) -> Path:
     return path
 
 
-def _interp_monthly(collapsed: list[tuple[str, float]]) -> list[tuple[str, float]]:
-    idx = mo.month_indexes([s for s, _ in collapsed]).astype(float)
-    vals = np.array([v for _, v in collapsed], dtype=float)
-    full = np.arange(idx[0], idx[-1] + 1)
-    filled = np.interp(full, idx, vals)
-    return [(mo.index_to_month(int(i)), float(v)) for i, v in zip(full, filled)]
-
-
 def to_monthly(series: MacroSeries, method: ConversionMethod | str) -> MacroSeries:
     """Collapse a series to one observation per month.
 
@@ -257,24 +240,19 @@ def to_monthly(series: MacroSeries, method: ConversionMethod | str) -> MacroSeri
     method = ConversionMethod(method)
     if len(series) == 0:
         raise DataError(f"cannot convert empty series {series.name!r}")
-
-    by_month: dict[str, list[float]] = {}
-    order: list[str] = []
-    for stamp, value in series.observations:
-        month = stamp[:7]
-        if month not in by_month:
-            by_month[month] = []
-            order.append(month)
-        by_month[month].append(value)
-
+    index, values = series._month_index, series._values
+    cut = np.flatnonzero(np.diff(index)) + 1  # where a month's run of stamps begins
+    last = np.append(cut - 1, index.size - 1)
+    months = np.array(series.stamps, dtype="U7")[last].tolist()  # "U7" keeps the month
     if method is ConversionMethod.MEAN:
-        collapsed = [(m, float(np.mean(by_month[m]))) for m in order]
+        collapsed = [float(np.mean(run)) for run in np.split(values, cut)]
     else:
-        collapsed = [(m, by_month[m][-1]) for m in order]
-
+        collapsed = values[last].tolist()
     if method is ConversionMethod.LINEAR_INTERP:
-        collapsed = _interp_monthly(collapsed)
-    return replace(series, observations=tuple(collapsed))
+        months = mo.month_range(months[0], months[-1])
+        full = np.arange(index[0], index[-1] + 1)
+        collapsed = np.interp(full, index[last], collapsed).tolist()
+    return replace(series, observations=tuple(zip(months, collapsed)))
 
 
 @dataclass(frozen=True)
@@ -329,38 +307,28 @@ def fuse_hybrid(
     for s in (actual, proxy):
         if len(s) and not s.is_monthly:
             raise DataError(f"fuse_hybrid needs monthly series; {s.name!r} is day-stamped")
-    a, p = actual.as_dict(), proxy.as_dict()
-    all_months = sorted(set(a) | set(p))
-    if not all_months:
+    months = np.union1d(actual._month_index, proxy._month_index)
+    if not months.size:
         raise DataError("cannot fuse two empty series")
-    fused: list[tuple[str, float]] = []
-    only_actual, only_proxy = [], []
-    for m in all_months:
-        if m in a and m in p:
-            fused.append((m, q * a[m] + (1.0 - q) * p[m]))
-        elif m in a:
-            fused.append((m, a[m]))
-            only_actual.append(m)
-        else:
-            fused.append((m, p[m]))
-            only_proxy.append(m)
-    if only_actual:
-        logger.info(
-            "fuse %s: %d month(s) from official only: %s",
-            actual.name, len(only_actual), ", ".join(only_actual),
-        )
-    if only_proxy:
-        logger.info(
-            "fuse %s: %d month(s) from proxy only: %s",
-            actual.name, len(only_proxy), ", ".join(only_proxy),
-        )
+    # Monthly stamps sort as their months, so the stamps' union lines up with ``months``.
+    stamps = sorted({*actual.stamps, *proxy.stamps})
+    in_a, in_p = np.isin(months, actual._month_index), np.isin(months, proxy._month_index)
+    a, p = np.zeros(months.size), np.zeros(months.size)
+    a[in_a], p[in_p] = actual._values, proxy._values
+    fused = np.where(in_a & in_p, q * a + (1.0 - q) * p, np.where(in_a, a, p))
+    for source, only in (("official", in_a & ~in_p), ("proxy", in_p & ~in_a)):
+        if only.any():
+            logger.info(
+                "fuse %s: %d month(s) from %s only: %s",
+                actual.name, int(only.sum()), source, ", ".join(compress(stamps, only)),
+            )
     if actual.unit and proxy.unit and actual.unit != proxy.unit:
         logger.warning(
             "fusing series with different units: %r vs %r", actual.unit, proxy.unit
         )
     return MacroSeries(
         name=name or actual.name,
-        observations=tuple(fused),
+        observations=tuple(zip(stamps, fused.tolist())),
         unit=actual.unit or proxy.unit,
         source_kind=SourceKind.HYBRID,
         reliability=q,

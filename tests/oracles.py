@@ -18,7 +18,9 @@ Nothing here is on a run's path.  Each oracle is one of four kinds:
   CSV ingestion through ``csv.DictReader`` with one ``parse_stamp`` and one
   ``float`` per row, against ``dataio.load_series``; ``within``, the window
   predicate, against the ``bisect`` windows of ``MacroSeries`` and
-  ``ReturnSeries``;
+  ``ReturnSeries``; ``to_monthly_rows`` and ``fuse_hybrid_rows``, month
+  grouping and fusion through per-month dicts, against ``dataio.to_monthly``
+  and ``dataio.fuse_hybrid`` on their month indexes;
 * a checked per-call entry point to a private kernel.  These call the
   shipped kernel itself and carry no formula of their own, so what they
   certify is the kernel a run uses: ``shapley_values`` and ``window_phi``
@@ -29,8 +31,9 @@ Nothing here is on a run's path.  Each oracle is one of four kinds:
 from __future__ import annotations
 
 import csv
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -43,10 +46,12 @@ from crisishedge.copula import (
     _margins,
     _validate_theta,
 )
+from crisishedge.dataio import ConversionMethod, MacroSeries, SourceKind
 from crisishedge.errors import DataError, DegenerateSampleError
-from crisishedge.months import is_month, parse_stamp
+from crisishedge.months import index_to_month, is_month, month_indexes, parse_stamp
 from crisishedge.qreg import DesignMatrix, QuantileModel, restandardized_values
 
+logger = logging.getLogger(__name__)
 _ENUMERATION_LIMIT = 12
 _INTERACTION_ENUMERATION_LIMIT = 10
 
@@ -412,3 +417,79 @@ def load_series_rows(path, *, date_column="date", value_column="value", name=Non
     if len(flags) > 1:
         raise DataError(f"{path}: series {name or path.stem!r} mixes month and day stamps")
     return tuple(s for s, _ in rows), [v for _, v in rows], False not in flags
+
+
+def to_monthly_rows(series: MacroSeries, method: ConversionMethod | str) -> MacroSeries:
+    """``dataio.to_monthly`` grouping observations by month through a dict."""
+    method = ConversionMethod(method)
+    if len(series) == 0:
+        raise DataError(f"cannot convert empty series {series.name!r}")
+    by_month: dict[str, list[float]] = {}
+    order: list[str] = []
+    for stamp, value in series.observations:
+        month = stamp[:7]
+        if month not in by_month:
+            by_month[month] = []
+            order.append(month)
+        by_month[month].append(value)
+    if method is ConversionMethod.MEAN:
+        collapsed = [(m, float(np.mean(by_month[m]))) for m in order]
+    else:
+        collapsed = [(m, by_month[m][-1]) for m in order]
+    if method is ConversionMethod.LINEAR_INTERP:
+        idx = month_indexes([s for s, _ in collapsed]).astype(float)
+        vals = np.array([v for _, v in collapsed], dtype=float)
+        full = np.arange(idx[0], idx[-1] + 1)
+        filled = np.interp(full, idx, vals)
+        collapsed = [(index_to_month(int(i)), float(v)) for i, v in zip(full, filled)]
+    return replace(series, observations=tuple(collapsed))
+
+
+def fuse_hybrid_rows(
+    actual: MacroSeries, proxy: MacroSeries, q: float, *, name: str | None = None
+) -> MacroSeries:
+    """``dataio.fuse_hybrid`` month by month through two dicts.
+
+    Logs the same messages as the shipped function, to this module's logger.
+    """
+    if not (np.isfinite(q) and 0.0 <= q <= 1.0):
+        raise ValueError(f"fusion weight q must lie in [0, 1], got {q}")
+    for s in (actual, proxy):
+        if len(s) and not s.is_monthly:
+            raise DataError(f"fuse_hybrid needs monthly series; {s.name!r} is day-stamped")
+    a, p = actual.as_dict(), proxy.as_dict()
+    all_months = sorted(set(a) | set(p))
+    if not all_months:
+        raise DataError("cannot fuse two empty series")
+    fused: list[tuple[str, float]] = []
+    only_actual, only_proxy = [], []
+    for m in all_months:
+        if m in a and m in p:
+            fused.append((m, q * a[m] + (1.0 - q) * p[m]))
+        elif m in a:
+            fused.append((m, a[m]))
+            only_actual.append(m)
+        else:
+            fused.append((m, p[m]))
+            only_proxy.append(m)
+    if only_actual:
+        logger.info(
+            "fuse %s: %d month(s) from official only: %s",
+            actual.name, len(only_actual), ", ".join(only_actual),
+        )
+    if only_proxy:
+        logger.info(
+            "fuse %s: %d month(s) from proxy only: %s",
+            actual.name, len(only_proxy), ", ".join(only_proxy),
+        )
+    if actual.unit and proxy.unit and actual.unit != proxy.unit:
+        logger.warning(
+            "fusing series with different units: %r vs %r", actual.unit, proxy.unit
+        )
+    return MacroSeries(
+        name=name or actual.name,
+        observations=tuple(fused),
+        unit=actual.unit or proxy.unit,
+        source_kind=SourceKind.HYBRID,
+        reliability=q,
+    )

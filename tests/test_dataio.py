@@ -24,7 +24,7 @@ from crisishedge.months import shift_month
 from crisishedge.returns import ReturnSeries
 
 from conftest import FIXTURE_ROOT, make_series
-from oracles import load_series_rows, within
+from oracles import fuse_hybrid_rows, load_series_rows, to_monthly_rows, within
 
 
 class TestMacroSeries:
@@ -438,3 +438,81 @@ class TestBisectWindows:
             assert w.months == tuple(r.months[i] for i in keep)
             for label in ("nominal", "real_domestic", "real_foreign"):
                 np.testing.assert_array_equal(getattr(w, label), getattr(r, label)[keep])
+
+
+def _bits(series):
+    """Everything a series holds, its values as bits."""
+    return (
+        series.name, series.stamps, series.values.tobytes(), series.unit,
+        series.source_kind, series.reliability, series.is_monthly,
+    )
+
+
+def _outcome(caplog, fn, *args, **kwargs):
+    """``fn``'s series (or error) and the (level, message) of each record it logs."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO):
+        try:
+            got = _bits(fn(*args, **kwargs))
+        except (DataError, ValueError) as exc:
+            got = (type(exc), str(exc))
+    return got, [(r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def _random_months(rng, lo, hi, share):
+    """A random subset of the month indexes in [lo, hi), as month stamps."""
+    picked = [m for m in range(lo, hi) if rng.random() < share]
+    return [f"{m // 12:04d}-{m % 12 + 1:02d}" for m in picked]
+
+
+def _random_value(rng):
+    return rng.choice([-0.0, 0.0, rng.uniform(-1e3, 1e3) * 10.0 ** rng.randrange(-12, 12)])
+
+
+class TestMonthRunsMatchRowOracle:
+    """``to_monthly`` and ``fuse_hybrid`` against the per-month dict references."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("method", list(ConversionMethod))
+    def test_to_monthly_day_stamped(self, caplog, seed, method):
+        rng = random.Random(seed)
+        for _ in range(10):
+            start = rng.randrange(1990 * 12, 2030 * 12)
+            obs = []
+            for month in _random_months(rng, start, start + rng.randrange(1, 40), 0.6):
+                for day in sorted(rng.sample(range(1, 29), rng.randint(1, 5))):
+                    obs.append((f"{month}-{day:02d}", _random_value(rng)))
+            s = MacroSeries("d", tuple(obs), unit="u", reliability=0.5)
+            want = _outcome(caplog, to_monthly_rows, s, method)
+            assert _outcome(caplog, to_monthly, s, method) == want
+
+    @pytest.mark.parametrize("method", list(ConversionMethod))
+    def test_to_monthly_monthly_and_empty(self, caplog, method):
+        rng = random.Random(3)
+        for months in (_random_months(rng, 24000, 24060, 0.5), []):
+            s = MacroSeries("m", tuple((m, _random_value(rng)) for m in months))
+            want = _outcome(caplog, to_monthly_rows, s, method.value)
+            assert _outcome(caplog, to_monthly, s, method.value) == want
+
+    @pytest.mark.parametrize("q", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fuse_hybrid(self, caplog, seed, q):
+        rng = random.Random(seed)
+        for k in range(12):
+            start = rng.randrange(1990 * 12, 2030 * 12)
+            share = (0.0, 0.3, 0.9)[k % 3]  # an empty source, sparse, dense
+            sources = [
+                MacroSeries(
+                    label,
+                    tuple((m, _random_value(rng)) for m in _random_months(rng, start, start + 50, p)),
+                    unit=unit,
+                )
+                for label, p, unit in (
+                    ("official", share, "pct"),
+                    ("proxy", rng.choice([0.0, 0.5, 1.0]), rng.choice(["", "pct", "bp"])),
+                )
+            ]
+            want = _outcome(caplog, fuse_hybrid_rows, *sources, q, name="hybrid")
+            assert _outcome(caplog, fuse_hybrid, *sources, q, name="hybrid") == want
+            want = _outcome(caplog, fuse_hybrid_rows, *sources[::-1], q)
+            assert _outcome(caplog, fuse_hybrid, *sources[::-1], q) == want
