@@ -19,6 +19,7 @@ from typing import Any, Mapping
 import yaml
 
 from . import months as mo
+from .dataio import parse_number
 from .errors import ConfigError
 from .hedge import Residency
 from .qreg import MIN_FIT_ROWS, FeatureSchema
@@ -139,7 +140,12 @@ def parse_feature_schema(block: Mapping[str, Any]) -> FeatureSchema:
         raw = block.get(key) or {}
         if not isinstance(raw, Mapping):
             raise ConfigError(f"features.{key} must be a mapping")
-        return {str(k): tuple(int(l) for l in v) for k, v in raw.items()}
+        lags = {}
+        for k, v in raw.items():
+            if not isinstance(v, (list, tuple)):
+                raise ConfigError(f"features.{key}.{k} must be a list of lags, got {v!r}")
+            lags[str(k)] = tuple(parse_number(int, l, f"features.{key}.{k}") for l in v)
+        return lags
 
     pairs = []
     for pair in block.get("interactions") or []:
@@ -180,13 +186,15 @@ def load_episode(path: str | Path) -> CrisisEpisode:
     if not isinstance(boot_block, Mapping):
         raise ConfigError(f"{path}: bootstrap section must be a mapping")
     bootstrap = BootstrapConfig(
-        replications=int(boot_block.get("replications", 1000)),
+        replications=parse_number(
+            int, boot_block.get("replications", 1000), f"{path}: bootstrap.replications"
+        ),
         block_length=(
-            int(boot_block["block_length"])
+            parse_number(int, boot_block["block_length"], f"{path}: bootstrap.block_length")
             if boot_block.get("block_length") is not None
             else None
         ),
-        seed=int(boot_block.get("seed", 0)),
+        seed=parse_number(int, boot_block.get("seed", 0), f"{path}: bootstrap.seed"),
     )
     cv_block = doc.get("cv")
     cv = None
@@ -195,14 +203,18 @@ def load_episode(path: str | Path) -> CrisisEpisode:
             raise ConfigError(f"{path}: cv section must be a mapping")
         force = cv_block.get("force_test_month")
         cv = CVConfig(
-            initial_window=int(cv_block.get("initial_window", 24)),
-            step=int(cv_block.get("step", 6)),
+            initial_window=parse_number(
+                int, cv_block.get("initial_window", 24), f"{path}: cv.initial_window"
+            ),
+            step=parse_number(int, cv_block.get("step", 6), f"{path}: cv.step"),
             force_test_month=_as_stamp(force) if force is not None else None,
         )
 
     override = doc.get("quantile_override")
-    if override is not None and not isinstance(override, (list, tuple)):
-        override = [override]
+    if override is not None:
+        if not isinstance(override, (list, tuple)):
+            override = [override]
+        override = tuple(parse_number(float, t, f"{path}: quantile_override") for t in override)
 
     residency = doc["residency"]
     if isinstance(residency, str):
@@ -216,6 +228,10 @@ def load_episode(path: str | Path) -> CrisisEpisode:
     if not manifest.is_absolute():
         manifest = path.parent / manifest
     out_dir = doc.get("output_dir")
+    try:
+        schema = parse_feature_schema(doc["features"])
+    except ConfigError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
     return CrisisEpisode(
         country=str(doc["country"]),
@@ -224,10 +240,8 @@ def load_episode(path: str | Path) -> CrisisEpisode:
         window_end=_as_stamp(doc["window_end"]),
         residency=residency,
         series_manifest=manifest,
-        feature_schema=parse_feature_schema(doc["features"]),
-        quantile_override=(
-            tuple(float(t) for t in override) if override is not None else None
-        ),
+        feature_schema=schema,
+        quantile_override=override,
         bootstrap=bootstrap,
         cv=cv,
         criterion=str(doc.get("criterion", "aic")),

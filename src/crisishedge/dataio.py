@@ -424,6 +424,14 @@ class PanelManifest:
             )
 
 
+def parse_number(kind: type, value, where: str):
+    """``kind(value)`` for a config entry; one that is no number raises ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+
+
 def _require(mapping: Mapping, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required key {key!r}")
@@ -434,18 +442,19 @@ def _resolve_q(block: Mapping, context: str) -> float:
     if "q" in block and "reliability" in block:
         raise ConfigError(f"{context}: give either q or reliability components, not both")
     if "q" in block:
-        q = float(block["q"])
+        q = parse_number(float, block["q"], f"{context}: q")
         if not 0.0 <= q <= 1.0:
             raise ConfigError(f"{context}: q must lie in [0, 1], got {q}")
         return q
     if "reliability" in block:
         comp = block["reliability"]
+        if not isinstance(comp, Mapping):
+            raise ConfigError(f"{context}: reliability must be a mapping")
         try:
-            inputs = ReliabilityInputs(
-                timeliness=float(_require(comp, "timeliness", context)),
-                revision_volatility=float(_require(comp, "revision_volatility", context)),
-                crosscheck_error=float(_require(comp, "crosscheck_error", context)),
-            )
+            inputs = ReliabilityInputs(*(
+                parse_number(float, _require(comp, label, context), f"{context}: {label}")
+                for label in ("timeliness", "revision_volatility", "crosscheck_error")
+            ))
         except ValueError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
         return reliability_score(inputs)

@@ -16,6 +16,7 @@ from crisishedge.config import (
     load_episode,
     parse_feature_schema,
 )
+from crisishedge.dataio import load_manifest
 from crisishedge.errors import ConfigError
 from crisishedge.hedge import Residency
 from crisishedge.qreg import FeatureSchema
@@ -242,6 +243,59 @@ class TestLoadEpisode:
         )
         assert load_episode(cfg).quantile_override == (0.1, 0.15, 0.2)
 
+
+
+class TestMistypedNumbers:
+    """A number entry that is no number is a ConfigError naming the file and the key."""
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("replications: 500", "replications: many", "bootstrap.replications"),
+            ("seed: 7", "seed: abc", "bootstrap.seed"),
+            ("seed: 7", "seed: [1]", "bootstrap.seed"),
+            ("seed: 7", "seed: 7\n  block_length: long", "bootstrap.block_length"),
+            ("initial_window: 24", "initial_window: two", "cv.initial_window"),
+            ("step: 6", "step: often", "cv.step"),
+            ("quantile_override: 0.12", "quantile_override: low", "quantile_override"),
+            ("quantile_override: 0.12", "quantile_override: [0.1, x]", "quantile_override"),
+            ("m2_growth: [1, 3]", "m2_growth: 1", "features.lags.m2_growth"),
+            ("m2_growth: [1, 3]", "m2_growth: [1, x]", "features.lags.m2_growth"),
+            ("regime_break: [0, 1]", "regime_break: 0", "features.event_dummies.regime_break"),
+        ],
+    )
+    def test_episode_entry(self, tmp_path, old, new, key):
+        assert old in VALID_YAML
+        cfg = tmp_path / "episode.yaml"
+        cfg.write_text(VALID_YAML.replace(old, new))
+        with pytest.raises(ConfigError) as info:
+            load_episode(cfg)
+        assert str(info.value).startswith(f"{cfg}: {key} ")
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ("q: abc", "q must be a number"),
+            ("q: [1]", "q must be a number"),
+            ("reliability: 0.5", "reliability must be a mapping"),
+            (
+                "reliability: {timeliness: high, revision_volatility: 0, crosscheck_error: 0}",
+                "timeliness must be a number",
+            ),
+        ],
+    )
+    def test_manifest_fusion_weight(self, tmp_path, entry, key):
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(
+            "schema_version: 1\n"
+            "series: [{name: a, path: a.csv}, {name: b, path: b.csv}]\n"
+            "fusions:\n"
+            f"- {{name: h, actual: a, proxy: b, {entry}}}\n"
+            "roles: {equity: a, fx: a, inflation: h}\n"
+        )
+        with pytest.raises(ConfigError) as info:
+            load_manifest(manifest)
+        assert str(info.value).startswith(f"{manifest}: fusions[0]: {key}")
 
 class TestConfigHash:
     def test_file_backed_hash_tracks_bytes(self, tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -1103,6 +1104,13 @@ class TestCli:
         code = main(["validate", str(tmp_path / "nope.yaml")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_validate_mistyped_number_is_a_config_error(self, bundle_dir, capsys):
+        text = (bundle_dir / "episode.yaml").read_text()
+        config = bundle_dir / "mistyped.yaml"
+        config.write_text(re.sub(r"seed: \d+", "seed: many", text, count=1))
+        assert main(["validate", str(config)]) == 2
+        assert f"error: {config}: bootstrap.seed must be a number" in capsys.readouterr().err
 
     def test_run_window_without_data_is_a_data_error(self, bundle_dir, tmp_path, capsys):
         text = (bundle_dir / "episode.yaml").read_text()
