@@ -882,6 +882,36 @@ class TestForkedStability:
         assert_no_child_left()
 
 
+
+class TestDayStampedInput:
+    def test_day_stamps_collapsed_on_load_leave_every_output_unchanged(
+        self, fixture_root, tmp_path
+    ):
+        """No shipped fixture is day-stamped, so a copy of anti_hedge is made one.
+
+        Each month of its policy rate gets two rows, the 3rd at 1.5 times the
+        value and the 28th at the value itself; ``to_monthly: last`` keeps the
+        28th, so the run must write the fixture's own files.
+        """
+        source, copy = fixture_root / "anti_hedge", tmp_path / "daily"
+        shutil.copytree(source, copy)
+        header, *rows = (source / "policy_rate.csv").read_text().splitlines()
+        lines = [header]
+        for row in rows:
+            month, value = row.split(",")
+            lines += [f"{month}-03,{float(value) * 1.5!r}", f"{month}-28,{value}"]
+        (copy / "policy_rate.csv").write_text("\n".join(lines) + "\n")
+        manifest = (source / "manifest.yaml").read_text()
+        entry = "  path: policy_rate.csv\n"
+        assert entry in manifest
+        (copy / "manifest.yaml").write_text(manifest.replace(entry, f"{entry}  to_monthly: last\n"))
+        for root in (source, copy):
+            out = tmp_path / "out" / root.name
+            run_pipeline(load_episode(root / "episode.yaml"), fast=True, out_dir=out)
+        assert written_files(tmp_path / "out" / "daily") == written_files(
+            tmp_path / "out" / "anti_hedge"
+        )
+
 class TestResolveOutDir:
     def test_explicit_argument_wins(self, episode, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "env"))
