@@ -600,3 +600,34 @@ def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
         if ok
         else "; ".join(mismatches),
     )
+
+
+def test_golden_full_runs(fixture_root, golden_root, tmp_path):
+    # A05 pins the full clayton_coupled run; these are the other three fixtures
+    # at R = 1000. The full anti_hedge sweep's base run writes anti_hedge's files.
+    for kind in ("perfect_hedge", "independent"):
+        run_pipeline(load_episode(fixture_root / kind / "episode.yaml"), out_dir=tmp_path / kind)
+    anti = load_episode(fixture_root / "anti_hedge" / "episode.yaml")
+    sensitivity_sweep(anti, [0.05, 0.10, 0.15, 0.20], out_dir=tmp_path / "anti_hedge")
+    mismatches = []
+    if (tmp_path / "anti_hedge" / "sweep.csv").read_bytes() != (
+        golden_root / "anti_hedge_full_sweep.csv"
+    ).read_bytes():
+        mismatches.append("anti_hedge: sweep.csv differs from golden")
+    for kind in ("perfect_hedge", "independent", "anti_hedge"):
+        golden_full = json.loads(
+            (golden_root / f"{kind}_full_report_full.json").read_text(encoding="utf-8")
+        )
+        mismatches += _golden_mismatches(
+            tmp_path / kind, golden_root, f"{kind}_full",
+            golden_full["attribution"]["stability_kendall_tau"],
+        )
+    ok = not mismatches
+    _gate(
+        "A11 golden full runs",
+        ok,
+        "perfect_hedge, independent and the anti_hedge sweep's base run equal their "
+        "full-run goldens; the full sweep.csv is byte-identical"
+        if ok
+        else "; ".join(mismatches),
+    )
