@@ -425,7 +425,15 @@ class PanelManifest:
 
 
 def parse_number(kind: type, value, where: str):
-    """``kind(value)`` for a config entry; one that is no number raises ConfigError."""
+    """``kind(value)`` for a config entry, or ConfigError naming ``where``.
+
+    A bool is no number, and an integer entry must be integral: ``int`` would
+    turn ``true`` into 1 and ``102.9`` into 102.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:

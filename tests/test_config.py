@@ -262,6 +262,15 @@ class TestMistypedNumbers:
             ("m2_growth: [1, 3]", "m2_growth: 1", "features.lags.m2_growth"),
             ("m2_growth: [1, 3]", "m2_growth: [1, x]", "features.lags.m2_growth"),
             ("regime_break: [0, 1]", "regime_break: 0", "features.event_dummies.regime_break"),
+            ("seed: 7", "seed: 102.9", "bootstrap.seed"),
+            ("seed: 7", "seed: true", "bootstrap.seed"),
+            ("seed: 7", "seed: .inf", "bootstrap.seed"),
+            ("replications: 500", "replications: 1000.99", "bootstrap.replications"),
+            ("initial_window: 24", "initial_window: 24.5", "cv.initial_window"),
+            ("step: 6", "step: false", "cv.step"),
+            ("quantile_override: 0.12", "quantile_override: true", "quantile_override"),
+            ("m2_growth: [1, 3]", "m2_growth: [1.5]", "features.lags.m2_growth"),
+            ("m2_growth: [1, 3]", "m2_growth: [true]", "features.lags.m2_growth"),
         ],
     )
     def test_episode_entry(self, tmp_path, old, new, key):
@@ -277,6 +286,11 @@ class TestMistypedNumbers:
         [
             ("q: abc", "q must be a number"),
             ("q: [1]", "q must be a number"),
+            ("q: true", "q must be a number"),
+            (
+                "reliability: {timeliness: 1, revision_volatility: false, crosscheck_error: 0}",
+                "revision_volatility must be a number",
+            ),
             ("reliability: 0.5", "reliability must be a mapping"),
             (
                 "reliability: {timeliness: high, revision_volatility: 0, crosscheck_error: 0}",
@@ -296,6 +310,12 @@ class TestMistypedNumbers:
         with pytest.raises(ConfigError) as info:
             load_manifest(manifest)
         assert str(info.value).startswith(f"{manifest}: fusions[0]: {key}")
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = tmp_path / "episode.yaml"
+        cfg.write_text(VALID_YAML.replace("seed: 7", "seed: 102.0"))
+        seed = load_episode(cfg).bootstrap.seed
+        assert seed == 102 and type(seed) is int
 
 class TestConfigHash:
     def test_file_backed_hash_tracks_bytes(self, tmp_path):
