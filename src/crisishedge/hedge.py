@@ -13,14 +13,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import months as mo
 from .copula import CopulaFit
-from .dataio import MacroSeries, pct_change
 from .errors import DataError, DegenerateSampleError
 from .returns import ReturnSeries
 
@@ -66,56 +64,23 @@ class LossSeries:
     def __len__(self) -> int:
         return len(self.months)
 
-    def at(self, months: Sequence[str]) -> "LossSeries":
-        """The rows of exactly ``months``, each of which must be present."""
-        index = {m: i for i, m in enumerate(self.months)}
-        missing = [m for m in months if m not in index]
-        if missing:
-            raise DataError(f"losses lack {len(missing)} requested month(s), first {missing[0]}")
-        keep = [index[m] for m in months]
-        return LossSeries(
-            tuple(months), self.loss[keep], self.residency, self.pi[keep], self.fx_ret[keep]
-        )
 
+def loss_series(returns: ReturnSeries, residency: Residency | str) -> LossSeries:
+    """Assemble the additive loss per return month for one residency.
 
-def loss_series(
-    pi: MacroSeries,
-    fx: MacroSeries | None,
-    residency: Residency | str,
-) -> LossSeries:
-    """Assemble the additive loss per month for one residency.
-
-    ``pi`` holds monthly inflation fractions.  For foreign residents the FX
-    level series (local currency per reference unit) is differenced into
-    depreciation returns, so a month needs both its own and the prior month's
-    level; local residents ignore ``fx`` entirely.
+    Local residents lose the month's inflation; foreign residents lose it
+    plus the FX change, both read from the return series, so every return
+    month has its loss.
     """
     residency = Residency(residency)
-    if len(pi) and not pi.is_monthly:
-        raise DataError(f"inflation series {pi.name!r} must be monthly")
-    if not len(pi):
-        raise DataError("inflation series is empty")
-
     if residency is Residency.LOCAL:
         return LossSeries(
-            months=pi.stamps, loss=pi.values, residency=residency,
-            pi=pi.values, fx_ret=np.zeros(len(pi)),
+            months=returns.months, loss=returns.pi, residency=residency,
+            pi=returns.pi, fx_ret=np.zeros(len(returns)),
         )
-
-    if fx is None:
-        raise DataError("foreign residency needs an FX series")
-    if len(fx) and not fx.is_monthly:
-        raise DataError(f"FX series {fx.name!r} must be monthly")
-    fx_ret = pct_change(fx).at(pi.stamps)
-    kept = ~np.isnan(fx_ret)
-    if not kept.any():
-        raise DataError(
-            f"no months where {pi.name!r} and consecutive {fx.name!r} levels align"
-        )
-    pis, fx_ret = pi.values[kept], fx_ret[kept]
     return LossSeries(
-        months=tuple(compress(pi.stamps, kept)), loss=pis + fx_ret,
-        residency=residency, pi=pis, fx_ret=fx_ret,
+        months=returns.months, loss=returns.pi + returns.fx_ret,
+        residency=residency, pi=returns.pi, fx_ret=returns.fx_ret,
     )
 
 

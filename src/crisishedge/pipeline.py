@@ -508,18 +508,7 @@ def run_pipeline(
     tau_levels = (triplet.tau_low, triplet.tau_mid, triplet.tau_high)
 
     with _stage("qreg"):
-        target = dataio.MacroSeries(
-            name=qreg.TARGET_COLUMN,
-            observations=tuple(zip(window_series.months, window_series.nominal)),
-            unit="fraction/month",
-        )
-        qpanel = dict(panel)
-        qpanel[qreg.TARGET_COLUMN] = target
-        design = qreg.engineer_features(
-            qpanel,
-            episode.feature_schema,
-            window=(episode.window_start, episode.window_end),
-        )
+        design = qreg.engineer_features(panel, episode.feature_schema, window_series)
         if design.dropped_rows:
             diagnostics.append(
                 f"qreg: dropped {design.dropped_rows} row(s) with feature gaps"
@@ -558,14 +547,11 @@ def run_pipeline(
         samples: dict[Residency, cop.PseudoSample] = {}
         for residency in residencies:
             with _stage(f"hedge ({residency.value})"):
-                # A return month has the inflation and FX observations its loss
-                # needs, so every post-collapse month has a loss.
-                loss = hedge.loss_series(
-                    inflation, panel[manifest.roles["fx"]], residency
-                ).at(post.months)
-                losses[residency] = loss
+                losses[residency] = hedge.loss_series(post, residency)
             with _stage(f"copula ({residency.value})"):
-                samples[residency] = cop.PseudoSample.from_data(post.nominal, loss.loss)
+                samples[residency] = cop.PseudoSample.from_data(
+                    post.nominal, losses[residency].loss
+                )
 
         # Every (family, residency) pair is one lane of one search, and
         # the residencies that select one family are bootstrapped together.

@@ -22,10 +22,10 @@ from .dataio import MacroSeries
 from .errors import ConfigError, DataError, DegenerateSampleError, EndogeneityError, FitError
 from .quantiles import empirical_quantile, order_statistic_rank
 from .resample import chunks
+from .returns import ReturnSeries
 
 logger = logging.getLogger(__name__)
 
-TARGET_COLUMN = "equity_nominal_return"
 ENDOGENOUS_PREFIX = "equity"
 INTERCEPT_LABEL = "(intercept)"
 MIN_FIT_ROWS = 10  # fewest design rows a fit or a CV training window may have
@@ -293,29 +293,25 @@ def _assemble_values(
 def engineer_features(
     panel: Mapping[str, MacroSeries],
     schema: FeatureSchema,
-    *,
-    window: tuple[str | None, str | None] = (None, None),
+    returns: ReturnSeries,
 ) -> DesignMatrix:
-    """Build the design matrix for the target months of a window.
+    """Build the design matrix on the months of ``returns``.
 
-    Each column is one ``MacroSeries.at`` lookup ``lag`` months back, so a
-    series only needs history, not shifting, to contribute.  Rows missing any
-    feature input are dropped and counted.  Continuous columns are z-scored over
-    the retained rows; event dummies must already be 0/1 and stay unscaled;
-    interaction products are formed from the standardized parents.
+    The target is each month's nominal equity return.  Each column is one
+    ``MacroSeries.at`` lookup ``lag`` months back, so a series only needs
+    history, not shifting, to contribute.  Rows missing any feature input are
+    dropped and counted.  Continuous columns are z-scored over the retained
+    rows; event dummies must already be 0/1 and stay unscaled; interaction
+    products are formed from the standardized parents.
     """
-    if TARGET_COLUMN not in panel:
-        raise DataError(f"panel is missing the target series {TARGET_COLUMN!r}")
-    target_series = panel[TARGET_COLUMN]
     needed = list(schema.base_features) + list(schema.event_dummies)
     missing = [f for f in needed if f not in panel]
     if missing:
         raise DataError(f"schema references absent series: {', '.join(missing)}")
 
-    start, end = window
-    months = target_series.window(start, end).stamps
+    months = returns.months
     if not months:
-        raise DataError("no target months inside the requested window")
+        raise DataError("no return months to build the design on")
 
     linear_cols = schema.linear_columns()
     dummy_cols = schema.dummy_columns()
@@ -343,7 +339,7 @@ def engineer_features(
         months=tuple(compress(months, complete)),
         columns=linear_cols + schema.interaction_names(),
         values=values,
-        target=target_series.at(months)[complete],
+        target=returns.nominal[complete],
         interaction_pairs=schema.interaction_pairs,
         dummy_columns=dummy_cols,
         raw_linear=raw,

@@ -24,16 +24,23 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Aligned monthly nominal and real returns for both residencies."""
+    """Aligned monthly nominal and real returns for both residencies.
+
+    ``pi`` and ``fx_ret`` are each month's inflation and FX change (local
+    currency per reference unit), the inputs the real returns deflate by; the
+    purchasing-power losses are built from them on the same months.
+    """
 
     months: tuple[str, ...]
     nominal: np.ndarray
     real_domestic: np.ndarray
     real_foreign: np.ndarray
+    pi: np.ndarray
+    fx_ret: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.months)
-        for label in ("nominal", "real_domestic", "real_foreign"):
+        for label in ("nominal", "real_domestic", "real_foreign", "pi", "fx_ret"):
             arr = np.asarray(getattr(self, label), dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"{label} must have one value per month")
@@ -57,6 +64,8 @@ class ReturnSeries:
             nominal=self.nominal[lo:hi].copy(),
             real_domestic=self.real_domestic[lo:hi].copy(),
             real_foreign=self.real_foreign[lo:hi].copy(),
+            pi=self.pi[lo:hi].copy(),
+            fx_ret=self.fx_ret[lo:hi].copy(),
         )
 
 
@@ -137,10 +146,12 @@ def build_return_series(
         raise DataError(f"inflation at {months[k]} must exceed -1, got {pi[k]}")
     if not kept.any():
         raise DataError("no months with complete price and inflation data")
-    r, pi = nominal[kept], pi[kept]
+    r, pi, rate, rate_prev = nominal[kept], pi[kept], rate[kept], rate_prev[kept]
     return ReturnSeries(
         months=tuple(compress(months, kept)),
         nominal=r,
         real_domestic=real_return_domestic(r, pi),
-        real_foreign=real_return_foreign(r, rate_prev[kept], rate[kept], pi),
+        real_foreign=real_return_foreign(r, rate_prev, rate, pi),
+        pi=pi,
+        fx_ret=rate / rate_prev - 1.0,
     )

@@ -20,7 +20,10 @@ Nothing here is on a run's path.  Each oracle is one of four kinds:
   predicate, against the ``bisect`` windows of ``MacroSeries`` and
   ``ReturnSeries``; ``to_monthly_rows`` and ``fuse_hybrid_rows``, month
   grouping and fusion through per-month dicts, against ``dataio.to_monthly``
-  and ``dataio.fuse_hybrid`` on their month indexes;
+  and ``dataio.fuse_hybrid`` on their month indexes; ``loss_series`` and
+  ``loss_at``, losses built over every inflation month from a second
+  ``pct_change`` of the FX levels and then picked out month by month,
+  against ``hedge.loss_series`` on a return series' own months;
 * a checked per-call entry point to a private kernel.  These call the
   shipped kernel itself and carry no formula of their own, so what they
   certify is the kernel a run uses: ``shapley_values`` and ``window_phi``
@@ -46,8 +49,9 @@ from crisishedge.copula import (
     _margins,
     _validate_theta,
 )
-from crisishedge.dataio import ConversionMethod, MacroSeries, SourceKind
+from crisishedge.dataio import ConversionMethod, MacroSeries, SourceKind, pct_change
 from crisishedge.errors import DataError, DegenerateSampleError
+from crisishedge.hedge import LossSeries, Residency
 from crisishedge.months import index_to_month, is_month, month_indexes, parse_stamp
 from crisishedge.qreg import DesignMatrix, QuantileModel, restandardized_values
 
@@ -492,4 +496,47 @@ def fuse_hybrid_rows(
         unit=actual.unit or proxy.unit,
         source_kind=SourceKind.HYBRID,
         reliability=q,
+    )
+
+
+def loss_series(pi: MacroSeries, fx: MacroSeries | None, residency: Residency | str) -> LossSeries:
+    """Losses over every month of ``pi``, FX differenced apart from the returns.
+
+    For foreign residents a month needs its own and the prior month's FX
+    level; local residents ignore ``fx``.
+    """
+    residency = Residency(residency)
+    if len(pi) and not pi.is_monthly:
+        raise DataError(f"inflation series {pi.name!r} must be monthly")
+    if not len(pi):
+        raise DataError("inflation series is empty")
+    if residency is Residency.LOCAL:
+        return LossSeries(
+            months=pi.stamps, loss=pi.values, residency=residency,
+            pi=pi.values, fx_ret=np.zeros(len(pi)),
+        )
+    if fx is None:
+        raise DataError("foreign residency needs an FX series")
+    fx_ret = pct_change(fx).at(pi.stamps)
+    kept = ~np.isnan(fx_ret)
+    if not kept.any():
+        raise DataError(
+            f"no months where {pi.name!r} and consecutive {fx.name!r} levels align"
+        )
+    pis, fx_ret = pi.values[kept], fx_ret[kept]
+    return LossSeries(
+        months=tuple(m for m, k in zip(pi.stamps, kept) if k), loss=pis + fx_ret,
+        residency=residency, pi=pis, fx_ret=fx_ret,
+    )
+
+
+def loss_at(loss: LossSeries, months) -> LossSeries:
+    """The rows of ``loss`` at exactly ``months``, each of which must be present."""
+    index = {m: i for i, m in enumerate(loss.months)}
+    missing = [m for m in months if m not in index]
+    if missing:
+        raise DataError(f"losses lack {len(missing)} requested month(s), first {missing[0]}")
+    keep = [index[m] for m in months]
+    return LossSeries(
+        tuple(months), loss.loss[keep], loss.residency, loss.pi[keep], loss.fx_ret[keep]
     )

@@ -286,16 +286,8 @@ def test_shapley_closed_form_matches_enumeration(small_perfect_run):
 
     episode, result = small_perfect_run
     manifest = dataio.load_manifest(episode.series_manifest)
-    panel = dict(dataio.load_panel(manifest))
-    panel[qreg.TARGET_COLUMN] = dataio.MacroSeries(
-        name=qreg.TARGET_COLUMN,
-        observations=tuple(
-            zip(result.return_series.months, result.return_series.nominal)
-        ),
-        unit="fraction/month",
-    )
     design = qreg.engineer_features(
-        panel, episode.feature_schema, window=(episode.window_start, episode.window_end)
+        dataio.load_panel(manifest), episode.feature_schema, result.return_series
     )
     low_model = result.models[result.triplet.tau_low]
     predictions = qreg.predict(low_model, design)

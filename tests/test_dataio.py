@@ -431,12 +431,12 @@ class TestBisectWindows:
         for _ in range(60):
             s = self.series(rng, False)
             values = np.abs(s.values) / (1.0 + np.abs(s.values))
-            r = ReturnSeries(s.stamps, values, values / 2, values / 3)
+            r = ReturnSeries(s.stamps, values, values / 2, values / 3, values / 4, values / 5)
             start, end = self.bounds(rng, s.stamps)
             keep = [i for i, m in enumerate(r.months) if within(m, start, end)]
             w = r.window(start, end)
             assert w.months == tuple(r.months[i] for i in keep)
-            for label in ("nominal", "real_domestic", "real_foreign"):
+            for label in ("nominal", "real_domestic", "real_foreign", "pi", "fx_ret"):
                 np.testing.assert_array_equal(getattr(w, label), getattr(r, label)[keep])
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from crisishedge import months as mo
 from crisishedge.copula import CopulaFamily, CopulaFit
 from crisishedge.errors import DataError, DegenerateSampleError
 from crisishedge.hedge import (
@@ -18,14 +19,14 @@ from crisishedge.hedge import (
     loss_series,
     net_real_return,
 )
-from crisishedge.returns import ReturnSeries
+from crisishedge.dataio import MacroSeries, pct_change
+from crisishedge.returns import ReturnSeries, build_return_series
 
+import oracles
 from conftest import make_series
 
 
 def months_from(start: str, n: int) -> tuple[str, ...]:
-    from crisishedge import months as mo
-
     return tuple(mo.month_range(start, mo.shift_month(start, n - 1)))
 
 
@@ -43,90 +44,105 @@ def fit_with(lambda_lower: float, ci=None) -> CopulaFit:
     )
 
 
-class TestLossSeries:
-    def test_at_takes_exactly_the_requested_months(self):
-        pi = make_series("cpi_rate", [0.01 * k for k in range(6)])
-        out = loss_series(pi, None, Residency.LOCAL)
-        picked = out.at(("2020-02", "2020-05"))
-        assert picked.months == ("2020-02", "2020-05")
-        np.testing.assert_array_equal(picked.loss, [0.01, 0.04])
-        with pytest.raises(DataError, match="lack 1 requested month"):
-            out.at(("2020-02", "2021-01"))
+def returns_of(pi, fx, start="2020-02"):
+    """Returns on flat equity: ``pi`` from ``start``, ``fx`` levels from the month before."""
+    lead = mo.shift_month(start, -1)
+    fx = fx if isinstance(fx, MacroSeries) else make_series("fx_usd", fx, start=lead)
+    equity = make_series("equity", [100.0] * (len(pi) + 1), start=lead)
+    return build_return_series(equity, fx, make_series("cpi_rate", pi, start=start))
 
+
+def with_gaps(series: MacroSeries, rng: np.random.Generator, share: float) -> MacroSeries:
+    kept = rng.random(len(series)) >= share
+    return MacroSeries(
+        series.name, tuple(o for o, k in zip(series.observations, kept) if k), unit=series.unit
+    )
+
+
+def bits(values: np.ndarray) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+class TestLossSeries:
     def test_local_mean_erosion_equals_mean_inflation(self):
-        pi = make_series("cpi_rate", [0.0205] * 12)
-        out = loss_series(pi, None, Residency.LOCAL)
+        returns = returns_of([0.0205] * 12, [4.0] * 13)
+        out = loss_series(returns, Residency.LOCAL)
         assert float(np.mean(out.loss)) == pytest.approx(0.0205)
         assert np.all(out.fx_ret == 0.0)
-        np.testing.assert_array_equal(out.loss, out.pi)
+        assert out.loss is returns.pi and out.pi is returns.pi
 
     def test_foreign_flat_fx_and_zero_inflation(self):
-        pi = make_series("cpi_rate", [0.0] * 6, start="2020-02")
-        fx = make_series("fx_usd", [4.0] * 7, start="2020-01")
-        out = loss_series(pi, fx, Residency.FOREIGN)
+        out = loss_series(returns_of([0.0] * 6, [4.0] * 7), Residency.FOREIGN)
         np.testing.assert_allclose(out.loss, 0.0)
 
     def test_foreign_additive_composition(self):
-        pi = make_series("cpi_rate", [0.02], start="2020-02")
-        fx = make_series("fx_usd", [1.00, 1.05], start="2020-01")
-        out = loss_series(pi, fx, Residency.FOREIGN)
+        out = loss_series(returns_of([0.02], [1.00, 1.05]), Residency.FOREIGN)
         assert out.months == ("2020-02",)
         assert out.loss[0] == pytest.approx(0.02 + 0.05)
         assert out.pi[0] == pytest.approx(0.02)
         assert out.fx_ret[0] == pytest.approx(0.05)
 
     def test_foreign_skips_months_without_prior_fx_level(self):
-        pi = make_series("cpi_rate", [0.01, 0.01, 0.01], start="2020-01")
+        # Inflation and equity reach back to the first FX month, which has no
+        # prior FX level, so no return and no loss.
         fx = make_series("fx_usd", [2.0, 2.1, 2.2], start="2020-01")
-        out = loss_series(pi, fx, Residency.FOREIGN)
-        assert out.months == ("2020-02", "2020-03")
+        returns = returns_of([0.01, 0.01, 0.01], fx, start="2020-01")
+        out = loss_series(returns, Residency.FOREIGN)
+        assert out.months == returns.months == ("2020-02", "2020-03")
 
     def test_foreign_fx_gap_drops_the_months_it_feeds(self):
-        from crisishedge.dataio import MacroSeries
-
-        pi = make_series("cpi_rate", [0.01, 0.02, 0.03, 0.04, 0.05], start="2020-02")
         levels = {"2020-01": 2.0, "2020-02": 2.2, "2020-04": 2.5, "2020-05": 2.4, "2020-06": 3.1}
-        fx = MacroSeries("fx_usd", tuple(levels.items()))
-        out = loss_series(pi, fx, Residency.FOREIGN)
+        pi = [0.01, 0.02, 0.03, 0.04, 0.05]
+        out = loss_series(
+            returns_of(pi, MacroSeries("fx_usd", tuple(levels.items()))), Residency.FOREIGN
+        )
         # 2020-03 has no FX level, 2020-04 none at m-1.
         assert out.months == ("2020-02", "2020-05", "2020-06")
-        p = pi.as_dict()
         expected_fx = [
             levels["2020-02"] / levels["2020-01"] - 1.0,
             levels["2020-05"] / levels["2020-04"] - 1.0,
             levels["2020-06"] / levels["2020-05"] - 1.0,
         ]
         assert list(out.fx_ret) == expected_fx
-        assert list(out.loss) == [p[m] + r for m, r in zip(out.months, expected_fx)]
+        assert list(out.loss) == [p + r for p, r in zip((0.01, 0.04, 0.05), expected_fx)]
 
     def test_residency_accepts_strings(self):
-        pi = make_series("cpi_rate", [0.01] * 4)
-        out = loss_series(pi, None, "local")
+        out = loss_series(returns_of([0.01] * 4, [1.0] * 5), "local")
         assert out.residency is Residency.LOCAL
 
-    def test_foreign_requires_fx(self):
-        pi = make_series("cpi_rate", [0.01] * 4)
-        with pytest.raises(DataError):
-            loss_series(pi, None, Residency.FOREIGN)
-
-    def test_non_positive_fx_level_rejected(self):
-        pi = make_series("cpi_rate", [0.01] * 3, start="2020-02")
-        fx = make_series("fx_usd", [1.0, -0.5, 1.0, 1.0], start="2020-01")
-        with pytest.raises(DataError, match="non-positive level at 2020-02"):
-            loss_series(pi, fx, Residency.FOREIGN)
-
-    def test_no_alignment_rejected(self):
-        pi = make_series("cpi_rate", [0.01] * 3, start="2020-01")
-        fx = make_series("fx_usd", [1.0, 1.1, 1.2], start="2023-01")
-        with pytest.raises(DataError, match="align"):
-            loss_series(pi, fx, Residency.FOREIGN)
-
-    def test_empty_inflation_rejected(self):
-        from crisishedge.dataio import MacroSeries
-
-        pi = MacroSeries(name="cpi_rate", observations=())
-        with pytest.raises(DataError, match="empty"):
-            loss_series(pi, None, Residency.LOCAL)
+    @pytest.mark.parametrize("inflation_kind", ["rate", "index"])
+    def test_matches_losses_aligned_apart_from_the_returns(self, inflation_kind):
+        # The oracle differences FX over every inflation month and picks the
+        # return months out afterwards; building on the return series' own
+        # months must give the same losses bit for bit, gaps or not.
+        rng = np.random.default_rng(31 if inflation_kind == "rate" else 32)
+        for trial in range(60):
+            n = int(rng.integers(8, 48))
+            start = f"{2000 + trial % 20}-{1 + trial % 12:02d}"
+            equity = make_series("equity", 100.0 * np.cumprod(rng.uniform(0.8, 1.25, n)), start)
+            fx = make_series("fx_usd", 3.0 * np.cumprod(rng.uniform(0.9, 1.3, n)), start)
+            if inflation_kind == "rate":
+                inflation = make_series("cpi_rate", rng.uniform(-0.02, 0.2, n), start)
+            else:
+                cpi = make_series("cpi", 100.0 * np.cumprod(rng.uniform(0.99, 1.2, n)), start)
+                inflation = pct_change(with_gaps(cpi, rng, 0.1), name="cpi_rate")
+            share = float(rng.uniform(0.0, 0.2))
+            equity, fx, inflation = (with_gaps(s, rng, share) for s in (equity, fx, inflation))
+            try:
+                returns = build_return_series(equity, fx, inflation)
+            except DataError:
+                continue
+            window = returns.window(returns.months[int(rng.integers(len(returns)))], None)
+            for series in (returns, window):
+                for residency in Residency:
+                    got = loss_series(series, residency)
+                    want = oracles.loss_at(
+                        oracles.loss_series(inflation, fx, residency), series.months
+                    )
+                    assert got.months == want.months
+                    assert got.residency is want.residency
+                    for label in ("loss", "pi", "fx_ret"):
+                        assert bits(getattr(got, label)) == bits(getattr(want, label)), label
 
     def test_local_cannot_carry_fx_returns(self):
         months = months_from("2020-01", 3)
@@ -153,8 +169,7 @@ class TestNetRealReturn:
         np.testing.assert_allclose(net_real_return(values, values), 0.0)
 
     def test_accepts_loss_series(self):
-        pi = make_series("cpi_rate", [0.01, 0.02])
-        loss = loss_series(pi, None, Residency.LOCAL)
+        loss = loss_series(returns_of([0.01, 0.02], [1.0] * 3), Residency.LOCAL)
         net = net_real_return([0.03, 0.03], loss)
         np.testing.assert_allclose(net, [0.02, 0.01])
 
@@ -280,6 +295,8 @@ class TestBuildHedgeReport:
             nominal=nominal,
             real_domestic=nominal,
             real_foreign=nominal,
+            pi=loss.pi,
+            fx_ret=loss.fx_ret,
         )
         episode = SimpleNamespace(country="turkey", crisis_month="2021-01")
         return episode, returns, loss
@@ -311,7 +328,9 @@ class TestBuildHedgeReport:
 
     def test_window_mismatch_rejected(self):
         episode, returns, loss = self.build_inputs()
-        shifted = loss.at(loss.months[1:])
+        shifted = LossSeries(
+            loss.months[1:], loss.loss[1:], loss.residency, loss.pi[1:], loss.fx_ret[1:]
+        )
         with pytest.raises(DataError, match="mismatch"):
             build_hedge_report(
                 episode, returns, shifted, fit_with(0.3, ci=(0.2, 0.4)), 0.25
@@ -330,7 +349,8 @@ class TestBuildHedgeReport:
             pi=zeros, fx_ret=zeros,
         )
         returns = ReturnSeries(
-            months=months, nominal=zeros, real_domestic=zeros, real_foreign=zeros
+            months=months, nominal=zeros, real_domestic=zeros, real_foreign=zeros,
+            pi=zeros, fx_ret=zeros,
         )
         episode = SimpleNamespace(country="x", crisis_month="2021-01")
         with pytest.raises(DegenerateSampleError):

@@ -953,23 +953,34 @@ class TestFailureModes:
         self, fixture_root, tmp_path
     ):
         # Without 2016-06 equity there are no returns for 2016-06 and 2016-07,
-        # while inflation and FX still give both months a loss.
-        for path in (fixture_root / "anti_hedge").iterdir():
-            lines = path.read_text().splitlines(keepends=True)
-            if path.name == "equity_tr_index.csv":
-                lines = [line for line in lines if not line.startswith("2016-06,")]
-            (tmp_path / path.name).write_text("".join(lines))
-        episode = dataclasses.replace(
-            load_episode(tmp_path / "episode.yaml"),
-            bootstrap=BootstrapConfig(replications=FAST_REPS, seed=1),
-        )
-        result = run_pipeline(episode, write_outputs=False)
-        post = result.post_window.months
-        assert "2016-06" not in post and "2016-07" not in post
-        assert {r.residency for r in result.reports} == {Residency.LOCAL, Residency.FOREIGN}
-        for residency, loss in result.losses.items():
-            assert loss.months == post
-            assert result.pseudo_samples[residency].n == len(post)
+        # while inflation and FX still give both months a loss. Without the
+        # 2016-06 FX level instead, the same two months lose their returns;
+        # anti_hedge's FX is flat, so that copy writes the same files.
+        written = {}
+        for gapped in ("equity_tr_index.csv", "fx_usd.csv"):
+            copy = tmp_path / gapped
+            copy.mkdir()
+            for path in (fixture_root / "anti_hedge").iterdir():
+                lines = path.read_text().splitlines(keepends=True)
+                if path.name == gapped:
+                    lines = [line for line in lines if not line.startswith("2016-06,")]
+                (copy / path.name).write_text("".join(lines))
+            # As loaded: the provenance hash is the episode file's.
+            episode = load_episode(copy / "episode.yaml")
+            result = run_pipeline(episode, fast=True, out_dir=copy / "out")
+            post = result.post_window.months
+            assert "2016-06" not in post and "2016-07" not in post
+            assert {r.residency for r in result.reports} == {Residency.LOCAL, Residency.FOREIGN}
+            for residency, loss in result.losses.items():
+                assert loss.months == post
+                assert result.pseudo_samples[residency].n == len(post)
+            written[gapped] = {
+                str(f.relative_to(copy / "out")): f.read_bytes()
+                for f in sorted((copy / "out").rglob("*"))
+                if f.is_file()
+            }
+        assert "report.csv" in written["fx_usd.csv"]
+        assert written["fx_usd.csv"] == written["equity_tr_index.csv"]
 
     def test_degenerate_inflation_becomes_diagnostics(self, tmp_path):
         generate_fixture(

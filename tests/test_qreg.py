@@ -17,7 +17,6 @@ from crisishedge.errors import (
 )
 from crisishedge.qreg import (
     INTERCEPT_LABEL,
-    TARGET_COLUMN,
     DesignMatrix,
     FeatureSchema,
     QuantileModel,
@@ -32,6 +31,7 @@ from crisishedge.qreg import (
     solve_check_loss,
 )
 from crisishedge.quantiles import empirical_quantile
+from crisishedge.returns import ReturnSeries
 
 from conftest import make_series
 from oracles import restandardized_subset
@@ -52,6 +52,18 @@ def dm(values, target, columns=None, start="2015-01", **kwargs) -> DesignMatrix:
         target=np.asarray(target, dtype=float),
         **kwargs,
     )
+
+
+def nominal_returns(values, start="2020-01") -> ReturnSeries:
+    """A return series whose nominal returns are ``values``, from ``start``.
+
+    The real returns differ from them, so a design that takes its target from
+    the wrong array shows.
+    """
+    values = np.asarray(values, dtype=float)
+    months = tuple(mo.month_range(start, mo.shift_month(start, len(values) - 1)))
+    zeros = np.zeros(len(values))
+    return ReturnSeries(months, values, values / 2, values / 4, zeros, zeros)
 
 
 def intercept_only(target, start="2015-01") -> DesignMatrix:
@@ -200,26 +212,22 @@ class TestDesignMatrixValidation:
 
 class TestEngineerFeatures:
     def panel(self, n=24, start="2020-01"):
-        months = list(mo.month_range(start, mo.shift_month(start, n - 1)))
         rng = np.random.default_rng(7)
+        returns = nominal_returns(rng.normal(0.01, 0.05, n), start=start)
         return {
-            TARGET_COLUMN: make_series(TARGET_COLUMN, rng.normal(0.01, 0.05, n), start=start),
             "policy_rate": make_series("policy_rate", rng.normal(0.1, 0.02, n), start=start),
             "m2_growth": make_series("m2_growth", rng.normal(0.01, 0.01, n), start=start),
             "regime_break": make_series(
                 "regime_break", [1.0 if 8 <= i <= 10 else 0.0 for i in range(n)], start=start
             ),
-        }, months
+        }, returns
 
     def test_lag_one_drops_first_row(self):
         # Four target months, feature values 1..4: the lag-1 column should read
         # [1, 2, 3] for Feb..Apr and the Jan row has no history so it drops.
-        panel = {
-            TARGET_COLUMN: make_series(TARGET_COLUMN, [0.1, 0.2, 0.3, 0.4], start="2020-01"),
-            "f": make_series("f", [1.0, 2.0, 3.0, 4.0], start="2020-01"),
-        }
+        panel = {"f": make_series("f", [1.0, 2.0, 3.0, 4.0], start="2020-01")}
         schema = FeatureSchema(base_features=("f",), lag_spec={"f": (1,)})
-        X = engineer_features(panel, schema)
+        X = engineer_features(panel, schema, nominal_returns([0.1, 0.2, 0.3, 0.4]))
         assert X.months == ("2020-02", "2020-03", "2020-04")
         assert X.dropped_rows == 1
         np.testing.assert_allclose(X.raw_linear[:, 0], [1.0, 2.0, 3.0])
@@ -227,12 +235,9 @@ class TestEngineerFeatures:
     def test_lag_reads_history_instead_of_shifting(self):
         # Feature history extends one month before the first target month, so
         # no row is dropped and the lag-1 column starts at the earlier value.
-        panel = {
-            TARGET_COLUMN: make_series(TARGET_COLUMN, [0.1, 0.2, 0.3], start="2020-02"),
-            "f": make_series("f", [10.0, 20.0, 30.0, 40.0], start="2020-01"),
-        }
+        panel = {"f": make_series("f", [10.0, 20.0, 30.0, 40.0], start="2020-01")}
         schema = FeatureSchema(base_features=("f",), lag_spec={"f": (1,)})
-        X = engineer_features(panel, schema)
+        X = engineer_features(panel, schema, nominal_returns([0.1, 0.2, 0.3], start="2020-02"))
         assert X.months == ("2020-02", "2020-03", "2020-04")
         assert X.dropped_rows == 0
         np.testing.assert_allclose(X.raw_linear[:, 0], [10.0, 20.0, 30.0])
@@ -241,30 +246,27 @@ class TestEngineerFeatures:
         # f is missing 2020-03; with lag 2 that gap feeds the 2020-05 row only.
         f = make_series("f", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], start="2020-01")
         f = MacroSeries("f", tuple(o for o in f.observations if o[0] != "2020-03"))
-        panel = {
-            TARGET_COLUMN: make_series(TARGET_COLUMN, [0.1, 0.2, 0.3, 0.4, 0.5], start="2020-03"),
-            "f": f,
-        }
+        returns = nominal_returns([0.1, 0.2, 0.3, 0.4, 0.5], start="2020-03")
         schema = FeatureSchema(base_features=("f",), lag_spec={"f": (0, 2)})
-        X = engineer_features(panel, schema)
+        X = engineer_features({"f": f}, schema, returns)
         assert X.months == ("2020-04", "2020-06", "2020-07")
         assert X.dropped_rows == 2  # 2020-03 (lag 0) and 2020-05 (lag 2)
         np.testing.assert_array_equal(X.raw_linear, [[4.0, 2.0], [6.0, 4.0], [7.0, 5.0]])
         np.testing.assert_array_equal(X.target, [0.2, 0.4, 0.5])
 
     def test_continuous_columns_standardized(self):
-        panel, _ = self.panel()
+        panel, returns = self.panel()
         schema = FeatureSchema(base_features=("policy_rate", "m2_growth"))
-        X = engineer_features(panel, schema)
+        X = engineer_features(panel, schema, returns)
         np.testing.assert_allclose(X.values.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(X.values.std(axis=0), 1.0, atol=1e-12)
 
     def test_dummies_pass_through_unscaled(self):
-        panel, _ = self.panel()
+        panel, returns = self.panel()
         schema = FeatureSchema(
             base_features=("policy_rate",), event_dummies={"regime_break": (0, 1)}
         )
-        X = engineer_features(panel, schema)
+        X = engineer_features(panel, schema, returns)
         j = X.columns.index("regime_break")
         assert set(np.unique(X.values[:, j])) <= {0.0, 1.0}
         raw = [panel["regime_break"].as_dict()[m] for m in X.months]
@@ -272,12 +274,11 @@ class TestEngineerFeatures:
 
     def test_interaction_is_product_of_standardized_parents(self):
         panel = {
-            TARGET_COLUMN: make_series(TARGET_COLUMN, [0.1, 0.2, 0.3, 0.4], start="2020-01"),
             "a": make_series("a", [2.0, 0.0, 2.0, 0.0], start="2020-01"),
             "b": make_series("b", [3.0, 3.0, 1.0, 1.0], start="2020-01"),
         }
         schema = FeatureSchema(base_features=("a", "b"), interaction_pairs=(("a", "b"),))
-        X = engineer_features(panel, schema)
+        X = engineer_features(panel, schema, nominal_returns([0.1, 0.2, 0.3, 0.4]))
         ja, jb = X.columns.index("a"), X.columns.index("b")
         np.testing.assert_allclose(X.values[:, ja], [1.0, -1.0, 1.0, -1.0])
         np.testing.assert_allclose(X.values[:, jb], [1.0, 1.0, -1.0, -1.0])
@@ -286,44 +287,41 @@ class TestEngineerFeatures:
     def test_gap_in_feature_drops_row_and_counts(self):
         from crisishedge.dataio import MacroSeries
 
-        panel, months = self.panel()
+        panel, returns = self.panel()
+        months = returns.months
         obs = tuple(o for o in panel["policy_rate"].observations if o[0] != months[5])
         panel["policy_rate"] = MacroSeries(name="policy_rate", observations=obs)
         schema = FeatureSchema(base_features=("policy_rate",))
-        X = engineer_features(panel, schema)
+        X = engineer_features(panel, schema, returns)
         assert months[5] not in X.months
         assert X.dropped_rows == 1
 
     def test_window_filters_target_months(self):
-        panel, months = self.panel()
-        schema = FeatureSchema(base_features=("policy_rate",))
-        X = engineer_features(panel, schema, window=(months[6], months[11]))
+        panel, returns = self.panel()
+        months = returns.months
+        window = returns.window(months[6], months[11])
+        X = engineer_features(panel, FeatureSchema(base_features=("policy_rate",)), window)
         assert X.months == tuple(months[6:12])
-
-    def test_missing_target_raises(self):
-        panel, _ = self.panel()
-        del panel[TARGET_COLUMN]
-        with pytest.raises(DataError, match=TARGET_COLUMN):
-            engineer_features(panel, FeatureSchema(base_features=("policy_rate",)))
+        np.testing.assert_array_equal(X.target, returns.nominal[6:12])
 
     def test_absent_feature_raises(self):
-        panel, _ = self.panel()
+        panel, returns = self.panel()
         with pytest.raises(DataError, match="oil_price"):
-            engineer_features(panel, FeatureSchema(base_features=("oil_price",)))
+            engineer_features(panel, FeatureSchema(base_features=("oil_price",)), returns)
 
     def test_non_binary_dummy_raises(self):
-        panel, _ = self.panel()
+        panel, returns = self.panel()
         schema = FeatureSchema(
             base_features=("policy_rate",), event_dummies={"m2_growth": (0,)}
         )
         with pytest.raises(DataError, match="m2_growth"):
-            engineer_features(panel, schema)
+            engineer_features(panel, schema, returns)
 
     def test_empty_window_raises(self):
-        panel, _ = self.panel()
+        panel, returns = self.panel()
         schema = FeatureSchema(base_features=("policy_rate",))
-        with pytest.raises(DataError):
-            engineer_features(panel, schema, window=("2030-01", "2030-06"))
+        with pytest.raises(DataError, match="no return months"):
+            engineer_features(panel, schema, returns.window("2030-01", "2030-06"))
 
 
 class TestFitQuantile:

@@ -148,16 +148,21 @@ class TestAlignment:
         for m in months:
             prev = mo.shift_month(m, -1)
             r = e[m] / e[prev] - 1.0
-            rows.append(
-                (r, real_return_domestic(r, p[m]), real_return_foreign(r, f[prev], f[m], p[m]))
-            )
+            rows.append((
+                r,
+                real_return_domestic(r, p[m]),
+                real_return_foreign(r, f[prev], f[m], p[m]),
+                p[m],
+                f[m] / f[prev] - 1.0,
+            ))
         return [np.array(col) for col in zip(*rows)]
 
     def assert_matches_reference(self, series, equity, fx, pi):
-        nominal, dom, foreign = self.reference(equity, fx, pi, series.months)
-        np.testing.assert_array_equal(series.nominal, nominal)
-        np.testing.assert_array_equal(series.real_domestic, dom)
-        np.testing.assert_array_equal(series.real_foreign, foreign)
+        expected = self.reference(equity, fx, pi, series.months)
+        for label, values in zip(
+            ("nominal", "real_domestic", "real_foreign", "pi", "fx_ret"), expected
+        ):
+            np.testing.assert_array_equal(getattr(series, label), values, err_msg=label)
 
     def test_complete_panel_matches_per_month_formulas(self, caplog):
         equity, fx, pi = self.levels()
@@ -225,6 +230,12 @@ class TestAlignment:
         bad_eq = make_series("eq", [100.0, 104.0, 99.0, -3.0, 110.0, 108.0])
         with pytest.raises(DataError, match="non-positive level at 2020-04"):
             build_return_series(bad_eq, fx, pi)
+
+    def test_no_inflation_months_rejected(self):
+        equity, fx, _ = self.levels()
+        pi = make_series("pi", [0.01, 0.02], start="2023-01")
+        with pytest.raises(DataError, match="no months with complete price and inflation"):
+            build_return_series(equity, fx, pi)
 
     def test_no_overlap_rejected(self):
         equity, _, pi = self.levels()
