@@ -9,6 +9,7 @@ import pytest
 
 from crisishedge import months as mo
 from crisishedge.copula import CopulaFamily, CopulaFit
+from crisishedge.dataio import MacroSeries, pct_change
 from crisishedge.errors import DataError, DegenerateSampleError
 from crisishedge.hedge import (
     HedgeReport,
@@ -19,7 +20,6 @@ from crisishedge.hedge import (
     loss_series,
     net_real_return,
 )
-from crisishedge.dataio import MacroSeries, pct_change
 from crisishedge.returns import ReturnSeries, build_return_series
 
 import oracles
