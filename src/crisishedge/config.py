@@ -53,6 +53,11 @@ class CVConfig:
             raise ConfigError(f"cv initial_window must be >= {MIN_FIT_ROWS}")
         if self.step < 1:
             raise ConfigError("cv step must be >= 1")
+        month = self.force_test_month
+        if month is not None and not (isinstance(month, str) and mo.is_month(month)):
+            raise ConfigError(
+                f"cv force_test_month must be a month stamp (YYYY-MM), got {month!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from itertools import compress, zip_longest
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import yaml
@@ -55,7 +55,7 @@ class MacroSeries:
     # Derived once from ``observations``; a day stamp's month index is its month's.
     is_monthly: bool = field(init=False, repr=False, compare=False)
     stamps: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _month_index: np.ndarray = field(init=False, repr=False, compare=False)
+    month_index: np.ndarray = field(init=False, repr=False, compare=False)
     _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -84,7 +84,7 @@ class MacroSeries:
         object.__setattr__(self, "source_kind", SourceKind(self.source_kind))
         object.__setattr__(self, "is_monthly", bool(monthly.all()))
         object.__setattr__(self, "stamps", stamps)
-        object.__setattr__(self, "_month_index", index)
+        object.__setattr__(self, "month_index", index)
         object.__setattr__(self, "_values", values)
 
     def __len__(self) -> int:
@@ -97,16 +97,16 @@ class MacroSeries:
     def as_dict(self) -> dict[str, float]:
         return dict(self.observations)
 
-    def at(self, months: Sequence[str], lag: int = 0) -> np.ndarray:
-        """Values at ``months`` shifted back by ``lag`` months, NaN where unobserved.
+    def at(self, index: np.ndarray, lag: int = 0) -> np.ndarray:
+        """Values at the month indexes ``index`` shifted back by ``lag``, NaN where unobserved.
 
         This is the one rule for reading a series at month ``m - lag``.  NaN
         cannot be confused with data because observations are always finite.
         """
         if not self.is_monthly:
             raise DataError(f"series {self.name!r} is day-stamped; lookups need months")
-        have = self._month_index
-        want = mo.month_indexes(months) - lag
+        have = self.month_index
+        want = index - lag
         out = np.full(want.shape, np.nan)
         if have.size:
             pos = np.minimum(np.searchsorted(have, want), have.size - 1)
@@ -123,7 +123,29 @@ class MacroSeries:
         """
         lo = 0 if start is None else bisect.bisect_left(self.stamps, start)
         hi = len(self) if end is None else bisect.bisect_right(self.stamps, end)
-        return replace(self, observations=self.observations[lo:hi])
+        return self._rows(slice(lo, hi), self._values[lo:hi])
+
+    def _rows(self, rows: slice | np.ndarray, values: np.ndarray, **fields) -> "MacroSeries":
+        """The stamps at ``rows`` (a slice or a boolean mask) holding ``values``.
+
+        Rows of a validated series, kept in order, are valid, so nothing is
+        checked again; ``fields`` replaces name, unit and the like.
+        """
+        if isinstance(rows, slice):
+            stamps = self.stamps[rows]
+        else:
+            stamps = tuple(compress(self.stamps, rows))
+        out = object.__new__(MacroSeries)
+        vars(out).update(
+            vars(self),
+            **fields,
+            observations=tuple(zip(stamps, values.tolist())),
+            is_monthly=self.is_monthly or not stamps,
+            stamps=stamps,
+            month_index=self.month_index[rows],
+            _values=values,
+        )
+        return out
 
 
 def load_series(
@@ -240,7 +262,7 @@ def to_monthly(series: MacroSeries, method: ConversionMethod | str) -> MacroSeri
     method = ConversionMethod(method)
     if len(series) == 0:
         raise DataError(f"cannot convert empty series {series.name!r}")
-    index, values = series._month_index, series._values
+    index, values = series.month_index, series._values
     cut = np.flatnonzero(np.diff(index)) + 1  # where a month's run of stamps begins
     last = np.append(cut - 1, index.size - 1)
     months = np.array(series.stamps, dtype="U7")[last].tolist()  # "U7" keeps the month
@@ -307,12 +329,12 @@ def fuse_hybrid(
     for s in (actual, proxy):
         if len(s) and not s.is_monthly:
             raise DataError(f"fuse_hybrid needs monthly series; {s.name!r} is day-stamped")
-    months = np.union1d(actual._month_index, proxy._month_index)
+    months = np.union1d(actual.month_index, proxy.month_index)
     if not months.size:
         raise DataError("cannot fuse two empty series")
     # Monthly stamps sort as their months, so the stamps' union lines up with ``months``.
     stamps = sorted({*actual.stamps, *proxy.stamps})
-    in_a, in_p = np.isin(months, actual._month_index), np.isin(months, proxy._month_index)
+    in_a, in_p = np.isin(months, actual.month_index), np.isin(months, proxy.month_index)
     a, p = np.zeros(months.size), np.zeros(months.size)
     a[in_a], p[in_p] = actual._values, proxy._values
     fused = np.where(in_a & in_p, q * a + (1.0 - q) * p, np.where(in_a, a, p))
@@ -351,15 +373,10 @@ def pct_change(series: MacroSeries, *, name: str | None = None) -> MacroSeries:
         raise DataError(
             f"non-positive level at {series.stamps[bad[0]]} in series {series.name!r}"
         )
-    prev = series.at(series.stamps, lag=1)
+    prev = series.at(series.month_index, lag=1)
     kept = ~np.isnan(prev)
     change = levels[kept] / prev[kept] - 1.0
-    return replace(
-        series,
-        name=name or f"{series.name}_pct",
-        observations=tuple(zip(compress(series.stamps, kept), change)),
-        unit="fraction/month",
-    )
+    return series._rows(kept, change, name=name or f"{series.name}_pct", unit="fraction/month")
 
 
 # --- panel manifest -----------------------------------------------------------

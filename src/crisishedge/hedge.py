@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import months as mo
 from .copula import CopulaFit
 from .errors import DataError, DegenerateSampleError
 from .returns import ReturnSeries
@@ -33,69 +32,30 @@ class Residency(str, Enum):
     FOREIGN = "foreign"
 
 
-@dataclass(frozen=True)
-class LossSeries:
-    """Monthly erosion of purchasing power for one residency profile.
+def loss_series(returns: ReturnSeries, residency: Residency | str) -> np.ndarray:
+    """The additive loss of each return month for one residency.
 
-    ``pi`` and ``fx_ret`` keep the additive components visible; for local
-    residents the FX component is identically zero.
+    Local residents lose the month's inflation, ``returns.pi`` itself;
+    foreign residents lose it plus the FX change.  Both are read from the
+    return series, so every return month has its loss.
     """
-
-    months: tuple[str, ...]
-    loss: np.ndarray
-    residency: Residency
-    pi: np.ndarray
-    fx_ret: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.months)
-        for label in ("loss", "pi", "fx_ret"):
-            arr = np.asarray(getattr(self, label), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{label} must have one value per month")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{label} contains non-finite values")
-            object.__setattr__(self, label, arr)
-        if self.residency is Residency.LOCAL and np.any(self.fx_ret != 0.0):
-            raise ValueError("local residency cannot carry FX returns")
-        if np.any(np.diff(mo.month_indexes(self.months)) <= 0):
-            raise ValueError("months must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.months)
-
-
-def loss_series(returns: ReturnSeries, residency: Residency | str) -> LossSeries:
-    """Assemble the additive loss per return month for one residency.
-
-    Local residents lose the month's inflation; foreign residents lose it
-    plus the FX change, both read from the return series, so every return
-    month has its loss.
-    """
-    residency = Residency(residency)
-    if residency is Residency.LOCAL:
-        return LossSeries(
-            months=returns.months, loss=returns.pi, residency=residency,
-            pi=returns.pi, fx_ret=np.zeros(len(returns)),
-        )
-    return LossSeries(
-        months=returns.months, loss=returns.pi + returns.fx_ret,
-        residency=residency, pi=returns.pi, fx_ret=returns.fx_ret,
-    )
+    if Residency(residency) is Residency.LOCAL:
+        return returns.pi
+    return returns.pi + returns.fx_ret
 
 
 def net_real_return(
     nominal: Sequence[float] | np.ndarray,
-    loss: LossSeries | Sequence[float] | np.ndarray,
+    loss: Sequence[float] | np.ndarray,
 ) -> np.ndarray:
     """Additive net position: nominal return minus same-month loss."""
     nom = np.asarray(nominal, dtype=float)
-    loss_values = loss.loss if isinstance(loss, LossSeries) else np.asarray(loss, dtype=float)
-    if nom.shape != loss_values.shape:
+    loss = np.asarray(loss, dtype=float)
+    if nom.shape != loss.shape:
         raise DataError(
-            f"length mismatch: {nom.shape[0]} returns vs {loss_values.shape[0]} losses"
+            f"length mismatch: {nom.shape[0]} returns vs {loss.shape[0]} losses"
         )
-    return nom - loss_values
+    return nom - loss
 
 
 def hedge_effectiveness(
@@ -156,31 +116,26 @@ class HedgeReport:
 def build_hedge_report(
     episode: "CrisisEpisode",
     returns: ReturnSeries,
-    loss: LossSeries,
+    residency: Residency | str,
     taildep: CopulaFit,
     tail_dependence_empirical: float,
 ) -> HedgeReport:
     """Flatten one residency's post-collapse outcome into a report row.
 
-    All inputs must already live on the identical post-collapse month grid;
-    a mismatch is an alignment bug upstream, reported as such.
+    The losses are read from ``returns``, so they cover its months exactly.
     """
-    if returns.months != loss.months:
-        raise DataError(
-            "window mismatch: returns cover "
-            f"{returns.months[0]}..{returns.months[-1]} but losses "
-            f"{loss.months[0]}..{loss.months[-1]}"
-        )
     if taildep.lambda_lower_ci is None:
         raise DataError("copula fit carries no confidence interval")
+    residency = Residency(residency)
+    loss = loss_series(returns, residency)
     net = net_real_return(returns.nominal, loss)
-    he = hedge_effectiveness(net, loss.loss)
+    he = hedge_effectiveness(net, loss)
     return HedgeReport(
         country=episode.country,
-        residency=loss.residency,
+        residency=residency,
         crisis_date=episode.crisis_month,
         hedge_effectiveness_pct=100.0 * he,
-        mean_erosion_pct=100.0 * float(np.mean(loss.loss)),
+        mean_erosion_pct=100.0 * float(np.mean(loss)),
         mean_net_real_pct=100.0 * float(np.mean(net)),
         tail_dependence=taildep.lambda_lower,
         tail_dependence_ci=taildep.lambda_lower_ci,

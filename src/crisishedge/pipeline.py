@@ -42,7 +42,7 @@ from .errors import (
     DataError,
     DegenerateSampleError,
 )
-from .hedge import HedgeReport, LossSeries, Residency
+from .hedge import HedgeReport, Residency
 from .quantiles import order_statistic_rank
 from .resample import chunks
 from .tailsel import MIN_TAIL_COUNT
@@ -71,7 +71,7 @@ class RunResult:
     triplet: tailsel.TailQuantileTriplet
     return_series: ret.ReturnSeries
     post_window: ret.ReturnSeries
-    losses: dict[Residency, LossSeries]
+    losses: dict[Residency, np.ndarray]
     pseudo_samples: dict[Residency, cop.PseudoSample]
     design: qreg.DesignMatrix
     models: dict[float, qreg.QuantileModel]
@@ -312,10 +312,8 @@ def _write_figures(out: Path, result: "RunResult", prov: Mapping[str, object]) -
     lines.append(stat_row("real_foreign", post.real_foreign))
     for residency in sorted(result.losses, key=lambda r: r.value):
         loss = result.losses[residency]
-        lines.append(stat_row(f"loss_{residency.value}", loss.loss))
-        lines.append(
-            stat_row(f"net_{residency.value}", post.nominal - loss.loss)
-        )
+        lines.append(stat_row(f"loss_{residency.value}", loss))
+        lines.append(stat_row(f"net_{residency.value}", post.nominal - loss))
     _atomic_write(out / "risk_return.csv", "\n".join(lines) + "\n")
 
     if result.attributions is not None:
@@ -484,12 +482,13 @@ def run_pipeline(
 
     with _stage("returns"):
         lead = mo.shift_month(episode.window_start, -1)
-        full_series = ret.build_return_series(
+        # The lead month has no return (that would need the month before it),
+        # so every return month lies inside the analysis window.
+        window_series = ret.build_return_series(
             panel[manifest.roles["equity"]].window(lead, episode.window_end),
             panel[manifest.roles["fx"]].window(lead, episode.window_end),
             inflation,
         )
-        window_series = full_series.window(episode.window_start, episode.window_end)
         if len(window_series) < 2:
             raise DataError("fewer than 2 return months inside the analysis window")
 
@@ -543,15 +542,13 @@ def run_pipeline(
 
         residency_seed = {Residency.LOCAL: int(seeds[0]), Residency.FOREIGN: int(seeds[1])}
         residencies = sorted(episode.residency, key=lambda r: r.value)
-        losses: dict[Residency, LossSeries] = {}
+        losses: dict[Residency, np.ndarray] = {}
         samples: dict[Residency, cop.PseudoSample] = {}
         for residency in residencies:
             with _stage(f"hedge ({residency.value})"):
                 losses[residency] = hedge.loss_series(post, residency)
             with _stage(f"copula ({residency.value})"):
-                samples[residency] = cop.PseudoSample.from_data(
-                    post.nominal, losses[residency].loss
-                )
+                samples[residency] = cop.PseudoSample.from_data(post.nominal, losses[residency])
 
         # Every (family, residency) pair is one lane of one search, and
         # the residencies that select one family are bootstrapped together.
@@ -606,7 +603,7 @@ def run_pipeline(
                 try:
                     reports.append(
                         hedge.build_hedge_report(
-                            episode, post, losses[residency], selected[residency],
+                            episode, post, residency, selected[residency],
                             empirical[residency],
                         )
                     )

@@ -317,7 +317,7 @@ def engineer_features(
     dummy_cols = schema.dummy_columns()
     raw = np.empty((len(months), len(linear_cols)))
     for j, (feature, lag) in enumerate(schema.lagged_sources()):
-        raw[:, j] = panel[feature].at(months, lag)
+        raw[:, j] = panel[feature].at(returns.month_index, lag)
     complete = ~np.isnan(raw).any(axis=1)
     dropped = int(np.count_nonzero(~complete))
     if dropped:

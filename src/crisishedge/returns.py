@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -37,6 +37,7 @@ class ReturnSeries:
     real_foreign: np.ndarray
     pi: np.ndarray
     fx_ret: np.ndarray
+    month_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.months)
@@ -49,8 +50,10 @@ class ReturnSeries:
             if np.any(arr <= -1.0):
                 raise ValueError(f"{label} contains returns at or below -100%")
             object.__setattr__(self, label, arr)
-        if np.any(np.diff(mo.month_indexes(self.months)) <= 0):
+        index = mo.month_indexes(self.months)
+        if np.any(np.diff(index) <= 0):
             raise ValueError("months must be strictly increasing")
+        object.__setattr__(self, "month_index", index)
 
     def __len__(self) -> int:
         return len(self.months)
@@ -59,14 +62,10 @@ class ReturnSeries:
         """The months within ``[start, end]`` (inclusive, either side optional)."""
         lo = 0 if start is None else bisect.bisect_left(self.months, start)
         hi = len(self) if end is None else bisect.bisect_right(self.months, end)
-        return ReturnSeries(
-            months=tuple(self.months[lo:hi]),
-            nominal=self.nominal[lo:hi].copy(),
-            real_domestic=self.real_domestic[lo:hi].copy(),
-            real_foreign=self.real_foreign[lo:hi].copy(),
-            pi=self.pi[lo:hi].copy(),
-            fx_ret=self.fx_ret[lo:hi].copy(),
-        )
+        # A run of validated months is valid: its rows are not checked again.
+        out = object.__new__(ReturnSeries)
+        vars(out).update({label: value[lo:hi] for label, value in vars(self).items()})
+        return out
 
 
 def real_return_domestic(
@@ -115,13 +114,16 @@ def build_return_series(
     for s in (equity, fx):
         if len(s) and not s.is_monthly:
             raise DataError(f"series {s.name!r} must be monthly")
-    months = sorted(set(equity.stamps) & set(fx.stamps))
-    if not months:
+    index, rows, _ = np.intersect1d(
+        equity.month_index, fx.month_index, assume_unique=True, return_indices=True
+    )
+    if not index.size:
         raise DataError(
             f"no overlapping months between {equity.name!r} and {fx.name!r}"
         )
-    nominal = pct_change(equity).at(months)
-    rate, rate_prev = fx.at(months), fx.at(months, lag=1)
+    months = [equity.stamps[k] for k in rows.tolist()]
+    nominal = pct_change(equity).at(index)
+    rate, rate_prev = fx.at(index), fx.at(index, lag=1)
     bad = np.flatnonzero(rate <= 0.0)
     if bad.size:
         raise DataError(f"FX rate must be positive at {months[bad[0]]}")
@@ -129,7 +131,7 @@ def build_return_series(
         raise DataError("need at least 2 price observations to form returns")
     if len(inflation) and not inflation.is_monthly:
         raise DataError(f"inflation series {inflation.name!r} must be monthly")
-    pi = inflation.at(months)
+    pi = inflation.at(index)
 
     gap = np.isnan(nominal) | np.isnan(rate_prev)
     for k in np.flatnonzero(gap[1:]) + 1:

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from crisishedge.config import load_episode
 from crisishedge.dataio import MacroSeries
 from crisishedge.months import month_range, shift_month
+from crisishedge.pipeline import run_pipeline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_ROOT = REPO_ROOT / "fixtures"
@@ -35,7 +37,26 @@ def golden_root():
     return GOLDEN_ROOT
 
 
+def _pin_one_cpu(mp: pytest.MonkeyPatch) -> None:
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 @pytest.fixture
 def one_cpu(monkeypatch):
     """A one-CPU affinity mask: the pipeline runs every stage in this process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    _pin_one_cpu(monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def clayton_full_one_cpu(tmp_path_factory):
+    """The full clayton_coupled run on one CPU: its result and output directory.
+
+    One run serves every test that reads it: A05 holds it to the goldens and
+    the forked run with a helper is compared with it byte for byte.
+    """
+    out = tmp_path_factory.mktemp("clayton_full_one_cpu")
+    episode = load_episode(FIXTURE_ROOT / "clayton_coupled" / "episode.yaml")
+    with pytest.MonkeyPatch.context() as mp:
+        _pin_one_cpu(mp)
+        result = run_pipeline(episode, out_dir=out)
+    return result, out

@@ -1,6 +1,6 @@
 """Certificate-only references that the tests hold the shipped code to.
 
-Nothing here is on a run's path.  Each oracle is one of four kinds:
+Nothing here is on a run's path.  Each oracle is one of these kinds:
 
 * a slow, obviously correct reference: Shapley values and interaction
   indices by 2^M subset enumeration, importance shares one column at a time,
@@ -22,8 +22,16 @@ Nothing here is on a run's path.  Each oracle is one of four kinds:
   grouping and fusion through per-month dicts, against ``dataio.to_monthly``
   and ``dataio.fuse_hybrid`` on their month indexes; ``loss_series`` and
   ``loss_at``, losses built over every inflation month from a second
-  ``pct_change`` of the FX levels and then picked out month by month,
-  against ``hedge.loss_series`` on a return series' own months;
+  ``pct_change`` of the FX levels and then picked out month by month, kept
+  in a ``LossRecord`` of their own, against ``hedge.loss_series`` on a
+  return series' own months;
+* a copy that validates again what a run validates once: ``at_months``,
+  the lagged lookup on month stamps parsed through ``month_indexes``,
+  against ``MacroSeries.at`` on the month indexes a series holds;
+  ``window_validated`` and ``pct_change_validated``, derived series rebuilt
+  through ``dataclasses.replace`` so that every stamp is checked again,
+  against ``MacroSeries.window`` and ``dataio.pct_change``, which take rows
+  of the series they start from;
 * a checked per-call entry point to a private kernel.  These call the
   shipped kernel itself and carry no formula of their own, so what they
   certify is the kernel a run uses: ``shapley_values`` and ``window_phi``
@@ -33,6 +41,7 @@ Nothing here is on a run's path.  Each oracle is one of four kinds:
 
 from __future__ import annotations
 
+import bisect
 import csv
 import logging
 import math
@@ -49,9 +58,9 @@ from crisishedge.copula import (
     _margins,
     _validate_theta,
 )
-from crisishedge.dataio import ConversionMethod, MacroSeries, SourceKind, pct_change
+from crisishedge.dataio import ConversionMethod, MacroSeries, SourceKind
 from crisishedge.errors import DataError, DegenerateSampleError
-from crisishedge.hedge import LossSeries, Residency
+from crisishedge.hedge import Residency
 from crisishedge.months import index_to_month, is_month, month_indexes, parse_stamp
 from crisishedge.qreg import DesignMatrix, QuantileModel, restandardized_values
 
@@ -499,7 +508,58 @@ def fuse_hybrid_rows(
     )
 
 
-def loss_series(pi: MacroSeries, fx: MacroSeries | None, residency: Residency | str) -> LossSeries:
+def at_months(series: MacroSeries, months, lag: int = 0) -> np.ndarray:
+    """``MacroSeries.at`` on month stamps, both sides parsed through ``month_indexes``."""
+    if not series.is_monthly:
+        raise DataError(f"series {series.name!r} is day-stamped; lookups need months")
+    have = month_indexes(series.stamps)
+    want = month_indexes(months) - lag
+    out = np.full(want.shape, np.nan)
+    if have.size:
+        pos = np.minimum(np.searchsorted(have, want), have.size - 1)
+        hit = have[pos] == want
+        out[hit] = series.values[pos[hit]]
+    return out
+
+
+def window_validated(series: MacroSeries, start: str | None, end: str | None) -> MacroSeries:
+    """``MacroSeries.window`` rebuilt through ``replace``, so every stamp is checked again."""
+    lo = 0 if start is None else bisect.bisect_left(series.stamps, start)
+    hi = len(series) if end is None else bisect.bisect_right(series.stamps, end)
+    return replace(series, observations=series.observations[lo:hi])
+
+
+def pct_change_validated(series: MacroSeries, *, name: str | None = None) -> MacroSeries:
+    """``dataio.pct_change`` built through ``replace`` on a string-month lookup."""
+    if not series.is_monthly:
+        raise DataError(f"pct_change needs a monthly series; {series.name!r} is not")
+    levels = series.values
+    bad = np.flatnonzero(levels <= 0.0)
+    if bad.size:
+        raise DataError(
+            f"non-positive level at {series.stamps[bad[0]]} in series {series.name!r}"
+        )
+    prev = at_months(series, series.stamps, lag=1)
+    kept = ~np.isnan(prev)
+    change = levels[kept] / prev[kept] - 1.0
+    return replace(
+        series,
+        name=name or f"{series.name}_pct",
+        observations=tuple(zip([m for m, k in zip(series.stamps, kept) if k], change)),
+        unit="fraction/month",
+    )
+@dataclass(frozen=True)
+class LossRecord:
+    """One residency's losses month by month, with their two components."""
+
+    months: tuple[str, ...]
+    loss: np.ndarray
+    residency: Residency
+    pi: np.ndarray
+    fx_ret: np.ndarray
+
+
+def loss_series(pi: MacroSeries, fx: MacroSeries | None, residency: Residency | str) -> LossRecord:
     """Losses over every month of ``pi``, FX differenced apart from the returns.
 
     For foreign residents a month needs its own and the prior month's FX
@@ -511,32 +571,28 @@ def loss_series(pi: MacroSeries, fx: MacroSeries | None, residency: Residency | 
     if not len(pi):
         raise DataError("inflation series is empty")
     if residency is Residency.LOCAL:
-        return LossSeries(
-            months=pi.stamps, loss=pi.values, residency=residency,
-            pi=pi.values, fx_ret=np.zeros(len(pi)),
-        )
+        return LossRecord(pi.stamps, pi.values, residency, pi.values, np.zeros(len(pi)))
     if fx is None:
         raise DataError("foreign residency needs an FX series")
-    fx_ret = pct_change(fx).at(pi.stamps)
+    fx_ret = at_months(pct_change_validated(fx), pi.stamps)
     kept = ~np.isnan(fx_ret)
     if not kept.any():
         raise DataError(
             f"no months where {pi.name!r} and consecutive {fx.name!r} levels align"
         )
     pis, fx_ret = pi.values[kept], fx_ret[kept]
-    return LossSeries(
-        months=tuple(m for m, k in zip(pi.stamps, kept) if k), loss=pis + fx_ret,
-        residency=residency, pi=pis, fx_ret=fx_ret,
+    return LossRecord(
+        tuple(m for m, k in zip(pi.stamps, kept) if k), pis + fx_ret, residency, pis, fx_ret
     )
 
 
-def loss_at(loss: LossSeries, months) -> LossSeries:
+def loss_at(loss: LossRecord, months) -> LossRecord:
     """The rows of ``loss`` at exactly ``months``, each of which must be present."""
     index = {m: i for i, m in enumerate(loss.months)}
     missing = [m for m in months if m not in index]
     if missing:
         raise DataError(f"losses lack {len(missing)} requested month(s), first {missing[0]}")
     keep = [index[m] for m in months]
-    return LossSeries(
+    return LossRecord(
         tuple(months), loss.loss[keep], loss.residency, loss.pi[keep], loss.fx_ret[keep]
     )

@@ -227,7 +227,7 @@ def test_copula_mle_recovery_and_family_selection():
     _gate("A04 copula MLE recovery", ok, "; ".join(details) + f", {elapsed:.1f} s")
 
 
-def test_bootstrap_ci_determinism_and_coverage(fixture_root, golden_root, tmp_path):
+def test_bootstrap_ci_determinism_and_coverage(golden_root, clayton_full_one_cpu):
     rng = np.random.default_rng(42)
     small = PseudoSample.from_data(*simulate_copula(CopulaFamily.CLAYTON, 2.0, 500, rng))
     big = PseudoSample.from_data(*simulate_copula(CopulaFamily.CLAYTON, 2.0, 2000, rng))
@@ -236,9 +236,9 @@ def test_bootstrap_ci_determinism_and_coverage(fixture_root, golden_root, tmp_pa
     ci_b = block_bootstrap_ci([small], family, seeds=[7], replications=1000)[0].interval
     ci_big = block_bootstrap_ci([big], family, seeds=[7], replications=1000)[0].interval
 
-    # The full clayton_coupled run (R = 1000) is pinned like A10's --fast runs.
-    episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
-    result = run_pipeline(episode, out_dir=tmp_path)
+    # The full clayton_coupled run (R = 1000, on one CPU) is pinned like A10's
+    # --fast runs; the forked run with a helper is held to it byte for byte.
+    result, out = clayton_full_one_cpu
     brackets = []
     for residency, fit in sorted(result.copula_fits.items(), key=lambda kv: kv[0].value):
         lo, hi = fit.lambda_lower_ci
@@ -247,7 +247,7 @@ def test_bootstrap_ci_determinism_and_coverage(fixture_root, golden_root, tmp_pa
         (golden_root / "clayton_coupled_full_report_full.json").read_text(encoding="utf-8")
     )
     mismatches = _golden_mismatches(
-        tmp_path, golden_root, "clayton_coupled_full",
+        out, golden_root, "clayton_coupled_full",
         golden_full["attribution"]["stability_kendall_tau"],
     )
 
@@ -620,6 +620,51 @@ def test_golden_full_runs(fixture_root, golden_root, tmp_path):
         ok,
         "perfect_hedge, independent and the anti_hedge sweep's base run equal their "
         "full-run goldens; the full sweep.csv is byte-identical"
+        if ok
+        else "; ".join(mismatches),
+    )
+
+
+def test_one_cpu_runs_equal_their_goldens(fixture_root, golden_root, tmp_path, one_cpu):
+    # On one CPU the stability bootstrap runs inline in this process. A05
+    # holds full clayton_coupled there; these are the other golden-pinned
+    # runs that A10, A11 and A08 take with it forked.
+    run_pipeline(
+        load_episode(fixture_root / "independent" / "episode.yaml"),
+        fast=True, out_dir=tmp_path / "independent",
+    )
+    run_pipeline(
+        load_episode(fixture_root / "perfect_hedge" / "episode.yaml"),
+        out_dir=tmp_path / "perfect_hedge_full",
+    )
+    anti = load_episode(fixture_root / "anti_hedge" / "episode.yaml")
+    for prefix, fast in (("anti_hedge", True), ("anti_hedge_full", False)):
+        sensitivity_sweep(anti, [0.05, 0.10, 0.15, 0.20], fast=fast, out_dir=tmp_path / prefix)
+    stability = json.loads(
+        (golden_root / "stability_kendall_tau.json").read_text(encoding="utf-8")
+    )
+    for prefix in ("perfect_hedge_full", "anti_hedge_full"):
+        golden_full = json.loads(
+            (golden_root / f"{prefix}_report_full.json").read_text(encoding="utf-8")
+        )
+        stability[prefix] = golden_full["attribution"]["stability_kendall_tau"]
+    mismatches = []
+    for prefix in ("anti_hedge", "anti_hedge_full"):
+        if (tmp_path / prefix / "sweep.csv").read_bytes() != (
+            golden_root / f"{prefix}_sweep.csv"
+        ).read_bytes():
+            mismatches.append(f"{prefix}: sweep.csv differs from golden")
+    for prefix in ("independent", "perfect_hedge_full", "anti_hedge", "anti_hedge_full"):
+        mismatches += _golden_mismatches(
+            tmp_path / prefix, golden_root, prefix, stability[prefix]
+        )
+    ok = not mismatches
+    _gate(
+        "A12 one-CPU golden runs",
+        ok,
+        "independent --fast, perfect_hedge full and the anti_hedge sweep's base runs "
+        "(--fast and full) equal their goldens on one CPU; both sweep.csv files are "
+        "byte-identical"
         if ok
         else "; ".join(mismatches),
     )

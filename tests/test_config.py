@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 
+from crisishedge.cli import main
 from crisishedge.config import (
     BootstrapConfig,
     CrisisEpisode,
@@ -136,6 +138,16 @@ class TestKnobValidation:
         with pytest.raises(ConfigError):
             CVConfig(initial_window=24, step=0)
 
+    @pytest.mark.parametrize(
+        "month", ["2016-13", "2016-00", "2014-01-15", "2014-1", "14-01", " 2014-01", "", 201401]
+    )
+    def test_cv_force_test_month_must_be_a_month(self, month):
+        with pytest.raises(ConfigError) as info:
+            CVConfig(initial_window=24, step=6, force_test_month=month)
+        assert str(info.value) == (
+            f"cv force_test_month must be a month stamp (YYYY-MM), got {month!r}"
+        )
+
 
 class TestParseFeatureSchema:
     def test_full_block(self):
@@ -242,6 +254,21 @@ class TestLoadEpisode:
             VALID_YAML.replace("quantile_override: 0.12", "quantile_override: [0.1, 0.15, 0.2]")
         )
         assert load_episode(cfg).quantile_override == (0.1, 0.15, 0.2)
+
+    @pytest.mark.parametrize(
+        "entry, month",
+        [('"2016-13"', "2016-13"), ("2016-13", "2016-13"), ("2014-01-15", "2014-01-15")],
+    )
+    def test_force_test_month_must_be_a_month(self, tmp_path, capsys, entry, month):
+        # An unquoted day stamp is a YAML date; it is rejected as its ISO stamp.
+        cfg = tmp_path / "episode.yaml"
+        old = "force_test_month: 2018-08"
+        cfg.write_text(VALID_YAML.replace(old, f"force_test_month: {entry}"))
+        message = f"cv force_test_month must be a month stamp (YYYY-MM), got {month!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_episode(cfg)
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 

@@ -20,11 +20,20 @@ from crisishedge.dataio import (
     to_monthly,
 )
 from crisishedge.errors import ConfigError, DataError
-from crisishedge.months import shift_month
+from crisishedge import months as mo
+from crisishedge.months import month_indexes, shift_month
 from crisishedge.returns import ReturnSeries
 
 from conftest import FIXTURE_ROOT, make_series
-from oracles import fuse_hybrid_rows, load_series_rows, to_monthly_rows, within
+from oracles import (
+    at_months,
+    fuse_hybrid_rows,
+    load_series_rows,
+    pct_change_validated,
+    to_monthly_rows,
+    window_validated,
+    within,
+)
 
 
 class TestMacroSeries:
@@ -170,6 +179,10 @@ class TestFuseHybrid:
             fuse_hybrid(daily, daily, 0.5)
 
 
+def idx(*months):
+    return month_indexes(months)
+
+
 class TestLaggedLookup:
     def series(self):
         # 2020-03 is not observed.
@@ -178,40 +191,41 @@ class TestLaggedLookup:
         )
 
     def test_same_month_values_and_gaps(self):
-        got = self.series().at(["2020-02", "2020-03", "2020-05"])
+        got = self.series().at(idx("2020-02", "2020-03", "2020-05"))
         np.testing.assert_array_equal(got, [2.0, np.nan, 5.0])
 
     def test_lag_reads_earlier_months(self):
-        got = self.series().at(["2020-02", "2020-04", "2020-05", "2021-01"], lag=1)
+        got = self.series().at(idx("2020-02", "2020-04", "2020-05", "2021-01"), lag=1)
         np.testing.assert_array_equal(got, [1.0, np.nan, 4.0, np.nan])
 
     def test_lag_before_first_month_is_nan(self):
-        got = self.series().at(["2020-01", "2020-02", "2020-03"], lag=2)
+        got = self.series().at(idx("2020-01", "2020-02", "2020-03"), lag=2)
         np.testing.assert_array_equal(got, [np.nan, np.nan, 1.0])
 
     def test_months_after_last_observation_are_nan(self):
-        got = self.series().at(["2020-06", "2019-12"])
+        got = self.series().at(idx("2020-06", "2019-12"))
         assert np.isnan(got).all()
 
     def test_year_boundary(self):
         s = make_series("s", [1.0, 2.0], start="2019-12")
-        np.testing.assert_array_equal(s.at(["2020-01"], lag=1), [1.0])
+        np.testing.assert_array_equal(s.at(idx("2020-01"), lag=1), [1.0])
 
     def test_empty_series_and_empty_query(self):
         empty = MacroSeries("e", ())
-        assert np.isnan(empty.at(["2020-01", "2020-02"], lag=1)).all()
-        assert self.series().at([]).shape == (0,)
+        assert np.isnan(empty.at(idx("2020-01", "2020-02"), lag=1)).all()
+        assert self.series().at(idx()).shape == (0,)
 
     def test_day_stamped_series_rejected(self):
         s = MacroSeries("d", (("2020-01-03", 1.0),))
         with pytest.raises(DataError, match="day-stamped"):
-            s.at(["2020-01"])
+            s.at(idx("2020-01"))
 
     def test_window_looks_up_its_own_months(self):
         s = self.series()
-        s.at(["2020-01"])
+        s.at(idx("2020-01"))
         w = s.window("2020-02", "2020-04")
-        np.testing.assert_array_equal(w.at(["2020-01", "2020-02", "2020-04"]), [np.nan, 2.0, 4.0])
+        got = w.at(idx("2020-01", "2020-02", "2020-04"))
+        np.testing.assert_array_equal(got, [np.nan, 2.0, 4.0])
         assert w == MacroSeries("s", (("2020-02", 2.0), ("2020-04", 4.0)))
 
 
@@ -408,7 +422,10 @@ class TestBisectWindows:
 
     def series(self, rng, days):
         rows = sorted(_random_rows(rng, days=days, n=30))
-        return MacroSeries("s", tuple((d, float(v)) for d, v in rows))
+        return MacroSeries(
+            "s", tuple((d, float(v)) for d, v in rows),
+            unit="u", source_kind=SourceKind.PROXY, reliability=0.25,
+        )
 
     def bounds(self, rng, stamps):
         """Two of: None, a stamp, a month beside one (gap months among them), far bounds."""
@@ -424,7 +441,11 @@ class TestBisectWindows:
             s = self.series(rng, days)
             start, end = self.bounds(rng, s.stamps)
             want = tuple(o for o in s.observations if within(o[0], start, end))
-            assert s.window(start, end).observations == want
+            w = s.window(start, end)
+            assert w.observations == want
+            # Empty windows of a day-stamped series are among these.
+            assert w == _rebuilt(w) == window_validated(s, start, end)
+            assert _bits(w) == _bits(_rebuilt(w)) == _bits(window_validated(s, start, end))
 
     def test_return_series(self):
         rng = random.Random(11)
@@ -436,15 +457,24 @@ class TestBisectWindows:
             keep = [i for i, m in enumerate(r.months) if within(m, start, end)]
             w = r.window(start, end)
             assert w.months == tuple(r.months[i] for i in keep)
+            np.testing.assert_array_equal(w.month_index, month_indexes(w.months))
             for label in ("nominal", "real_domestic", "real_foreign", "pi", "fx_ret"):
                 np.testing.assert_array_equal(getattr(w, label), getattr(r, label)[keep])
 
 
 def _bits(series):
-    """Everything a series holds, its values as bits."""
+    """Everything a series holds, its arrays as bits and its observations as text."""
     return (
-        series.name, series.stamps, series.values.tobytes(), series.unit,
-        series.source_kind, series.reliability, series.is_monthly,
+        series.name, series.stamps, series.month_index.dtype, series.month_index.tobytes(),
+        series.values.tobytes(), repr(series.observations), series.unit, series.source_kind,
+        series.reliability, series.is_monthly,
+    )
+
+
+def _rebuilt(series):
+    """``series`` built again from its observations, through every check."""
+    return MacroSeries(
+        series.name, series.observations, series.unit, series.source_kind, series.reliability
     )
 
 
@@ -516,3 +546,71 @@ class TestMonthRunsMatchRowOracle:
             assert _outcome(caplog, fuse_hybrid, *sources, q, name="hybrid") == want
             want = _outcome(caplog, fuse_hybrid_rows, *sources[::-1], q)
             assert _outcome(caplog, fuse_hybrid, *sources[::-1], q) == want
+
+
+class TestDerivedSeriesMatchValidatingOracles:
+    """``pct_change`` and ``at`` on month indexes against the oracles that parse stamps."""
+
+    def levels(self, rng, *, bad=False):
+        start = rng.randrange(1990 * 12, 2030 * 12)
+        share = rng.choice([0.3, 0.7, 1.0])
+        picked = _random_months(rng, start, start + rng.randrange(1, 60), share)
+        values = [rng.uniform(0.5, 2.0) * 10.0 ** rng.randrange(-6, 6) for _ in picked]
+        if bad and values:
+            values[rng.randrange(len(values))] = rng.choice([0.0, -1.0])
+        return MacroSeries(
+            "lvl", tuple(zip(picked, values)), unit="idx", source_kind="proxy", reliability=0.8
+        )
+
+    def some_window(self, rng, series):
+        pool = [None, *series.stamps]
+        return series.window(rng.choice(pool), rng.choice(pool))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pct_change(self, caplog, seed):
+        rng = random.Random(seed)
+        for k in range(20):
+            s = self.levels(rng, bad=k % 5 == 4)
+            name = rng.choice([None, "rate"])
+            want = _outcome(caplog, pct_change_validated, s, name=name)
+            assert _outcome(caplog, pct_change, s, name=name) == want
+            if k % 5 == 4:
+                continue
+            for got in (pct_change(s), pct_change(self.some_window(rng, s))):
+                assert got == _rebuilt(got)
+                assert _bits(got) == _bits(_rebuilt(got))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_at_on_month_indexes(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            s = self.levels(rng)
+            lo = (int(s.month_index[0]) if len(s) else 24000) - 3
+            query = _random_months(rng, lo, lo + 70, 0.5)
+            rng.shuffle(query)
+            for series in (s, self.some_window(rng, s), pct_change(s)):
+                for lag in (0, 1, 2, 5, -1):
+                    got = series.at(month_indexes(query), lag)
+                    # Equal bits put the NaNs in the same places.
+                    assert got.tobytes() == at_months(series, query, lag).tobytes()
+        daily = MacroSeries("d", (("2020-01-03", 1.0),))
+        with pytest.raises(DataError) as want:
+            at_months(daily, ["2020-01"])
+        with pytest.raises(DataError) as got:
+            daily.at(month_indexes(["2020-01"]))
+        assert str(got.value) == str(want.value)
+
+    def test_derived_series_check_no_stamp_again(self, monkeypatch):
+        s = make_series("lvl", [1.0, 2.0, 4.0, 8.0], unit="idx")  # 2020-01 .. 2020-04
+        r = ReturnSeries(s.stamps, *np.full((5, 4), 0.01))
+
+        def refuse(stamps):
+            raise AssertionError(f"stamps checked again: {list(stamps)}")
+
+        monkeypatch.setattr(mo, "month_indexes", refuse)
+        monkeypatch.setattr(mo, "stamp_indexes", refuse)
+        w = s.window("2020-02", None)
+        assert w.stamps == ("2020-02", "2020-03", "2020-04")
+        assert pct_change(w).values.tolist() == [1.0, 1.0]
+        np.testing.assert_array_equal(w.at(s.month_index, lag=1), [np.nan, np.nan, 2.0, 4.0])
+        assert r.window("2020-03", None).months == ("2020-03", "2020-04")

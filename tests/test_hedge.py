@@ -13,7 +13,6 @@ from crisishedge.dataio import MacroSeries, pct_change
 from crisishedge.errors import DataError, DegenerateSampleError
 from crisishedge.hedge import (
     HedgeReport,
-    LossSeries,
     Residency,
     build_hedge_report,
     hedge_effectiveness,
@@ -67,20 +66,21 @@ class TestLossSeries:
     def test_local_mean_erosion_equals_mean_inflation(self):
         returns = returns_of([0.0205] * 12, [4.0] * 13)
         out = loss_series(returns, Residency.LOCAL)
-        assert float(np.mean(out.loss)) == pytest.approx(0.0205)
-        assert np.all(out.fx_ret == 0.0)
-        assert out.loss is returns.pi and out.pi is returns.pi
+        assert float(np.mean(out)) == pytest.approx(0.0205)
+        assert out is returns.pi
 
     def test_foreign_flat_fx_and_zero_inflation(self):
         out = loss_series(returns_of([0.0] * 6, [4.0] * 7), Residency.FOREIGN)
-        np.testing.assert_allclose(out.loss, 0.0)
+        np.testing.assert_allclose(out, 0.0)
 
     def test_foreign_additive_composition(self):
-        out = loss_series(returns_of([0.02], [1.00, 1.05]), Residency.FOREIGN)
-        assert out.months == ("2020-02",)
-        assert out.loss[0] == pytest.approx(0.02 + 0.05)
-        assert out.pi[0] == pytest.approx(0.02)
-        assert out.fx_ret[0] == pytest.approx(0.05)
+        returns = returns_of([0.02], [1.00, 1.05])
+        out = loss_series(returns, Residency.FOREIGN)
+        assert returns.months == ("2020-02",)
+        assert out[0] == pytest.approx(0.02 + 0.05)
+        assert returns.pi[0] == pytest.approx(0.02)
+        assert returns.fx_ret[0] == pytest.approx(0.05)
+        assert list(out) == [returns.pi[0] + returns.fx_ret[0]]
 
     def test_foreign_skips_months_without_prior_fx_level(self):
         # Inflation and equity reach back to the first FX month, which has no
@@ -88,27 +88,28 @@ class TestLossSeries:
         fx = make_series("fx_usd", [2.0, 2.1, 2.2], start="2020-01")
         returns = returns_of([0.01, 0.01, 0.01], fx, start="2020-01")
         out = loss_series(returns, Residency.FOREIGN)
-        assert out.months == returns.months == ("2020-02", "2020-03")
+        assert returns.months == ("2020-02", "2020-03")
+        assert out.shape == (2,)
 
     def test_foreign_fx_gap_drops_the_months_it_feeds(self):
         levels = {"2020-01": 2.0, "2020-02": 2.2, "2020-04": 2.5, "2020-05": 2.4, "2020-06": 3.1}
         pi = [0.01, 0.02, 0.03, 0.04, 0.05]
-        out = loss_series(
-            returns_of(pi, MacroSeries("fx_usd", tuple(levels.items()))), Residency.FOREIGN
-        )
+        returns = returns_of(pi, MacroSeries("fx_usd", tuple(levels.items())))
+        out = loss_series(returns, Residency.FOREIGN)
         # 2020-03 has no FX level, 2020-04 none at m-1.
-        assert out.months == ("2020-02", "2020-05", "2020-06")
+        assert returns.months == ("2020-02", "2020-05", "2020-06")
         expected_fx = [
             levels["2020-02"] / levels["2020-01"] - 1.0,
             levels["2020-05"] / levels["2020-04"] - 1.0,
             levels["2020-06"] / levels["2020-05"] - 1.0,
         ]
-        assert list(out.fx_ret) == expected_fx
-        assert list(out.loss) == [p + r for p, r in zip((0.01, 0.04, 0.05), expected_fx)]
+        assert list(returns.fx_ret) == expected_fx
+        assert list(out) == [p + r for p, r in zip((0.01, 0.04, 0.05), expected_fx)]
 
     def test_residency_accepts_strings(self):
-        out = loss_series(returns_of([0.01] * 4, [1.0] * 5), "local")
-        assert out.residency is Residency.LOCAL
+        returns = returns_of([0.01] * 4, [1.0, 1.1, 1.2, 1.3, 1.4])
+        assert loss_series(returns, "local") is returns.pi
+        assert bits(loss_series(returns, "foreign")) == bits(returns.pi + returns.fx_ret)
 
     @pytest.mark.parametrize("inflation_kind", ["rate", "index"])
     def test_matches_losses_aligned_apart_from_the_returns(self, inflation_kind):
@@ -135,25 +136,13 @@ class TestLossSeries:
             window = returns.window(returns.months[int(rng.integers(len(returns)))], None)
             for series in (returns, window):
                 for residency in Residency:
-                    got = loss_series(series, residency)
                     want = oracles.loss_at(
                         oracles.loss_series(inflation, fx, residency), series.months
                     )
-                    assert got.months == want.months
-                    assert got.residency is want.residency
-                    for label in ("loss", "pi", "fx_ret"):
-                        assert bits(getattr(got, label)) == bits(getattr(want, label)), label
-
-    def test_local_cannot_carry_fx_returns(self):
-        months = months_from("2020-01", 3)
-        with pytest.raises(ValueError):
-            LossSeries(
-                months=months,
-                loss=np.array([0.01, 0.01, 0.01]),
-                residency=Residency.LOCAL,
-                pi=np.array([0.01, 0.01, 0.01]),
-                fx_ret=np.array([0.0, 0.1, 0.0]),
-            )
+                    assert bits(loss_series(series, residency)) == bits(want.loss)
+                    assert bits(series.pi) == bits(want.pi)
+                    if residency is Residency.FOREIGN:
+                        assert bits(series.fx_ret) == bits(want.fx_ret)
 
 
 class TestNetRealReturn:
@@ -283,30 +272,23 @@ class TestBuildHedgeReport:
         dev -= dev.mean()
         loss_values = 0.0412 + dev
         nominal = 0.0374 + 2.0 * dev
-        loss = LossSeries(
-            months=months,
-            loss=loss_values,
-            residency=Residency.FOREIGN,
-            pi=loss_values * 0.6,
-            fx_ret=loss_values * 0.4,
-        )
         returns = ReturnSeries(
             months=months,
             nominal=nominal,
             real_domestic=nominal,
             real_foreign=nominal,
-            pi=loss.pi,
-            fx_ret=loss.fx_ret,
+            pi=loss_values * 0.6,
+            fx_ret=loss_values * 0.4,
         )
         episode = SimpleNamespace(country="turkey", crisis_month="2021-01")
-        return episode, returns, loss
+        return episode, returns
 
     def test_reconstructed_table_row(self):
-        episode, returns, loss = self.build_inputs()
+        episode, returns = self.build_inputs()
         report = build_hedge_report(
             episode,
             returns,
-            loss,
+            Residency.FOREIGN,
             fit_with(0.34, ci=(0.21, 0.47)),
             0.31,
         )
@@ -319,35 +301,25 @@ class TestBuildHedgeReport:
         assert report.residency is Residency.FOREIGN
 
     def test_net_mean_obeys_subtraction_identity(self):
-        episode, returns, loss = self.build_inputs(seed=87)
-        report = build_hedge_report(
-            episode, returns, loss, fit_with(0.3, ci=(0.2, 0.4)), 0.25
-        )
-        expected = 100.0 * (float(np.mean(returns.nominal)) - float(np.mean(loss.loss)))
-        assert report.mean_net_real_pct == pytest.approx(expected, abs=1e-12)
-
-    def test_window_mismatch_rejected(self):
-        episode, returns, loss = self.build_inputs()
-        shifted = LossSeries(
-            loss.months[1:], loss.loss[1:], loss.residency, loss.pi[1:], loss.fx_ret[1:]
-        )
-        with pytest.raises(DataError, match="mismatch"):
-            build_hedge_report(
-                episode, returns, shifted, fit_with(0.3, ci=(0.2, 0.4)), 0.25
+        episode, returns = self.build_inputs(seed=87)
+        for residency in Residency:
+            report = build_hedge_report(
+                episode, returns, residency, fit_with(0.3, ci=(0.2, 0.4)), 0.25
             )
+            loss = loss_series(returns, residency)
+            expected = 100.0 * (float(np.mean(returns.nominal)) - float(np.mean(loss)))
+            assert report.mean_net_real_pct == pytest.approx(expected, abs=1e-12)
+            assert report.mean_erosion_pct == 100.0 * float(np.mean(loss))
+            assert report.residency is residency
 
     def test_missing_ci_rejected(self):
-        episode, returns, loss = self.build_inputs()
+        episode, returns = self.build_inputs()
         with pytest.raises(DataError, match="confidence"):
-            build_hedge_report(episode, returns, loss, fit_with(0.3), 0.25)
+            build_hedge_report(episode, returns, Residency.LOCAL, fit_with(0.3), 0.25)
 
     def test_all_zero_inputs_surface_degenerate_loss(self):
         months = months_from("2021-01", 12)
         zeros = np.zeros(12)
-        loss = LossSeries(
-            months=months, loss=zeros, residency=Residency.LOCAL,
-            pi=zeros, fx_ret=zeros,
-        )
         returns = ReturnSeries(
             months=months, nominal=zeros, real_domestic=zeros, real_foreign=zeros,
             pi=zeros, fx_ret=zeros,
@@ -355,5 +327,5 @@ class TestBuildHedgeReport:
         episode = SimpleNamespace(country="x", crisis_month="2021-01")
         with pytest.raises(DegenerateSampleError):
             build_hedge_report(
-                episode, returns, loss, fit_with(0.0, ci=(0.0, 0.0)), 0.0
+                episode, returns, Residency.LOCAL, fit_with(0.0, ci=(0.0, 0.0)), 0.0
             )

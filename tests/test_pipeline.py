@@ -658,11 +658,11 @@ class TestForkedStability:
 
     @needs_fork
     def test_full_run_with_a_helper_equals_one_cpu_run_byte_for_byte(
-        self, fixture_root, workers, tmp_path, request
+        self, fixture_root, clayton_full_one_cpu, workers, tmp_path
     ):
         # R = 1000: the lead waits before its first claim until the helper
         # forked at the join has solved a chunk, so both workers fit
-        # replicates on their distinct rows.
+        # replicates on their distinct rows.  The one-CPU run is A05's.
         episode = load_episode(fixture_root / "clayton_coupled" / "episode.yaml")
         workers.on_plan = lambda role: role == "lead" and workers.wait_for_other_worker()
         run_pipeline(episode, out_dir=tmp_path / "forked")
@@ -673,9 +673,8 @@ class TestForkedStability:
         assert (helper, 0) in solved
         assert {pid for pid, _ in solved} <= {lead, helper}
 
-        request.getfixturevalue("one_cpu")
-        run_pipeline(episode, out_dir=tmp_path / "one_cpu")
-        forked, inline = written_files(tmp_path / "forked"), written_files(tmp_path / "one_cpu")
+        forked = written_files(tmp_path / "forked")
+        inline = written_files(clayton_full_one_cpu[1])
         assert len(forked) == 7
         assert forked == inline
 
@@ -972,7 +971,7 @@ class TestFailureModes:
             assert "2016-06" not in post and "2016-07" not in post
             assert {r.residency for r in result.reports} == {Residency.LOCAL, Residency.FOREIGN}
             for residency, loss in result.losses.items():
-                assert loss.months == post
+                assert loss.shape == (len(post),)
                 assert result.pseudo_samples[residency].n == len(post)
             written[gapped] = {
                 str(f.relative_to(copy / "out")): f.read_bytes()
@@ -981,6 +980,17 @@ class TestFailureModes:
             }
         assert "report.csv" in written["fx_usd.csv"]
         assert written["fx_usd.csv"] == written["equity_tr_index.csv"]
+
+    def test_force_test_month_outside_the_design_becomes_diagnostics(self, episode):
+        # A month stamp is checked when the config loads; whether the design
+        # holds that month is known only once it is built.
+        cv = dataclasses.replace(episode.cv, force_test_month="1999-01")
+        result = run_pipeline(dataclasses.replace(episode, cv=cv), write_outputs=False)
+        assert result.cv == {}
+        taus = (result.triplet.tau_low, result.triplet.tau_mid, result.triplet.tau_high)
+        assert [d for d in result.diagnostics if d.startswith("cv ")] == [
+            f"cv (tau={tau:.4g}): 1999-01 is not a design-matrix month" for tau in taus
+        ]
 
     def test_degenerate_inflation_becomes_diagnostics(self, tmp_path):
         generate_fixture(
