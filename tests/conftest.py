@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,24 @@ def make_series(name, values, start="2020-01", unit="", **kwargs):
         unit=unit,
         **kwargs,
     )
+
+
+def wobble_fx(fixture: Path, out: Path) -> Path:
+    """A copy of ``fixture`` whose FX strays from its inflation path by up to 3%.
+
+    Data row ``k`` (numbered from 2, after the header) is scaled by
+    ``1 + 0.03 ((7919 k mod 13) - 6) / 6`` and written to 10 significant
+    digits, as the CI workflow's ``awk`` step does, so the two residencies'
+    losses rank differently.  Returns the copy's episode file.
+    """
+    shutil.copytree(fixture, out)
+    header, *lines = (fixture / "fx_usd.csv").read_text().splitlines()
+    rows = [header]
+    for k, line in enumerate(lines, start=2):
+        month, value = line.split(",")
+        rows.append(f"{month},{float(value) * (1 + 0.03 * ((k * 7919) % 13 - 6) / 6):.10g}")
+    (out / "fx_usd.csv").write_text("\n".join(rows) + "\n")
+    return out / "episode.yaml"
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,7 @@ from crisishedge.pipeline import run_pipeline, sensitivity_sweep
 from crisishedge.qreg import DesignMatrix, QuantileModel, check_loss, fit_quantile
 from crisishedge.tailsel import build_triplet
 
+from conftest import wobble_fx
 from oracles import (
     interaction_values,
     interaction_values_brute_force,
@@ -556,24 +557,37 @@ def _golden_mismatches(out, golden_root, prefix: str, stability: float) -> list[
     return mismatches
 
 
-def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
-    stability_golden = json.loads(
+# The --fast run of clayton_coupled with its FX wobbled (conftest.wobble_fx):
+# the two residencies select different copula families.
+SPLIT = "clayton_coupled_split"
+
+
+def _split_stability(golden_root) -> dict[str, float]:
+    """Each --fast golden run's stability value, the split copy's included.
+
+    The split copy's is read from its own ``report.full`` golden, as the
+    full runs' are.
+    """
+    stability = json.loads(
         (golden_root / "stability_kendall_tau.json").read_text(encoding="utf-8")
     )
+    split = json.loads((golden_root / f"{SPLIT}_report_full.json").read_text(encoding="utf-8"))
+    stability[SPLIT] = split["attribution"]["stability_kendall_tau"]
+    return stability
+
+
+def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
+    stability_golden = _split_stability(golden_root)
+    configs = {
+        kind: fixture_root / kind / "episode.yaml"
+        for kind in ("perfect_hedge", "anti_hedge", "clayton_coupled", "independent")
+    }
+    configs[SPLIT] = wobble_fx(fixture_root / "clayton_coupled", tmp_path / "split_fixture")
     mismatches = []
-    for kind in ("perfect_hedge", "anti_hedge", "clayton_coupled", "independent"):
+    for kind, config in configs.items():
         out = tmp_path / kind
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "crisishedge",
-                "run",
-                str(fixture_root / kind / "episode.yaml"),
-                "--out",
-                str(out),
-                "--fast",
-            ],
+            [sys.executable, "-m", "crisishedge", "run", str(config), "--out", str(out), "--fast"],
             capture_output=True,
             text=True,
         )
@@ -586,8 +600,9 @@ def test_golden_end_to_end_reports(fixture_root, golden_root, tmp_path):
         "A10 golden end-to-end",
         ok,
         (
-            "all four fixture reports byte-identical; coefficients, attribution, "
-            "real returns and report.full within 1e-9 rel and stability exact"
+            "all four fixture reports and the split-residency copy's byte-identical; "
+            "coefficients, attribution, real returns and report.full within 1e-9 rel "
+            "and stability exact"
         )
         if ok
         else "; ".join(mismatches),
@@ -637,12 +652,14 @@ def test_one_cpu_runs_equal_their_goldens(fixture_root, golden_root, tmp_path, o
         load_episode(fixture_root / "perfect_hedge" / "episode.yaml"),
         out_dir=tmp_path / "perfect_hedge_full",
     )
+    run_pipeline(
+        load_episode(wobble_fx(fixture_root / "clayton_coupled", tmp_path / "split_fixture")),
+        fast=True, out_dir=tmp_path / SPLIT,
+    )
     anti = load_episode(fixture_root / "anti_hedge" / "episode.yaml")
     for prefix, fast in (("anti_hedge", True), ("anti_hedge_full", False)):
         sensitivity_sweep(anti, [0.05, 0.10, 0.15, 0.20], fast=fast, out_dir=tmp_path / prefix)
-    stability = json.loads(
-        (golden_root / "stability_kendall_tau.json").read_text(encoding="utf-8")
-    )
+    stability = _split_stability(golden_root)
     for prefix in ("perfect_hedge_full", "anti_hedge_full"):
         golden_full = json.loads(
             (golden_root / f"{prefix}_report_full.json").read_text(encoding="utf-8")
@@ -654,7 +671,7 @@ def test_one_cpu_runs_equal_their_goldens(fixture_root, golden_root, tmp_path, o
             golden_root / f"{prefix}_sweep.csv"
         ).read_bytes():
             mismatches.append(f"{prefix}: sweep.csv differs from golden")
-    for prefix in ("independent", "perfect_hedge_full", "anti_hedge", "anti_hedge_full"):
+    for prefix in ("independent", "perfect_hedge_full", SPLIT, "anti_hedge", "anti_hedge_full"):
         mismatches += _golden_mismatches(
             tmp_path / prefix, golden_root, prefix, stability[prefix]
         )
@@ -662,9 +679,9 @@ def test_one_cpu_runs_equal_their_goldens(fixture_root, golden_root, tmp_path, o
     _gate(
         "A12 one-CPU golden runs",
         ok,
-        "independent --fast, perfect_hedge full and the anti_hedge sweep's base runs "
-        "(--fast and full) equal their goldens on one CPU; both sweep.csv files are "
-        "byte-identical"
+        "independent --fast, perfect_hedge full, the split-residency copy --fast and "
+        "the anti_hedge sweep's base runs (--fast and full) equal their goldens on one "
+        "CPU; both sweep.csv files are byte-identical"
         if ok
         else "; ".join(mismatches),
     )

@@ -39,6 +39,7 @@ from crisishedge.pipeline import (
     sensitivity_sweep,
 )
 
+from conftest import wobble_fx
 from oracles import restandardized_subset
 
 # Small but non-degenerate bundle: 60 months keeps the LP and bootstrap fast
@@ -297,24 +298,6 @@ def bootstrap_calls(patch):
 
     patch.setattr(copula, "block_bootstrap_ci", spy)
     return calls
-
-
-def wobble_fx(fixture: Path, out: Path) -> Path:
-    """A copy of ``fixture`` whose FX strays from its inflation path by up to 3%.
-
-    Data row ``k`` (numbered from 2, after the header) is scaled by
-    ``1 + 0.03 ((7919 k mod 13) - 6) / 6`` and written to 10 significant
-    digits, as the CI workflow's ``awk`` step does, so the two residencies'
-    losses rank differently.  Returns the copy's episode file.
-    """
-    shutil.copytree(fixture, out)
-    header, *lines = (fixture / "fx_usd.csv").read_text().splitlines()
-    rows = [header]
-    for k, line in enumerate(lines, start=2):
-        month, value = line.split(",")
-        rows.append(f"{month},{float(value) * (1 + 0.03 * ((k * 7919) % 13 - 6) / 6):.10g}")
-    (out / "fx_usd.csv").write_text("\n".join(rows) + "\n")
-    return out / "episode.yaml"
 
 
 class TestCopulaGrouping:
