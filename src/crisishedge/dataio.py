@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from itertools import compress, zip_longest
@@ -38,9 +38,14 @@ class ConversionMethod(str, Enum):
     LINEAR_INTERP = "linear_interp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MacroSeries:
-    """A named scalar time series with strictly increasing stamps.
+    """A named scalar time series: strictly increasing stamps and their values.
+
+    ``values`` is the series' own read-only float array, one finite value per
+    stamp.  The constructor checks its input in full; a series derived from a
+    validated one (window, change, monthly conversion, fusion) is built from
+    its columns without parsing a stamp again.
 
     Canonical stamps are month precision (``YYYY-MM``).  Day-stamped series are
     accepted so raw market data can be loaded, but must pass through
@@ -48,26 +53,27 @@ class MacroSeries:
     """
 
     name: str
-    observations: tuple[tuple[str, float], ...]
+    stamps: tuple[str, ...]
+    values: np.ndarray
     unit: str = ""
     source_kind: SourceKind = SourceKind.OFFICIAL
     reliability: float | None = None
-    # Derived once from ``observations``; a day stamp's month index is its month's.
-    is_monthly: bool = field(init=False, repr=False, compare=False)
-    stamps: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    month_index: np.ndarray = field(init=False, repr=False, compare=False)
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    # Derived once from ``stamps``; a day stamp's month index is its month's.
+    is_monthly: bool = field(init=False, repr=False)
+    month_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("series name must be non-empty")
-        stamps, values = zip(*self.observations) if self.observations else ((), ())
-        stamps = tuple(map(str.strip, stamps))
+        stamps = tuple(map(str.strip, self.stamps))
         index, day = mo.stamp_indexes(stamps)
-        values = np.asarray(values, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ValueError(f"non-finite value at {stamps[bad[0]]} in series {self.name!r}")
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(stamps),):
+            raise ValueError(
+                f"series {self.name!r} has {len(stamps)} stamps but values of shape "
+                f"{values.shape}"
+            )
+        _check_finite(self.name, stamps, values)
         monthly = day == 0
         if monthly.any() and not monthly.all():
             raise ValueError(f"series {self.name!r} mixes month and day stamps")
@@ -80,22 +86,15 @@ class MacroSeries:
             )
         if self.reliability is not None and not 0.0 <= self.reliability <= 1.0:
             raise ValueError(f"reliability must lie in [0, 1], got {self.reliability}")
-        object.__setattr__(self, "observations", tuple(zip(stamps, values.tolist())))
+        values.flags.writeable = False
+        object.__setattr__(self, "stamps", stamps)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "source_kind", SourceKind(self.source_kind))
         object.__setattr__(self, "is_monthly", bool(monthly.all()))
-        object.__setattr__(self, "stamps", stamps)
         object.__setattr__(self, "month_index", index)
-        object.__setattr__(self, "_values", values)
 
     def __len__(self) -> int:
-        return len(self.observations)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values.copy()
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.observations)
+        return len(self.stamps)
 
     def at(self, index: np.ndarray, lag: int = 0) -> np.ndarray:
         """Values at the month indexes ``index`` shifted back by ``lag``, NaN where unobserved.
@@ -111,7 +110,7 @@ class MacroSeries:
         if have.size:
             pos = np.minimum(np.searchsorted(have, want), have.size - 1)
             hit = have[pos] == want
-            out[hit] = self._values[pos[hit]]
+            out[hit] = self.values[pos[hit]]
         return out
 
     def window(self, start: str | None = None, end: str | None = None) -> "MacroSeries":
@@ -123,29 +122,28 @@ class MacroSeries:
         """
         lo = 0 if start is None else bisect.bisect_left(self.stamps, start)
         hi = len(self) if end is None else bisect.bisect_right(self.stamps, end)
-        return self._rows(slice(lo, hi), self._values[lo:hi])
+        return self._derive(self.stamps[lo:hi], self.month_index[lo:hi], self.values[lo:hi])
 
-    def _rows(self, rows: slice | np.ndarray, values: np.ndarray, **fields) -> "MacroSeries":
-        """The stamps at ``rows`` (a slice or a boolean mask) holding ``values``.
+    def _derive(self, stamps, month_index, values, **fields) -> "MacroSeries":
+        """A series like this one holding ``values`` on ``stamps`` at ``month_index``.
 
-        Rows of a validated series, kept in order, are valid, so nothing is
-        checked again; ``fields`` replaces name, unit and the like.
+        The stamps come in order from validated series, so they are not parsed
+        again; only the values are checked, for being finite.  ``fields``
+        replaces name, unit and the like.
         """
-        if isinstance(rows, slice):
-            stamps = self.stamps[rows]
-        else:
-            stamps = tuple(compress(self.stamps, rows))
+        values = np.asarray(values, dtype=float)
+        _check_finite(fields.get("name", self.name), stamps, values)
+        values.flags.writeable = False
         out = object.__new__(MacroSeries)
-        vars(out).update(
-            vars(self),
-            **fields,
-            observations=tuple(zip(stamps, values.tolist())),
-            is_monthly=self.is_monthly or not stamps,
-            stamps=stamps,
-            month_index=self.month_index[rows],
-            _values=values,
-        )
+        vars(out).update(vars(self), is_monthly=self.is_monthly or not stamps)
+        vars(out).update(fields, stamps=stamps, month_index=month_index, values=values)
         return out
+
+
+def _check_finite(name: str, stamps: tuple[str, ...], values: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"non-finite value at {stamps[bad[0]]} in series {name!r}")
 
 
 def load_series(
@@ -199,9 +197,8 @@ def load_series(
     try:
         return MacroSeries(
             name=name or path.stem,
-            observations=tuple(
-                zip(map(dates.__getitem__, order.tolist()), values[order].tolist())
-            ),
+            stamps=tuple(map(dates.__getitem__, order.tolist())),
+            values=values[order],
             unit=unit,
             source_kind=SourceKind(source_kind),
         )
@@ -245,7 +242,7 @@ def save_series(series: MacroSeries, path: str | Path) -> Path:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["date", "value"])
-        for stamp, value in series.observations:
+        for stamp, value in zip(series.stamps, series.values.tolist()):
             writer.writerow([stamp, repr(value)])
     return path
 
@@ -262,19 +259,20 @@ def to_monthly(series: MacroSeries, method: ConversionMethod | str) -> MacroSeri
     method = ConversionMethod(method)
     if len(series) == 0:
         raise DataError(f"cannot convert empty series {series.name!r}")
-    index, values = series.month_index, series._values
+    index, values = series.month_index, series.values
     cut = np.flatnonzero(np.diff(index)) + 1  # where a month's run of stamps begins
     last = np.append(cut - 1, index.size - 1)
-    months = np.array(series.stamps, dtype="U7")[last].tolist()  # "U7" keeps the month
+    months = index[last]
+    stamps = tuple(np.array(series.stamps, dtype="U7")[last].tolist())  # "U7" keeps the month
     if method is ConversionMethod.MEAN:
-        collapsed = [float(np.mean(run)) for run in np.split(values, cut)]
+        collapsed = [np.mean(run) for run in np.split(values, cut)]
     else:
-        collapsed = values[last].tolist()
+        collapsed = values[last]
     if method is ConversionMethod.LINEAR_INTERP:
-        months = mo.month_range(months[0], months[-1])
-        full = np.arange(index[0], index[-1] + 1)
-        collapsed = np.interp(full, index[last], collapsed).tolist()
-    return replace(series, observations=tuple(zip(months, collapsed)))
+        full = np.arange(months[0], months[-1] + 1)
+        collapsed = np.interp(full, months, collapsed)
+        months, stamps = full, tuple(map(mo.index_to_month, full.tolist()))
+    return series._derive(stamps, months, collapsed, is_monthly=True)
 
 
 @dataclass(frozen=True)
@@ -333,10 +331,10 @@ def fuse_hybrid(
     if not months.size:
         raise DataError("cannot fuse two empty series")
     # Monthly stamps sort as their months, so the stamps' union lines up with ``months``.
-    stamps = sorted({*actual.stamps, *proxy.stamps})
+    stamps = tuple(sorted({*actual.stamps, *proxy.stamps}))
     in_a, in_p = np.isin(months, actual.month_index), np.isin(months, proxy.month_index)
     a, p = np.zeros(months.size), np.zeros(months.size)
-    a[in_a], p[in_p] = actual._values, proxy._values
+    a[in_a], p[in_p] = actual.values, proxy.values
     fused = np.where(in_a & in_p, q * a + (1.0 - q) * p, np.where(in_a, a, p))
     for source, only in (("official", in_a & ~in_p), ("proxy", in_p & ~in_a)):
         if only.any():
@@ -348,12 +346,9 @@ def fuse_hybrid(
         logger.warning(
             "fusing series with different units: %r vs %r", actual.unit, proxy.unit
         )
-    return MacroSeries(
-        name=name or actual.name,
-        observations=tuple(zip(stamps, fused.tolist())),
-        unit=actual.unit or proxy.unit,
-        source_kind=SourceKind.HYBRID,
-        reliability=q,
+    return actual._derive(
+        stamps, months, fused, name=name or actual.name, unit=actual.unit or proxy.unit,
+        source_kind=SourceKind.HYBRID, reliability=q,
     )
 
 
@@ -376,7 +371,10 @@ def pct_change(series: MacroSeries, *, name: str | None = None) -> MacroSeries:
     prev = series.at(series.month_index, lag=1)
     kept = ~np.isnan(prev)
     change = levels[kept] / prev[kept] - 1.0
-    return series._rows(kept, change, name=name or f"{series.name}_pct", unit="fraction/month")
+    return series._derive(
+        tuple(compress(series.stamps, kept)), series.month_index[kept], change,
+        name=name or f"{series.name}_pct", unit="fraction/month",
+    )
 
 
 # --- panel manifest -----------------------------------------------------------

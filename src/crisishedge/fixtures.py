@@ -136,7 +136,8 @@ def generate_fixture(
                source_kind: SourceKind = SourceKind.OFFICIAL) -> MacroSeries:
         return MacroSeries(
             name=name,
-            observations=tuple(zip(grid, (float(x) for x in values))),
+            stamps=grid,
+            values=values,
             unit=unit,
             source_kind=source_kind,
         )

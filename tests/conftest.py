@@ -18,12 +18,7 @@ GOLDEN_ROOT = Path(__file__).resolve().parent / "golden"
 
 def make_series(name, values, start="2020-01", unit="", **kwargs):
     months = month_range(start, shift_month(start, len(values) - 1))
-    return MacroSeries(
-        name=name,
-        observations=tuple(zip(months, [float(v) for v in values])),
-        unit=unit,
-        **kwargs,
-    )
+    return MacroSeries(name=name, stamps=months, values=values, unit=unit, **kwargs)
 
 
 def wobble_fx(fixture: Path, out: Path) -> Path:

@@ -28,10 +28,12 @@ Nothing here is on a run's path.  Each oracle is one of these kinds:
 * a copy that validates again what a run validates once: ``at_months``,
   the lagged lookup on month stamps parsed through ``month_indexes``,
   against ``MacroSeries.at`` on the month indexes a series holds;
-  ``window_validated`` and ``pct_change_validated``, derived series rebuilt
-  through ``dataclasses.replace`` so that every stamp is checked again,
-  against ``MacroSeries.window`` and ``dataio.pct_change``, which take rows
-  of the series they start from;
+  ``window_validated`` and ``pct_change_validated``, and the row-at-a-time
+  ``to_monthly_rows`` and ``fuse_hybrid_rows``, derived series rebuilt
+  through ``dataclasses.replace`` or the ``MacroSeries`` constructor so that
+  every stamp and value is checked again, against the shipped functions,
+  which build from the stamp and value columns of the series they start
+  from without parsing a stamp again;
 * a checked per-call entry point to a private kernel.  These call the
   shipped kernel itself and carry no formula of their own, so what they
   certify is the kernel a run uses: ``shapley_values`` and ``window_phi``
@@ -433,13 +435,16 @@ def load_series_rows(path, *, date_column="date", value_column="value", name=Non
 
 
 def to_monthly_rows(series: MacroSeries, method: ConversionMethod | str) -> MacroSeries:
-    """``dataio.to_monthly`` grouping observations by month through a dict."""
+    """``dataio.to_monthly`` grouping observations by month through a dict.
+
+    The result is built through ``replace``, so every stamp is checked again.
+    """
     method = ConversionMethod(method)
     if len(series) == 0:
         raise DataError(f"cannot convert empty series {series.name!r}")
     by_month: dict[str, list[float]] = {}
     order: list[str] = []
-    for stamp, value in series.observations:
+    for stamp, value in zip(series.stamps, series.values.tolist()):
         month = stamp[:7]
         if month not in by_month:
             by_month[month] = []
@@ -455,7 +460,8 @@ def to_monthly_rows(series: MacroSeries, method: ConversionMethod | str) -> Macr
         full = np.arange(idx[0], idx[-1] + 1)
         filled = np.interp(full, idx, vals)
         collapsed = [(index_to_month(int(i)), float(v)) for i, v in zip(full, filled)]
-    return replace(series, observations=tuple(collapsed))
+    stamps, values = zip(*collapsed)
+    return replace(series, stamps=stamps, values=values)
 
 
 def fuse_hybrid_rows(
@@ -463,14 +469,16 @@ def fuse_hybrid_rows(
 ) -> MacroSeries:
     """``dataio.fuse_hybrid`` month by month through two dicts.
 
-    Logs the same messages as the shipped function, to this module's logger.
+    Logs the same messages as the shipped function, to this module's logger,
+    and builds the result through the validating constructor.
     """
     if not (np.isfinite(q) and 0.0 <= q <= 1.0):
         raise ValueError(f"fusion weight q must lie in [0, 1], got {q}")
     for s in (actual, proxy):
         if len(s) and not s.is_monthly:
             raise DataError(f"fuse_hybrid needs monthly series; {s.name!r} is day-stamped")
-    a, p = actual.as_dict(), proxy.as_dict()
+    a = dict(zip(actual.stamps, actual.values.tolist()))
+    p = dict(zip(proxy.stamps, proxy.values.tolist()))
     all_months = sorted(set(a) | set(p))
     if not all_months:
         raise DataError("cannot fuse two empty series")
@@ -499,9 +507,11 @@ def fuse_hybrid_rows(
         logger.warning(
             "fusing series with different units: %r vs %r", actual.unit, proxy.unit
         )
+    stamps, values = zip(*fused)
     return MacroSeries(
         name=name or actual.name,
-        observations=tuple(fused),
+        stamps=stamps,
+        values=values,
         unit=actual.unit or proxy.unit,
         source_kind=SourceKind.HYBRID,
         reliability=q,
@@ -526,7 +536,7 @@ def window_validated(series: MacroSeries, start: str | None, end: str | None) ->
     """``MacroSeries.window`` rebuilt through ``replace``, so every stamp is checked again."""
     lo = 0 if start is None else bisect.bisect_left(series.stamps, start)
     hi = len(series) if end is None else bisect.bisect_right(series.stamps, end)
-    return replace(series, observations=series.observations[lo:hi])
+    return replace(series, stamps=series.stamps[lo:hi], values=series.values[lo:hi])
 
 
 def pct_change_validated(series: MacroSeries, *, name: str | None = None) -> MacroSeries:
@@ -545,7 +555,8 @@ def pct_change_validated(series: MacroSeries, *, name: str | None = None) -> Mac
     return replace(
         series,
         name=name or f"{series.name}_pct",
-        observations=tuple(zip([m for m, k in zip(series.stamps, kept) if k], change)),
+        stamps=tuple(m for m, k in zip(series.stamps, kept) if k),
+        values=change,
         unit="fraction/month",
     )
 @dataclass(frozen=True)

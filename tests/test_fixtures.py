@@ -123,4 +123,4 @@ class TestGeneratedBundleLoads:
         series = load_panel(load_manifest(tmp_path / "manifest.yaml"))
         regime = series["regime_break"]
         assert set(np.unique(regime.values)) == {0.0, 1.0}
-        assert regime.as_dict()[episode.crisis_month] == 1.0
+        assert regime.values[regime.stamps.index(episode.crisis_month)] == 1.0

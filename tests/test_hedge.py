@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,7 +55,7 @@ def returns_of(pi, fx, start="2020-02"):
 def with_gaps(series: MacroSeries, rng: np.random.Generator, share: float) -> MacroSeries:
     kept = rng.random(len(series)) >= share
     return MacroSeries(
-        series.name, tuple(o for o, k in zip(series.observations, kept) if k), unit=series.unit
+        series.name, tuple(compress(series.stamps, kept)), series.values[kept], unit=series.unit
     )
 
 
@@ -94,7 +95,7 @@ class TestLossSeries:
     def test_foreign_fx_gap_drops_the_months_it_feeds(self):
         levels = {"2020-01": 2.0, "2020-02": 2.2, "2020-04": 2.5, "2020-05": 2.4, "2020-06": 3.1}
         pi = [0.01, 0.02, 0.03, 0.04, 0.05]
-        returns = returns_of(pi, MacroSeries("fx_usd", tuple(levels.items())))
+        returns = returns_of(pi, MacroSeries("fx_usd", tuple(levels), tuple(levels.values())))
         out = loss_series(returns, Residency.FOREIGN)
         # 2020-03 has no FX level, 2020-04 none at m-1.
         assert returns.months == ("2020-02", "2020-05", "2020-06")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -245,7 +247,8 @@ class TestEngineerFeatures:
     def test_gap_at_lagged_month_drops_the_row_it_feeds(self):
         # f is missing 2020-03; with lag 2 that gap feeds the 2020-05 row only.
         f = make_series("f", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], start="2020-01")
-        f = MacroSeries("f", tuple(o for o in f.observations if o[0] != "2020-03"))
+        kept = np.array(f.stamps) != "2020-03"
+        f = MacroSeries("f", tuple(compress(f.stamps, kept)), f.values[kept])
         returns = nominal_returns([0.1, 0.2, 0.3, 0.4, 0.5], start="2020-03")
         schema = FeatureSchema(base_features=("f",), lag_spec={"f": (0, 2)})
         X = engineer_features({"f": f}, schema, returns)
@@ -269,7 +272,8 @@ class TestEngineerFeatures:
         X = engineer_features(panel, schema, returns)
         j = X.columns.index("regime_break")
         assert set(np.unique(X.values[:, j])) <= {0.0, 1.0}
-        raw = [panel["regime_break"].as_dict()[m] for m in X.months]
+        regime = panel["regime_break"]
+        raw = [regime.values[regime.stamps.index(m)] for m in X.months]
         np.testing.assert_array_equal(X.values[:, j], raw)
 
     def test_interaction_is_product_of_standardized_parents(self):
@@ -289,8 +293,11 @@ class TestEngineerFeatures:
 
         panel, returns = self.panel()
         months = returns.months
-        obs = tuple(o for o in panel["policy_rate"].observations if o[0] != months[5])
-        panel["policy_rate"] = MacroSeries(name="policy_rate", observations=obs)
+        rate = panel["policy_rate"]
+        kept = np.array(rate.stamps) != months[5]
+        panel["policy_rate"] = MacroSeries(
+            name="policy_rate", stamps=tuple(compress(rate.stamps, kept)), values=rate.values[kept]
+        )
         schema = FeatureSchema(base_features=("policy_rate",))
         X = engineer_features(panel, schema, returns)
         assert months[5] not in X.months
